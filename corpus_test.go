@@ -232,6 +232,13 @@ func TestCorpusConcurrentMutation(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// Stop and wait for the mutator however the test ends: a t.Fatalf below
+	// must not leave it swapping and indexing under the package's later
+	// tests.
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -272,8 +279,6 @@ func TestCorpusConcurrentMutation(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestCorpusEviction drives the public budget/eviction surface: the hook

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	cqtrees "repro"
 )
@@ -135,8 +136,14 @@ func ExampleNewCorpus() {
 		}
 	}
 
+	// Rows stream in completion order; sort them for a stable listing.
 	pq := cqtrees.MustCompile("Q(y) <- A(x), Child+(x, y), B(y)")
+	var rows []cqtrees.NodesResult
 	for r := range c.Nodes(pq) {
+		rows = append(rows, r)
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Doc < rows[j].Doc })
+	for _, r := range rows {
 		fmt.Println(r.Doc, r.Nodes, r.Err)
 	}
 	// Output:

@@ -689,10 +689,14 @@ type Miss struct {
 // the given order (unresolvable names — unknown, quarantined, or failing
 // to hydrate — are returned as Misses, in input order); a nil names
 // selects every document in sorted-name order, restricted by filter when
-// non-nil. The returned documents stay valid — they are immutable — even
-// if the corpus mutates (or dehydrates them) afterwards.
+// non-nil. An implicitly selected document removed between the listing
+// and its lookup is skipped, not a Miss: the caller never asked for it by
+// name (hydration failures still are Misses — the document exists). The
+// returned documents stay valid — they are immutable — even if the corpus
+// mutates (or dehydrates them) afterwards.
 func (c *Corpus) Snapshot(names []string, filter func(string) bool) (docs []Doc, missing []Miss) {
-	if names == nil {
+	implicit := names == nil
+	if implicit {
 		names = c.Names()
 	}
 	for _, name := range names {
@@ -701,7 +705,9 @@ func (c *Corpus) Snapshot(names []string, filter func(string) bool) (docs []Doc,
 		}
 		doc, err := c.GetErr(name)
 		if err != nil {
-			missing = append(missing, Miss{Name: name, Err: err})
+			if !implicit || !errors.Is(err, ErrUnknown) {
+				missing = append(missing, Miss{Name: name, Err: err})
+			}
 			continue
 		}
 		docs = append(docs, Doc{Name: name, Doc: doc, Bytes: doc.SizeBytes()})

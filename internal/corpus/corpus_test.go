@@ -149,6 +149,27 @@ func TestSnapshot(t *testing.T) {
 	if names := docNames(docs); !reflect.DeepEqual(names, []string{"x", "z"}) {
 		t.Fatalf("filtered snapshot = %v", names)
 	}
+
+	// A document removed between the listing and its lookup (the filter
+	// runs in between) is skipped when implicitly selected and a Miss when
+	// named.
+	removeY := func(name string) bool {
+		if name == "y" {
+			c.Remove("y")
+		}
+		return true
+	}
+	docs, missing = c.Snapshot(nil, removeY)
+	if names := docNames(docs); !reflect.DeepEqual(names, []string{"x", "z"}) || missing != nil {
+		t.Fatalf("snapshot racing a remove = %v, missing %v", names, missing)
+	}
+	if err := c.Add("y", doc("A(B)")); err != nil {
+		t.Fatal(err)
+	}
+	_, missing = c.Snapshot([]string{"y", "x"}, removeY)
+	if len(missing) != 1 || missing[0].Name != "y" || !errors.Is(missing[0].Err, ErrUnknown) {
+		t.Fatalf("named snapshot racing a remove: missing = %v", missing)
+	}
 }
 
 func docNames(docs []Doc) []string {

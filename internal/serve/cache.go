@@ -164,7 +164,7 @@ func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.
 		(cancelledRows > 0 || resp.Docs < expected) {
 		resp.TimedOut = true
 		s.metrics.observeEval(start, pq, "timeout")
-		writeJSON(w, http.StatusGatewayTimeout, resp)
+		writeEval(w, http.StatusGatewayTimeout, &resp)
 		return
 	}
 	// Same persistence escalation as evalBuffered: an all-failed batch
@@ -172,7 +172,7 @@ func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.
 	// (all quarantined).
 	if status := tally.status(w, resp.Docs, resp.Errors); status != http.StatusOK {
 		s.metrics.observeEval(start, pq, "failed")
-		writeJSON(w, status, resp)
+		writeEval(w, status, &resp)
 		return
 	}
 	out := "ok"
@@ -180,7 +180,7 @@ func (s *Server) evalCached(ctx context.Context, w http.ResponseWriter, r *http.
 		out = "cached" // never acquired a slot, never ran the engine
 	}
 	s.metrics.observeEval(start, pq, out)
-	writeJSON(w, http.StatusOK, resp)
+	writeEval(w, http.StatusOK, &resp)
 }
 
 // missingDocErr mirrors the batch iterators' per-row error for a document

@@ -322,7 +322,7 @@ func (s *Server) evalPaginated(ctx context.Context, w http.ResponseWriter, req e
 		resp.Results = []evalResult{{Doc: doc, Error: err.Error()}}
 		resp.Errors = 1
 		s.metrics.observeEval(start, pq, "timeout")
-		writeJSON(w, http.StatusGatewayTimeout, resp)
+		writeEval(w, http.StatusGatewayTimeout, &resp)
 		return
 	default:
 		// Document-tier failure: an error row plus the same persistence
@@ -335,7 +335,7 @@ func (s *Server) evalPaginated(ctx context.Context, w http.ResponseWriter, req e
 		resp.Errors = 1
 		status := tally.status(w, 1, 1)
 		s.metrics.observeEval(start, pq, "failed")
-		writeJSON(w, status, resp)
+		writeEval(w, status, &resp)
 		return
 	}
 	s.metrics.evalsTotal.With(strategySlug(pq.Plan())).Inc()
@@ -345,7 +345,7 @@ func (s *Server) evalPaginated(ctx context.Context, w http.ResponseWriter, req e
 		resp.NextCursor = page.Next
 	}
 	s.metrics.observeEval(start, pq, "ok")
-	writeJSON(w, http.StatusOK, resp)
+	writeEval(w, http.StatusOK, &resp)
 }
 
 // evalBuffered is the classic JSON response path: the whole batch fans
@@ -440,7 +440,7 @@ func (s *Server) evalBuffered(ctx context.Context, w http.ResponseWriter, req ev
 		(cancelledRows > 0 || resp.Docs < expected) {
 		resp.TimedOut = true
 		s.metrics.observeEval(start, pq, "timeout")
-		writeJSON(w, http.StatusGatewayTimeout, resp)
+		writeEval(w, http.StatusGatewayTimeout, &resp)
 		return
 	}
 	// Persistence escalation: when every row failed and the persistence
@@ -449,9 +449,9 @@ func (s *Server) evalBuffered(ctx context.Context, w http.ResponseWriter, req ev
 	// for is quarantined; retrying cannot help).
 	if status := tally.status(w, resp.Docs, resp.Errors); status != http.StatusOK {
 		s.metrics.observeEval(start, pq, "failed")
-		writeJSON(w, status, resp)
+		writeEval(w, status, &resp)
 		return
 	}
 	s.metrics.observeEval(start, pq, "ok")
-	writeJSON(w, http.StatusOK, resp)
+	writeEval(w, http.StatusOK, &resp)
 }

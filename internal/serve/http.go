@@ -9,6 +9,8 @@ import (
 
 // ---- JSON plumbing --------------------------------------------------------
 
+// writeJSON encodes metadata and error bodies; /eval responses go through
+// writeEval (encode.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -77,8 +76,6 @@ func (s *Server) evalNDJSON(ctx context.Context, w http.ResponseWriter, req eval
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriterSize(w, 32<<10)
-	enc := json.NewEncoder(bw)
-	enc.SetEscapeHTML(false)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		_ = bw.Flush()
@@ -86,7 +83,9 @@ func (s *Server) evalNDJSON(ctx context.Context, w http.ResponseWriter, req eval
 			flusher.Flush()
 		}
 	}
-	emit := func(v any) { _ = enc.Encode(v) }
+	// Each line is appended into the writer's free buffer space (growing
+	// past it only for a line longer than the buffer) and written.
+	emit := func(row ndRow) { _, _ = bw.Write(appendNDRow(bw.AvailableBuffer(), &row)) }
 
 	sum := ndSummary{Summary: true, Mode: mode, Plan: pq.Plan().String()}
 	for _, name := range docs {
@@ -169,6 +168,6 @@ func (s *Server) evalNDJSON(ctx context.Context, w http.ResponseWriter, req eval
 		outcome = "timeout"
 	}
 	s.metrics.observeEval(start, pq, outcome)
-	emit(sum)
+	_, _ = bw.Write(appendNDSummary(bw.AvailableBuffer(), &sum))
 	flush()
 }
