@@ -286,7 +286,7 @@ func BenchmarkSuccinctnessBlowup(b *testing.B) {
 }
 
 // BenchmarkACEngines (ablation): paper-exact Horn-SAT arc consistency
-// versus the optimized deletion-only engine, across tree sizes. HornAC
+// versus the bitset-domain worklist engine, across tree sizes. HornAC
 // materializes transitive relations (Θ(n²) program size); FastAC stays
 // near-linear.
 func BenchmarkACEngines(b *testing.B) {

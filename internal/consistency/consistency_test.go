@@ -298,34 +298,6 @@ func TestNodeSetOps(t *testing.T) {
 	}
 }
 
-func TestSuccUF(t *testing.T) {
-	n := 10
-	var su succUF
-	su.reset(n)
-	if su.find(0) != 0 || su.find(9) != 9 {
-		t.Fatalf("initial finds wrong")
-	}
-	for _, r := range []int32{3, 4, 5, 0, 9} {
-		su.delete(r)
-	}
-	if got := su.find(3); got != 6 {
-		t.Errorf("succ find(3) = %d, want 6", got)
-	}
-	if got := su.find(0); got != 1 {
-		t.Errorf("succ find(0) = %d, want 1", got)
-	}
-	if got := su.find(9); got != 10 {
-		t.Errorf("succ find(9) = %d, want 10 (none)", got)
-	}
-	// Reuse after reset restores the full universe.
-	su.reset(n)
-	for r := int32(0); r < int32(n); r++ {
-		if su.find(r) != r {
-			t.Fatalf("after reset, find(%d) = %d", r, su.find(r))
-		}
-	}
-}
-
 func TestFastACStats(t *testing.T) {
 	tr := tree.MustParseTerm("A(B,C(B),D)")
 	// y is unlabeled, so arc consistency itself must prune it down to

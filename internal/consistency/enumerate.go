@@ -40,12 +40,63 @@ import (
 
 // --- PinBase --------------------------------------------------------------
 
+// domWords is one variable's alive set stored three ways: as a bitset over
+// pre-order ranks, over sibling-order ranks, and over positions in the
+// (preEnd, pre) order. It is the package's only domain representation:
+// the axis support tests probe it through pinDom (fastac.go), and the bulk
+// image kernels (kernels.go) read its pre-rank words.
+type domWords struct {
+	pre    []uint64
+	sib    []uint64
+	preEnd []uint64
+}
+
+// reset makes w the empty set over nw words, reusing its backing arrays.
+func (w *domWords) reset(nw int) {
+	w.pre = bitset.Grow(w.pre, nw)
+	w.sib = bitset.Grow(w.sib, nw)
+	w.preEnd = bitset.Grow(w.preEnd, nw)
+}
+
+// copyFrom makes w a private copy of o, reusing w's backing arrays.
+func (w *domWords) copyFrom(o domWords) {
+	w.pre = append(w.pre[:0], o.pre...)
+	w.sib = append(w.sib[:0], o.sib...)
+	w.preEnd = append(w.preEnd[:0], o.preEnd...)
+}
+
+func (w *domWords) add(ix *TreeIndex, v tree.NodeID) {
+	bitset.Set(w.pre, ix.t.Pre(v))
+	bitset.Set(w.sib, ix.sibRank[v])
+	bitset.Set(w.preEnd, ix.preEndPos[v])
+}
+
+func (w *domWords) remove(ix *TreeIndex, v tree.NodeID) {
+	bitset.Clear(w.pre, ix.t.Pre(v))
+	bitset.Clear(w.sib, ix.sibRank[v])
+	bitset.Clear(w.preEnd, ix.preEndPos[v])
+}
+
+// load makes w the bitsets of s's members in O(|s| + n/64).
+func (w *domWords) load(ix *TreeIndex, s *NodeSet) {
+	n := ix.t.Len()
+	w.reset(bitset.Words(n))
+	if n > 0 && s.Len() == n {
+		bitset.FillRange(w.pre, 0, int32(n)-1)
+		bitset.FillRange(w.sib, 0, int32(n)-1)
+		bitset.FillRange(w.preEnd, 0, int32(n)-1)
+		return
+	}
+	s.ForEach(func(v tree.NodeID) bool {
+		w.add(ix, v)
+		return true
+	})
+}
+
 // PinBase is an immutable snapshot of the subset-maximal arc-consistent
 // prevaluation of a query on a tree, prepared for repeated pinned runs:
-// each variable's candidate set is stored three ways — as a bitset over
-// pre-order ranks, over sibling-order ranks, and over positions in the
-// (preEnd, pre) order — so that a PinRun can restore any domain with a few
-// word copies instead of rebuilding deletion-only index structures.
+// each variable's candidate set is stored as domWords, so that a PinRun
+// can restore any domain with a few word copies.
 //
 // A PinBase is read-only after construction and safe to share between
 // concurrent PinRuns (the parallel enumeration path relies on this).
@@ -61,9 +112,7 @@ type PinBase struct {
 	atomsOf [][]int32 // variable -> indexes of atoms touching it
 
 	sets       []*NodeSet // per variable: candidates, NodeID-indexed
-	pre        [][]uint64 // per variable: alive bitset over pre ranks
-	sib        [][]uint64 // per variable: alive bitset over sibling ranks
-	preEnd     [][]uint64 // per variable: alive bitset over preEnd positions
+	words      []domWords // per variable: candidates in the three orderings
 	setStore   []NodeSet  // backing storage for sets (reused across rebinds)
 	atomsStore [][]int32
 }
@@ -98,15 +147,14 @@ func (sc *Scratch) PinBaseFor(t *tree.Tree, q *cq.Query, p *Prevaluation) *PinBa
 	return sc.PinBaseForIx(sc.indexFor(t), q, p)
 }
 
-func (b *PinBase) init(ix *TreeIndex, q *cq.Query, p *Prevaluation) {
+// bind points b at ix and q: sizes, support context and the atoms of each
+// variable, but no candidate sets.
+func (b *PinBase) bind(ix *TreeIndex, q *cq.Query) {
 	t := ix.t
 	n := t.Len()
 	nv := q.NumVars()
-	if len(p.Sets) != nv {
-		panic(fmt.Sprintf("consistency: PinBase of %d-set prevaluation for %d-var query", len(p.Sets), nv))
-	}
 	b.t, b.q, b.n, b.nv = t, q, n, nv
-	b.nw = (n + 63) / 64
+	b.nw = bitset.Words(n)
 	b.ix = ix
 	b.sctx = supportCtx{t: t, n: int32(n), sibRank: ix.sibRank, sibStart: ix.sibStart}
 
@@ -123,26 +171,23 @@ func (b *PinBase) init(ix *TreeIndex, q *cq.Query, p *Prevaluation) {
 			b.atomsOf[at.Y] = append(b.atomsOf[at.Y], int32(i))
 		}
 	}
+}
 
+func (b *PinBase) init(ix *TreeIndex, q *cq.Query, p *Prevaluation) {
+	nv := q.NumVars()
+	if len(p.Sets) != nv {
+		panic(fmt.Sprintf("consistency: PinBase of %d-set prevaluation for %d-var query", len(p.Sets), nv))
+	}
+	b.bind(ix, q)
 	for len(b.setStore) < nv {
 		b.setStore = append(b.setStore, NodeSet{})
 	}
 	b.sets = grow(b.sets, nv)
-	b.pre = grow(b.pre, nv)
-	b.sib = grow(b.sib, nv)
-	b.preEnd = grow(b.preEnd, nv)
+	b.words = grow(b.words, nv)
 	for x := 0; x < nv; x++ {
 		b.setStore[x].copyFrom(p.Sets[x])
 		b.sets[x] = &b.setStore[x]
-		b.pre[x] = bitset.Grow(b.pre[x], b.nw)
-		b.sib[x] = bitset.Grow(b.sib[x], b.nw)
-		b.preEnd[x] = bitset.Grow(b.preEnd[x], b.nw)
-		b.sets[x].ForEach(func(v tree.NodeID) bool {
-			bitset.Set(b.pre[x], t.Pre(v))
-			bitset.Set(b.sib[x], b.ix.sibRank[v])
-			bitset.Set(b.preEnd[x], b.ix.preEndPos[v])
-			return true
-		})
+		b.words[x].load(ix, b.sets[x])
 	}
 }
 
@@ -157,23 +202,27 @@ func grow[T any](s []T, n int) []T {
 // set), in NodeID indexing. Read-only; owned by the PinBase.
 func (b *PinBase) Candidates(x cq.Var) *NodeSet { return b.sets[x] }
 
-// --- pinDom: the bitset domainView ---------------------------------------
+// --- pinDom: the support tests' view of a domain --------------------------
 
-// pinDom adapts one variable's current bitsets to the domainView interface
-// consumed by the shared axis support tests.
+// pinDom is one variable's current domWords, with the base supplying the
+// tree context the alive-set queries need. All ranges are inclusive; the
+// queries tolerate empty or out-of-range intervals.
 type pinDom struct {
-	b      *PinBase
-	pre    []uint64
-	sib    []uint64
-	preEnd []uint64
+	b *PinBase
+	domWords
 }
 
+// hasNode reports whether node v is alive.
 func (d *pinDom) hasNode(v tree.NodeID) bool { return bitset.Test(d.pre, d.b.t.Pre(v)) }
 
+// anyPreIn reports whether an alive node has pre rank in [lo, hi].
 func (d *pinDom) anyPreIn(lo, hi int32) bool { return bitset.AnyIn(d.pre, lo, hi) }
 
+// anySibIn reports whether an alive node has sibling-order rank in [lo, hi].
 func (d *pinDom) anySibIn(lo, hi int32) bool { return bitset.AnyIn(d.sib, lo, hi) }
 
+// minPreEnd returns the minimum preEnd among alive nodes, or n when the
+// domain is empty.
 func (d *pinDom) minPreEnd() int32 {
 	pos := bitset.First(d.preEnd)
 	if pos < 0 {
@@ -184,30 +233,27 @@ func (d *pinDom) minPreEnd() int32 {
 
 // --- PinRun ---------------------------------------------------------------
 
-// pinLevel holds the domain state after one pin: per variable, pointers to
-// the current bitsets (aliasing the level below until the variable is
-// mutated — copy-on-write), plus alive counts.
+// pinLevel holds the domain state after one pin: per variable, the current
+// bitsets (aliasing the level below until the variable is mutated —
+// copy-on-write), plus alive counts.
 type pinLevel struct {
-	pre    [][]uint64
-	sib    [][]uint64
-	preEnd [][]uint64
-	owned  []bool // whether this level owns (has copied) the variable's bitsets
-	count  []int32
-
-	ownPre    [][]uint64 // lazily allocated owned buffers, reused across pins
-	ownSib    [][]uint64
-	ownPreEnd [][]uint64
+	cur   []domWords
+	owned []bool // whether cur[x] is this level's own copy
+	count []int32
+	own   []domWords // lazily allocated owned buffers, reused across pins
 }
 
 func (lv *pinLevel) ensure(nv int) {
-	lv.pre = grow(lv.pre, nv)
-	lv.sib = grow(lv.sib, nv)
-	lv.preEnd = grow(lv.preEnd, nv)
+	lv.cur = grow(lv.cur, nv)
 	lv.owned = grow(lv.owned, nv)
 	lv.count = grow(lv.count, nv)
-	lv.ownPre = grow(lv.ownPre, nv)
-	lv.ownSib = grow(lv.ownSib, nv)
-	lv.ownPreEnd = grow(lv.ownPreEnd, nv)
+	lv.own = grow(lv.own, nv)
+}
+
+// load makes x's domain at this level a private copy of s.
+func (lv *pinLevel) load(ix *TreeIndex, x cq.Var, s *NodeSet) {
+	lv.own[x].load(ix, s)
+	lv.cur[x], lv.owned[x], lv.count[x] = lv.own[x], true, int32(s.Len())
 }
 
 // PinRun enumerates over a PinBase by pushing and popping pins. It is a
@@ -225,8 +271,8 @@ type PinRun struct {
 	inQueue   []bool
 	removeBuf []int32  // pre ranks pending removal in the current revision
 	imgBuf    []uint64 // bulk-kernel support bitset of the current revision
-	viewX     pinDom   // reusable support-test views (avoid per-revision
-	viewY     pinDom   // heap allocation through the generic call)
+	viewT     pinDom   // reusable support-test views (target and support
+	viewS     pinDom   // side of the current revision)
 }
 
 // NewPinRun returns a PinRun positioned at the unpinned snapshot.
@@ -248,12 +294,11 @@ func (r *PinRun) Base() *PinBase { return r.b }
 
 // words returns the current bitsets of variable x at stack depth d (d pins
 // applied).
-func (r *PinRun) words(d int, x cq.Var) (pre, sib, preEnd []uint64) {
+func (r *PinRun) words(d int, x cq.Var) domWords {
 	if d == 0 {
-		return r.b.pre[x], r.b.sib[x], r.b.preEnd[x]
+		return r.b.words[x]
 	}
-	lv := &r.levels[d-1]
-	return lv.pre[x], lv.sib[x], lv.preEnd[x]
+	return r.levels[d-1].cur[x]
 }
 
 func (r *PinRun) countAt(d int, x cq.Var) int32 {
@@ -263,34 +308,25 @@ func (r *PinRun) countAt(d int, x cq.Var) int32 {
 	return r.levels[d-1].count[x]
 }
 
-// setView points the reusable support-test view d at variable x's current
-// bitsets in the level under construction.
-func (lv *pinLevel) setView(b *PinBase, d *pinDom, x cq.Var) {
-	d.b, d.pre, d.sib, d.preEnd = b, lv.pre[x], lv.sib[x], lv.preEnd[x]
+// level returns the recycled level at stack depth d, sized for the base.
+func (r *PinRun) level(d int) *pinLevel {
+	for len(r.levels) <= d {
+		r.levels = append(r.levels, pinLevel{})
+	}
+	lv := &r.levels[d]
+	lv.ensure(r.b.nv)
+	return lv
 }
 
-// own makes the level's bitsets for x private by copying the aliased words
+// ownVar makes the level's bitsets for x private by copying the aliased words
 // into the level-owned buffers. No-op if already owned.
-func (lv *pinLevel) own(b *PinBase, x cq.Var) {
+func (lv *pinLevel) ownVar(x cq.Var) {
 	if lv.owned[x] {
 		return
 	}
-	lv.ownPre[x] = grow(lv.ownPre[x], b.nw)
-	lv.ownSib[x] = grow(lv.ownSib[x], b.nw)
-	lv.ownPreEnd[x] = grow(lv.ownPreEnd[x], b.nw)
-	copy(lv.ownPre[x], lv.pre[x])
-	copy(lv.ownSib[x], lv.sib[x])
-	copy(lv.ownPreEnd[x], lv.preEnd[x])
-	lv.pre[x], lv.sib[x], lv.preEnd[x] = lv.ownPre[x], lv.ownSib[x], lv.ownPreEnd[x]
+	lv.own[x].copyFrom(lv.cur[x])
+	lv.cur[x] = lv.own[x]
 	lv.owned[x] = true
-}
-
-// remove deletes node v from x's (owned) bitsets at this level.
-func (lv *pinLevel) remove(b *PinBase, x cq.Var, v tree.NodeID) {
-	bitset.Clear(lv.pre[x], b.t.Pre(v))
-	bitset.Clear(lv.sib[x], b.ix.sibRank[v])
-	bitset.Clear(lv.preEnd[x], b.ix.preEndPos[v])
-	lv.count[x]--
 }
 
 // Push restricts x's domain to {v} on top of the current state and
@@ -301,30 +337,20 @@ func (lv *pinLevel) remove(b *PinBase, x cq.Var, v tree.NodeID) {
 func (r *PinRun) Push(x cq.Var, v tree.NodeID) bool {
 	b := r.b
 	d := r.depth
-	for len(r.levels) <= d {
-		r.levels = append(r.levels, pinLevel{})
-	}
-	lv := &r.levels[d]
-	lv.ensure(b.nv)
+	lv := r.level(d)
 	for y := 0; y < b.nv; y++ {
-		lv.pre[y], lv.sib[y], lv.preEnd[y] = r.words(d, cq.Var(y))
+		lv.cur[y] = r.words(d, cq.Var(y))
 		lv.owned[y] = false
 		lv.count[y] = r.countAt(d, cq.Var(y))
 	}
-	if !bitset.Test(lv.pre[x], b.t.Pre(v)) {
+	if !bitset.Test(lv.cur[x].pre, b.t.Pre(v)) {
 		return false // v already pruned from x's domain
 	}
 	// Pin: x's bitsets become the singleton {v}.
-	lv.ownPre[x] = bitset.Grow(lv.ownPre[x], b.nw)
-	lv.ownSib[x] = bitset.Grow(lv.ownSib[x], b.nw)
-	lv.ownPreEnd[x] = bitset.Grow(lv.ownPreEnd[x], b.nw)
-	lv.pre[x], lv.sib[x], lv.preEnd[x] = lv.ownPre[x], lv.ownSib[x], lv.ownPreEnd[x]
-	lv.owned[x] = true
-	bitset.Set(lv.pre[x], b.t.Pre(v))
-	bitset.Set(lv.sib[x], b.ix.sibRank[v])
-	bitset.Set(lv.preEnd[x], b.ix.preEndPos[v])
-	lv.count[x] = 1
-	if !r.propagate(lv, x) {
+	lv.own[x].reset(b.nw)
+	lv.own[x].add(b.ix, v)
+	lv.cur[x], lv.owned[x], lv.count[x] = lv.own[x], true, 1
+	if _, ok := r.propagate(lv, b.atomsOf[x]); !ok {
 		return false
 	}
 	r.depth = d + 1
@@ -339,10 +365,12 @@ func (r *PinRun) Pop() {
 	r.depth--
 }
 
-// propagate runs the incremental worklist on the level under construction,
-// seeded with the atoms touching the pinned variable. Reports false if
-// some domain empties.
-func (r *PinRun) propagate(lv *pinLevel, pinned cq.Var) bool {
+// propagate runs the AC-3-style worklist on lv, seeded with the given
+// atoms: every atom for a full FastAC run, the pinned variable's atoms for
+// Push (from an arc-consistent state only those can be violated). It
+// reports the run's work counters and false if some domain empties.
+func (r *PinRun) propagate(lv *pinLevel, seed []int32) (Stats, bool) {
+	var st Stats
 	b := r.b
 	na := len(b.q.Atoms)
 	if cap(r.inQueue) < na {
@@ -353,7 +381,7 @@ func (r *PinRun) propagate(lv *pinLevel, pinned cq.Var) bool {
 		inQueue[i] = false
 	}
 	queue := r.queue[:0]
-	for _, ai := range b.atomsOf[pinned] {
+	for _, ai := range seed {
 		queue = append(queue, ai)
 		inQueue[ai] = true
 	}
@@ -363,14 +391,13 @@ func (r *PinRun) propagate(lv *pinLevel, pinned cq.Var) bool {
 	// so they support nothing on the opposite side), and re-revising it
 	// immediately would find no work. Self-loop atoms R(x,x) MUST re-queue
 	// themselves (except = -1): there the two sides share one domain, so a
-	// removal can strip the remaining values' own supports. Keep this
-	// revision rule in sync with Scratch.FastACFromStats (fastac.go),
-	// which runs the same worklist over the deletion-only UF domains.
+	// removal can strip the remaining values' own supports.
 	enqueueTouching := func(x cq.Var, except int32) {
 		for _, ai := range b.atomsOf[x] {
 			if ai != except && !inQueue[ai] {
 				inQueue[ai] = true
 				queue = append(queue, ai)
+				st.Enqueues++
 			}
 		}
 	}
@@ -378,75 +405,76 @@ func (r *PinRun) propagate(lv *pinLevel, pinned cq.Var) bool {
 	for pop := 0; consistent && pop < len(queue); pop++ {
 		ai := queue[pop]
 		inQueue[ai] = false
+		st.Revisions++
 		at := b.q.Atoms[ai]
 		except := ai
 		if at.X == at.Y {
 			except = -1 // self-loop: must re-revise itself to a fixpoint
 		}
-
-		// Forward: prune candidates of X lacking support in Y. Dense
-		// domains revise through the bulk kernel (support = Preimage of
-		// Y's alive set, one pass over the words); sparse ones probe per
-		// alive candidate. Both paths compute the identical removal set.
-		lv.setView(b, &r.viewX, at.X)
-		lv.setView(b, &r.viewY, at.Y)
-		r.removeBuf = r.removeBuf[:0]
-		if ReviseWithKernel(int(lv.count[at.X]), b.n) {
-			r.imgBuf = bitset.Resize(r.imgBuf, b.nw)
-			Preimage(at.Axis, b.ix, r.viewY.pre, r.imgBuf)
-			r.removeBuf = appendUnsupported(r.removeBuf, r.viewX.pre, r.imgBuf)
-		} else {
-			bitset.ForEach(r.viewX.pre, func(pr int32) bool {
-				if !supportedFwd(&b.sctx, at.Axis, b.t.ByPre(pr), &r.viewY) {
-					r.removeBuf = append(r.removeBuf, pr)
-				}
-				return true
-			})
-		}
-		if len(r.removeBuf) > 0 {
-			lv.own(b, at.X)
-			for _, pr := range r.removeBuf {
-				lv.remove(b, at.X, b.t.ByPre(pr))
+		// Forward (prune x), then backward (prune y).
+		for side, x := range [2]cq.Var{at.X, at.Y} {
+			removed := r.revise(lv, at, side == 0)
+			if removed == 0 {
+				continue
 			}
-			if lv.count[at.X] == 0 {
+			st.Removals += removed
+			if lv.count[x] == 0 {
 				consistent = false
 				break
 			}
-			enqueueTouching(at.X, except)
-		}
-
-		// Backward: prune candidates of Y lacking support in X. Views are
-		// re-fetched: the forward removals may have copy-on-wrote X (and,
-		// for self-loop atoms, X aliases Y).
-		lv.setView(b, &r.viewX, at.X)
-		lv.setView(b, &r.viewY, at.Y)
-		r.removeBuf = r.removeBuf[:0]
-		if ReviseWithKernel(int(lv.count[at.Y]), b.n) {
-			r.imgBuf = bitset.Resize(r.imgBuf, b.nw)
-			Image(at.Axis, b.ix, r.viewX.pre, r.imgBuf)
-			r.removeBuf = appendUnsupported(r.removeBuf, r.viewY.pre, r.imgBuf)
-		} else {
-			bitset.ForEach(r.viewY.pre, func(pr int32) bool {
-				if !supportedBwd(&b.sctx, at.Axis, b.t.ByPre(pr), &r.viewX) {
-					r.removeBuf = append(r.removeBuf, pr)
-				}
-				return true
-			})
-		}
-		if len(r.removeBuf) > 0 {
-			lv.own(b, at.Y)
-			for _, pr := range r.removeBuf {
-				lv.remove(b, at.Y, b.t.ByPre(pr))
-			}
-			if lv.count[at.Y] == 0 {
-				consistent = false
-				break
-			}
-			enqueueTouching(at.Y, except)
+			enqueueTouching(x, except)
 		}
 	}
 	r.queue = queue[:0]
-	return consistent
+	return st, consistent
+}
+
+// revise prunes the candidates of one side of atom at — x when fwd, y
+// otherwise — that lack support in the other side's current domain, and
+// returns the number removed. Dense domains revise through the bulk kernel
+// (support = Preimage/Image of the other side's alive set, one pass over
+// the words); sparse ones probe per alive candidate. Both paths compute
+// the identical removal set; ReviseWithKernel documents the break-even.
+func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
+	b := r.b
+	tgt, sup := at.X, at.Y
+	if !fwd {
+		tgt, sup = at.Y, at.X
+	}
+	r.viewT.b, r.viewT.domWords = b, lv.cur[tgt]
+	r.viewS.b, r.viewS.domWords = b, lv.cur[sup]
+	r.removeBuf = r.removeBuf[:0]
+	if ReviseWithKernel(int(lv.count[tgt]), b.n) {
+		r.imgBuf = bitset.Resize(r.imgBuf, b.nw)
+		if fwd {
+			Preimage(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
+		} else {
+			Image(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
+		}
+		r.removeBuf = appendUnsupported(r.removeBuf, r.viewT.pre, r.imgBuf)
+	} else {
+		bitset.ForEach(r.viewT.pre, func(pr int32) bool {
+			v := b.t.ByPre(pr)
+			var ok bool
+			if fwd {
+				ok = supportedFwd(&b.sctx, at.Axis, v, &r.viewS)
+			} else {
+				ok = supportedBwd(&b.sctx, at.Axis, v, &r.viewS)
+			}
+			if !ok {
+				r.removeBuf = append(r.removeBuf, pr)
+			}
+			return true
+		})
+	}
+	if len(r.removeBuf) > 0 {
+		lv.ownVar(tgt)
+		for _, pr := range r.removeBuf {
+			lv.cur[tgt].remove(b.ix, b.t.ByPre(pr))
+		}
+		lv.count[tgt] -= int32(len(r.removeBuf))
+	}
+	return len(r.removeBuf)
 }
 
 // ForEachCurrent calls fn for every node in x's current (post-pin) domain,
@@ -454,8 +482,7 @@ func (r *PinRun) propagate(lv *pinLevel, pinned cq.Var) bool {
 // reflects all pins currently pushed; with no pins it is x's maximal
 // arc-consistent candidate set.
 func (r *PinRun) ForEachCurrent(x cq.Var, fn func(v tree.NodeID) bool) {
-	pre, _, _ := r.words(r.depth, x)
-	bitset.ForEach(pre, func(pr int32) bool { return fn(r.b.t.ByPre(pr)) })
+	bitset.ForEach(r.words(r.depth, x).pre, func(pr int32) bool { return fn(r.b.t.ByPre(pr)) })
 }
 
 // ForEachCurrentDir is ForEachCurrent with an explicit direction and seek
@@ -467,7 +494,7 @@ func (r *PinRun) ForEachCurrent(x cq.Var, fn func(v tree.NodeID) bool) {
 // <= from; from < 0 iterates the whole domain from its extreme end. fn
 // returns false to stop.
 func (r *PinRun) ForEachCurrentDir(x cq.Var, desc bool, from int32, fn func(v tree.NodeID, pr int32) bool) {
-	pre, _, _ := r.words(r.depth, x)
+	pre := r.words(r.depth, x).pre
 	emit := func(pr int32) bool { return fn(r.b.t.ByPre(pr), pr) }
 	if desc {
 		if from < 0 {

@@ -9,148 +9,6 @@ import (
 	"repro/internal/tree"
 )
 
-// succUF is a deletion-only successor structure over ranks 0..n-1: find(r)
-// returns the smallest alive rank >= r, or n if none. Deleting rank r is
-// amortized near-constant (union-find with path halving).
-type succUF struct {
-	next []int32 // next[r] = r if alive, else a rank to the right
-}
-
-// reset re-initializes the structure for universe n, reusing the backing
-// array when possible.
-func (u *succUF) reset(n int) {
-	u.next = growInt32(u.next, n+1)
-	for i := range u.next {
-		u.next[i] = int32(i)
-	}
-}
-
-func (u *succUF) find(r int32) int32 {
-	for u.next[r] != r {
-		u.next[r] = u.next[u.next[r]] // path halving
-		r = u.next[r]
-	}
-	return r
-}
-
-func (u *succUF) delete(r int32) { u.next[r] = u.find(r + 1) }
-
-// domain bundles a variable's alive set with its deletion-only indexes and
-// a word bitset over pre ranks. The index structures live inline so a
-// Scratch can recycle their backing arrays across runs. (Maximum-alive
-// queries need no mirrored predecessor structure: every support test below
-// reduces to "does an alive rank exist in [lo, hi]", which the successor
-// structures answer directly.) The pre-rank words mirror the alive set for
-// the bulk image kernels (kernels.go): dense revisions intersect against a
-// whole-domain axis image instead of probing per node, while the succUF
-// structures keep serving the sparse probe path, chosen per revision by
-// ReviseWithKernel.
-type domain struct {
-	set      *NodeSet
-	st       *fastState // run context: tree, indexes (set by resetDomain)
-	byPre    succUF     // over pre ranks
-	bySib    succUF     // over sibling-order ranks
-	byPreEnd succUF     // over preEnd-sorted positions (min alive preEnd)
-	pre      []uint64   // alive bitset over pre ranks (kernel operand)
-}
-
-// fastState carries the shared tree indexes of a FastAC run, borrowed from
-// a document TreeIndex (or the Scratch's private fallback index).
-type fastState struct {
-	t    *tree.Tree
-	n    int
-	ix   *TreeIndex
-	sctx supportCtx
-	doms []domain
-}
-
-// resetDomain re-initializes d over s: full indexes and pre-rank words,
-// then deletion of every rank whose node is not in s.
-func (st *fastState) resetDomain(d *domain, s *NodeSet) {
-	n := st.n
-	d.set = s
-	d.st = st
-	d.byPre.reset(n)
-	d.bySib.reset(n)
-	d.byPreEnd.reset(n)
-	d.pre = bitset.Grow(d.pre, bitset.Words(n))
-	if s.Len() == n {
-		bitset.FillRange(d.pre, 0, int32(n)-1)
-		return
-	}
-	for v := 0; v < n; v++ {
-		if s.Has(tree.NodeID(v)) {
-			bitset.Set(d.pre, st.t.Pre(tree.NodeID(v)))
-		} else {
-			d.deleteIndexes(st, tree.NodeID(v))
-		}
-	}
-}
-
-func (d *domain) deleteIndexes(st *fastState, v tree.NodeID) {
-	d.byPre.delete(st.t.Pre(v))
-	d.bySib.delete(st.ix.sibRank[v])
-	d.byPreEnd.delete(st.ix.preEndPos[v])
-}
-
-func (d *domain) remove(st *fastState, v tree.NodeID) {
-	d.set.Remove(v)
-	bitset.Clear(d.pre, st.t.Pre(v))
-	d.deleteIndexes(st, v)
-}
-
-// domain implements domainView (see below) on top of its deletion-only
-// successor structures.
-
-func (d *domain) hasNode(v tree.NodeID) bool { return d.set.Has(v) }
-
-func (d *domain) anyPreIn(lo, hi int32) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi < lo || lo >= int32(d.st.n) {
-		return false
-	}
-	return d.byPre.find(lo) <= hi
-}
-
-func (d *domain) anySibIn(lo, hi int32) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi < lo || lo >= int32(d.st.n) {
-		return false
-	}
-	return d.bySib.find(lo) <= hi
-}
-
-func (d *domain) minPreEnd() int32 {
-	pos := d.byPreEnd.find(0)
-	if pos >= int32(d.st.n) {
-		return int32(d.st.n)
-	}
-	return d.st.t.PreEnd(d.st.ix.preEndNode[pos])
-}
-
-// domainView abstracts the alive-set queries that axis support tests need.
-// Two implementations exist: *domain (deletion-only successor structures,
-// used by the full FastAC worklist) and *pinDom (copy-on-write bitsets,
-// used by incremental pinned runs during enumeration; see enumerate.go).
-// All ranges are inclusive; implementations tolerate empty or out-of-range
-// intervals.
-type domainView interface {
-	// hasNode reports whether node v is alive.
-	hasNode(v tree.NodeID) bool
-	// anyPreIn reports whether an alive node has pre rank in [lo, hi].
-	anyPreIn(lo, hi int32) bool
-	// anySibIn reports whether an alive node has sibling-order rank in
-	// [lo, hi].
-	anySibIn(lo, hi int32) bool
-	// minPreEnd returns the minimum preEnd among alive nodes, or >= n
-	// when the domain is empty.
-	minPreEnd() int32
-}
-
 // supportCtx bundles the read-only tree context the support tests consult.
 type supportCtx struct {
 	t        *tree.Tree
@@ -160,10 +18,8 @@ type supportCtx struct {
 }
 
 // supportedFwd reports whether node v (a candidate for x in atom R(x,y))
-// has some support w in dy: ∃w ∈ dy: R(v,w). Generic over the domain
-// representation so the full worklist and the incremental pinned runs share
-// one implementation of the per-axis logic.
-func supportedFwd[D domainView](c *supportCtx, a axis.Axis, v tree.NodeID, dy D) bool {
+// has some support w in dy: ∃w ∈ dy: R(v,w).
+func supportedFwd(c *supportCtx, a axis.Axis, v tree.NodeID, dy *pinDom) bool {
 	t := c.t
 	switch a {
 	case axis.Child:
@@ -244,7 +100,7 @@ func supportedFwd[D domainView](c *supportCtx, a axis.Axis, v tree.NodeID, dy D)
 
 // supportedBwd reports whether node w (a candidate for y in atom R(x,y))
 // has some support v in dx: ∃v ∈ dx: R(v,w).
-func supportedBwd[D domainView](c *supportCtx, a axis.Axis, w tree.NodeID, dx D) bool {
+func supportedBwd(c *supportCtx, a axis.Axis, w tree.NodeID, dx *pinDom) bool {
 	t := c.t
 	switch a {
 	case axis.Child:
@@ -294,8 +150,8 @@ func supportedBwd[D domainView](c *supportCtx, a axis.Axis, w tree.NodeID, dx D)
 // with an AC-3-style worklist over the label-filtered initial
 // prevaluation, reporting (nil, false) if some variable's set empties.
 // Unlike HornAC it never materializes axis relations: every support test
-// uses O(1)-ish order queries (plus O(children) for Child and O(depth) for
-// ancestor walks).
+// is a bit test or a first-alive-bit scan over the domain's order bitsets
+// (plus O(children) for Child and O(depth) for ancestor walks).
 func FastAC(t *tree.Tree, q *cq.Query) (*Prevaluation, bool) {
 	if q.NumVars() == 0 {
 		return &Prevaluation{}, true
@@ -344,149 +200,48 @@ func (sc *Scratch) FastACFromStats(t *tree.Tree, q *cq.Query, init *Prevaluation
 }
 
 // fastACFromStatsIx is the worklist body against a borrowed document
-// index. The returned prevaluation's sets are init's sets.
+// index: it loads init's sets into the Scratch's bitset domains in
+// O(|dom| + n/64) per variable, runs the shared worklist seeded with every
+// atom, and writes the survivors back. The returned prevaluation's sets
+// are init's sets.
 func (sc *Scratch) fastACFromStatsIx(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*Prevaluation, Stats, bool) {
-	var stats Stats
 	t := ix.t
 	n := t.Len()
-	if q.NumVars() == 0 {
-		return &Prevaluation{}, stats, true
+	nv := q.NumVars()
+	if nv == 0 {
+		return &Prevaluation{}, Stats{}, true
 	}
 	if n == 0 {
-		return nil, stats, false
+		return nil, Stats{}, false
 	}
-	nv := q.NumVars()
-	for len(sc.doms) < nv {
-		sc.doms = append(sc.doms, domain{})
-	}
-	st := &fastState{t: t, n: n, ix: ix, doms: sc.doms[:nv]}
-	st.sctx = supportCtx{t: t, n: int32(n), sibRank: ix.sibRank, sibStart: ix.sibStart}
-	sc.imgBuf = bitset.Resize(sc.imgBuf, bitset.Words(n))
+	b, r := &sc.acBase, &sc.acRun
+	b.bind(ix, q)
+	r.b, r.depth = b, 0
+	lv := r.level(0)
 	for x, s := range init.Sets {
 		if s.Empty() {
-			return nil, stats, false
+			return nil, Stats{}, false
 		}
-		st.resetDomain(&st.doms[x], s)
+		lv.load(ix, cq.Var(x), s)
 	}
-
-	// Worklist of atom indexes to (re-)revise.
-	na := len(q.Atoms)
-	if cap(sc.inQueue) < na {
-		sc.inQueue = make([]bool, na)
-	}
-	inQueue := sc.inQueue[:na]
-	queue := sc.queue[:0]
+	sc.allAtoms = sc.allAtoms[:0]
 	for i := range q.Atoms {
-		queue = append(queue, i)
-		inQueue[i] = true
+		sc.allAtoms = append(sc.allAtoms, int32(i))
 	}
-	// atomsOf[x] = atoms touching variable x.
-	for len(sc.atomsOf) < nv {
-		sc.atomsOf = append(sc.atomsOf, nil)
+	stats, ok := r.propagate(lv, sc.allAtoms)
+	if !ok {
+		return nil, stats, false
 	}
-	atomsOf := sc.atomsOf[:nv]
-	for x := range atomsOf {
-		atomsOf[x] = atomsOf[x][:0]
-	}
-	for i, at := range q.Atoms {
-		atomsOf[at.X] = append(atomsOf[at.X], i)
-		if at.Y != at.X {
-			atomsOf[at.Y] = append(atomsOf[at.Y], i)
-		}
-	}
-	// enqueueTouching re-queues the atoms of a pruned variable, except the
-	// atom being revised: for a two-variable atom one forward+backward
-	// pass leaves it fully arc-consistent (pruned values are unsupported,
-	// so they support nothing on the opposite side), and re-revising it
-	// immediately would find no work. Self-loop atoms R(x,x) MUST re-queue
-	// themselves (callers pass except = -1): there the two sides share one
-	// domain, so a removal can strip the remaining values' own supports.
-	// Keep this revision rule in sync with PinRun.propagate (enumerate.go),
-	// which runs the same worklist over copy-on-write bitset domains.
-	enqueueTouching := func(x cq.Var, except int) {
-		for _, i := range atomsOf[x] {
-			if i != except && !inQueue[i] {
-				inQueue[i] = true
-				queue = append(queue, i)
-				stats.Enqueues++
-			}
-		}
-	}
-
-	removeBuf := sc.removeBuf[:0]
-	for len(queue) > 0 {
-		ai := queue[0]
-		queue = queue[1:]
-		inQueue[ai] = false
-		stats.Revisions++
-		at := q.Atoms[ai]
-		except := ai
-		if at.X == at.Y {
-			except = -1 // self-loop: must re-revise itself to a fixpoint
-		}
-		dx, dy := &st.doms[at.X], &st.doms[at.Y]
-
-		// Forward: prune unsupported candidates of x. Dense domains revise
-		// through the bulk kernel — one whole-domain support bitset
-		// (Preimage of y's alive words) diffed against x's alive words —
-		// sparse ones probe per alive candidate against the deletion-only
-		// successor structures. Both paths compute the identical removal
-		// set; ReviseWithKernel documents the break-even.
-		removeBuf = removeBuf[:0]
-		if ReviseWithKernel(dx.set.Len(), n) {
-			Preimage(at.Axis, ix, dy.pre, sc.imgBuf)
-			removeBuf = appendUnsupportedNodes(removeBuf, t, dx.pre, sc.imgBuf)
-		} else {
-			dx.set.ForEach(func(v tree.NodeID) bool {
-				if !supportedFwd(&st.sctx, at.Axis, v, dy) {
-					removeBuf = append(removeBuf, v)
-				}
-				return true
-			})
-		}
-		if len(removeBuf) > 0 {
-			stats.Removals += len(removeBuf)
-			for _, v := range removeBuf {
-				dx.remove(st, v)
-			}
-			if dx.set.Empty() {
-				sc.removeBuf = removeBuf
-				return nil, stats, false
-			}
-			enqueueTouching(at.X, except)
-		}
-
-		// Backward: prune unsupported candidates of y.
-		removeBuf = removeBuf[:0]
-		if ReviseWithKernel(dy.set.Len(), n) {
-			Image(at.Axis, ix, dx.pre, sc.imgBuf)
-			removeBuf = appendUnsupportedNodes(removeBuf, t, dy.pre, sc.imgBuf)
-		} else {
-			dy.set.ForEach(func(w tree.NodeID) bool {
-				if !supportedBwd(&st.sctx, at.Axis, w, dx) {
-					removeBuf = append(removeBuf, w)
-				}
-				return true
-			})
-		}
-		if len(removeBuf) > 0 {
-			stats.Removals += len(removeBuf)
-			for _, w := range removeBuf {
-				dy.remove(st, w)
-			}
-			if dy.set.Empty() {
-				sc.removeBuf = removeBuf
-				return nil, stats, false
-			}
-			enqueueTouching(at.Y, except)
-		}
-	}
-	sc.removeBuf = removeBuf
-	sc.queue = queue[:0]
-
 	p := &Prevaluation{Sets: make([]*NodeSet, nv)}
-	for x := range st.doms {
-		p.Sets[x] = st.doms[x].set
+	for x, s := range init.Sets {
+		if int(lv.count[x]) < s.Len() {
+			s.Reset(n)
+			bitset.ForEach(lv.cur[x].pre, func(pr int32) bool {
+				s.Add(t.ByPre(pr))
+				return true
+			})
+		}
+		p.Sets[x] = s
 	}
 	return p, stats, true
 }

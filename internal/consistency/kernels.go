@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/axis"
 	"repro/internal/bitset"
-	"repro/internal/tree"
 )
 
 // Image computes the forward axis image of src under a:
@@ -335,23 +334,8 @@ func appendUnsupported(buf []int32, cur, support []uint64) []int32 {
 	return buf
 }
 
-// appendUnsupportedNodes is appendUnsupported with the pre ranks mapped
-// back to node IDs (the FastAC removal buffer is node-addressed).
-func appendUnsupportedNodes(buf []tree.NodeID, t *tree.Tree, cur, support []uint64) []tree.NodeID {
-	for wi, cw := range cur {
-		rem := cw &^ support[wi]
-		for rem != 0 {
-			b := bits.TrailingZeros64(rem)
-			buf = append(buf, t.ByPre(int32(wi*64+b)))
-			rem &^= 1 << uint(b)
-		}
-	}
-	return buf
-}
-
 // KernelPolicy selects how revise steps choose between the per-node probe
-// loop (deletion-only successor structures / bitset range probes) and the
-// bulk image kernels.
+// loop (bitset membership and range probes) and the bulk image kernels.
 type KernelPolicy int32
 
 // Policies. KernelAuto is the production setting; KernelAlways and
@@ -380,10 +364,11 @@ func CurrentKernelPolicy() KernelPolicy { return KernelPolicy(kernelPolicy.Load(
 // bulk kernel when the domain being revised holds at least one alive
 // candidate per machine word of the universe (alive*64 >= n). Below that,
 // the kernel's fixed cost — touching every word of the universe, O(n/64)
-// word ops plus the per-axis sweep — exceeds the probe loop's ~O(1)
-// successor probes per alive candidate, and incremental deletion via the
-// succUF structures still wins. Exported for the core strategies, which
-// apply the same policy to their semijoin passes.
+// word ops plus the per-axis sweep — exceeds the probe loop's support
+// probes, one per alive candidate (a bit test or walk, or a
+// first-alive-bit scan that stops at the nearest supporter). Exported for
+// the core strategies, which apply the same policy to their semijoin
+// passes.
 func ReviseWithKernel(alive, n int) bool {
 	switch CurrentKernelPolicy() {
 	case KernelAlways:

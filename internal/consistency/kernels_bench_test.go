@@ -1,8 +1,9 @@
 package consistency
 
 // BenchmarkRevise measures one revise step — "keep v ∈ dom(x) iff some
-// w ∈ dom(y) with Axis(v, w)" — through the per-node probe loop (succUF
-// successor structures, as the pre-kernel engine ran it) versus the bulk
+// w ∈ dom(y) with Axis(v, w)" — through the per-node probe loop (one
+// supportedFwd per alive candidate against the support side's bitset
+// domain, as the worklist runs it on sparse domains) versus the bulk
 // image kernel (Preimage + word diff), across tree sizes and support-side
 // domain densities. Before any timing, every configuration cross-checks
 // the two paths' support counts and fails the benchmark on mismatch — so
@@ -51,11 +52,12 @@ func BenchmarkRevise(b *testing.B) {
 			if dySet.Empty() {
 				dySet.Add(tree.NodeID(rng.Intn(n)))
 			}
-			st := &fastState{t: tr, n: n, ix: ix, doms: make([]domain, 2)}
-			st.sctx = supportCtx{t: tr, n: int32(n), sibRank: ix.sibRank, sibStart: ix.sibStart}
-			st.resetDomain(&st.doms[0], FullNodeSet(n))
-			st.resetDomain(&st.doms[1], dySet)
-			dx, dy := &st.doms[0], &st.doms[1]
+			base := &PinBase{}
+			base.bind(ix, cq.New())
+			dx, dy := &pinDom{b: base}, &pinDom{b: base}
+			dx.load(ix, FullNodeSet(n))
+			dy.load(ix, dySet)
+			sctx := &base.sctx
 			img := make([]uint64, bitset.Words(n))
 
 			for _, a := range reviseAxes {
@@ -64,7 +66,7 @@ func BenchmarkRevise(b *testing.B) {
 				Preimage(a, ix, dy.pre, img)
 				probeSupported := 0
 				for v := 0; v < n; v++ {
-					if supportedFwd(&st.sctx, a, tree.NodeID(v), dy) {
+					if supportedFwd(sctx, a, tree.NodeID(v), dy) {
 						probeSupported++
 					}
 				}
@@ -77,8 +79,8 @@ func BenchmarkRevise(b *testing.B) {
 				b.Run(name+"/probe", func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						removals := 0
-						dx.set.ForEach(func(v tree.NodeID) bool {
-							if !supportedFwd(&st.sctx, a, v, dy) {
+						bitset.ForEach(dx.pre, func(pr int32) bool {
+							if !supportedFwd(sctx, a, tr.ByPre(pr), dy) {
 								removals++
 							}
 							return true
@@ -127,5 +129,44 @@ func BenchmarkFastACKernels(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkFastACSparse guards the probe path on big trees: the x/y/z
+// domains of a Following/Child+ triangle keep about one node in 512 (well
+// below the kernel break-even, so every revision probes), and every probe
+// asks for an alive rank in a wide interval. A per-call O(n) setup, or a
+// probe whose cost grows with the interval rather than the alive words,
+// shows up here as time per op scaling with n.
+func BenchmarkFastACSparse(b *testing.B) {
+	q := cq.MustParse("Q() <- Following(x, y), Child+(y, z), Following(x, z)")
+	for _, n := range []int{128 << 10, 512 << 10} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		tr := tree.Random(rng, tree.RandomConfig{Nodes: n, MaxChildren: 4})
+		ix := NewTreeIndex(tr)
+		doms := make([]*NodeSet, q.NumVars())
+		for x := range doms {
+			doms[x] = NewNodeSet(n)
+			for v := 0; v < n; v++ {
+				if rng.Intn(512) == 0 {
+					doms[x].Add(tree.NodeID(v))
+				}
+			}
+		}
+		sc := NewScratch()
+		init := &Prevaluation{Sets: make([]*NodeSet, len(doms))}
+		for x := range init.Sets {
+			init.Sets[x] = &NodeSet{}
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for x, s := range init.Sets {
+					s.copyFrom(doms[x])
+				}
+				if _, ok := sc.FastACFromIx(ix, q, init); !ok {
+					b.Fatal("benchmark query must be satisfiable")
+				}
+			}
+		})
 	}
 }

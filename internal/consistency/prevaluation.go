@@ -14,9 +14,14 @@
 //   - HornAC: the paper-exact reduction to Horn-SAT (Prop. 3.1), solved by
 //     linear-time unit resolution. It materializes axis relations and is
 //     linear in ‖A‖ — but ‖A‖ itself is Θ(n²) for transitive axes.
-//   - FastAC: an AC-3-style worklist that never materializes relations;
-//     support tests are O(1)-ish per node using deletion-only successor
-//     structures over the pre-order / sibling-order numbering.
+//   - FastAC: an AC-3-style worklist that never materializes relations.
+//     Each domain is a set of bitsets over the pre-order, sibling-order
+//     and (preEnd, pre) numberings, loaded from the initial sets in
+//     O(|dom| + n/64); a revision either probes each alive candidate
+//     (a bit test, a child or ancestor walk, or a first-alive-bit scan of
+//     an interval) or intersects with a whole-domain axis image
+//     (kernels.go). The same worklist runs the incremental pinned
+//     propagation of enumeration and MAC search (enumerate.go).
 package consistency
 
 import (
@@ -189,27 +194,6 @@ func NewPrevaluation(t *tree.Tree, q *cq.Query) *Prevaluation {
 	for x, s := range p.Sets {
 		if s == nil {
 			p.Sets[x] = FullNodeSet(n)
-		}
-	}
-	return p
-}
-
-// NewPrevaluationIx is NewPrevaluation built from a document index's
-// cached label bitsets and full-node-set words: word copies and word-level
-// intersections replace the per-node label scans. The sets are freshly
-// allocated and caller-owned (unlike Scratch.InitialPrevaluationIx).
-func NewPrevaluationIx(ix *TreeIndex, q *cq.Query) *Prevaluation {
-	p := &Prevaluation{Sets: make([]*NodeSet, q.NumVars())}
-	for _, la := range q.Labels {
-		if s := p.Sets[la.X]; s == nil {
-			p.Sets[la.X] = ix.labelSet(la.Label).Clone()
-		} else {
-			s.IntersectWith(ix.labelSet(la.Label))
-		}
-	}
-	for x, s := range p.Sets {
-		if s == nil {
-			p.Sets[x] = ix.full.Clone()
 		}
 	}
 	return p

@@ -20,11 +20,11 @@ func growNodeIDs(s []tree.NodeID, n int) []tree.NodeID {
 }
 
 // Scratch holds the per-call mutable buffers of arc-consistency runs: the
-// per-variable domains with their deletion-only successor structures, the
-// worklist, the NodeSets of the initial prevaluation, and the pin
-// base/run storage of incremental enumeration. A Scratch amortizes all
-// per-call allocations of repeated evaluation; it is NOT safe for
-// concurrent use — pool Scratches (one per goroutine) instead.
+// per-variable bitset domains and worklist of FastAC, the NodeSets of the
+// initial prevaluation, and the pin base/run storage of incremental
+// enumeration and MAC search. A Scratch amortizes all per-call allocations
+// of repeated evaluation; it is NOT safe for concurrent use — pool
+// Scratches (one per goroutine) instead.
 //
 // Tree-derived structures are no longer owned here: the *Ix entry points
 // borrow an immutable TreeIndex (shared document-wide; see core.Document),
@@ -36,12 +36,9 @@ func growNodeIDs(s []tree.NodeID, n int) []tree.NodeID {
 // the next call on the same Scratch.
 type Scratch struct {
 	ownIx      *TreeIndex // fallback index for legacy *Tree entry points
-	doms       []domain
-	inQueue    []bool
-	queue      []int
-	atomsOf    [][]int
-	removeBuf  []tree.NodeID
-	imgBuf     []uint64 // bulk-kernel support bitset of the current revision
+	acBase     PinBase    // FastAC: the query binding (no snapshot sets)
+	acRun      PinRun     // FastAC: level 0 holds the domains being revised
+	allAtoms   []int32    // FastAC: the worklist seed, every atom
 	initSets   []*NodeSet
 	labeledBuf []int32
 	pinBase    PinBase

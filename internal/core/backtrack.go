@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/axis"
@@ -85,10 +86,7 @@ func (e *BacktrackEngine) run(d *Document, q *cq.Query, stop func() bool, emit f
 	if t.Len() == 0 {
 		return
 	}
-	// The initial prevaluation must survive the search below (which runs
-	// further scratch-based AC passes), so it uses caller-owned sets; the
-	// scratch still supplies the worklist and per-domain buffers.
-	p, ok := e.scratch().FastACFromIx(d.ix, q, consistency.NewPrevaluationIx(d.ix, q))
+	p, ok := e.scratch().FastACIx(d.ix, q)
 	if !ok {
 		return
 	}
@@ -173,63 +171,64 @@ func (e *BacktrackEngine) run(d *Document, q *cq.Query, stop func() bool, emit f
 	dfs(0)
 }
 
-// runMAC searches with full arc-consistency maintenance: at each depth it
-// picks the unassigned variable with the smallest domain, and for each
-// candidate value re-runs arc consistency on a copy of the domains. When
-// every variable is a singleton, the minimum valuation of the (globally
-// arc-consistent, all-singleton) prevaluation is the satisfaction.
+// runMAC searches with arc consistency maintained incrementally: one
+// PinBase snapshots the initial maximal prevaluation p, and each branch is
+// a PinRun.Push that propagates from the parent's arc-consistent state
+// (only the pinned variable's atoms can be violated) and a Pop that undoes
+// it in O(1). At each depth it branches on the smallest non-singleton
+// domain (lowest variable index on ties), trying its values in ascending
+// NodeID order. When every variable is a singleton, those singletons are
+// the satisfaction.
 func (e *BacktrackEngine) runMAC(d *Document, q *cq.Query, p *consistency.Prevaluation, stop func() bool, emit func(consistency.Valuation) bool) {
-	t := d.t
-	var dfs func(cur *consistency.Prevaluation) bool
-	dfs = func(cur *consistency.Prevaluation) bool {
-		// Pick the smallest non-singleton domain.
-		pick := -1
-		for x, s := range cur.Sets {
-			if s.Len() > 1 && (pick == -1 || s.Len() < cur.Sets[pick].Len()) {
-				pick = x
+	sc := e.scratch()
+	run := sc.PinRunFor(sc.PinBaseForIx(d.ix, q, p))
+	nv := q.NumVars()
+	// Each depth pins one more variable to a singleton, so at most nv
+	// candidate lists are live at once.
+	cands := make([][]tree.NodeID, nv+1)
+	var dfs func(depth int) bool
+	dfs = func(depth int) bool {
+		pick, pickLen := -1, 0
+		for x := 0; x < nv; x++ {
+			if l := run.CurrentLen(cq.Var(x)); l > 1 && (pick == -1 || l < pickLen) {
+				pick, pickLen = x, l
 			}
 		}
 		if pick == -1 {
-			theta := make(consistency.Valuation, len(cur.Sets))
-			for x, s := range cur.Sets {
-				s.ForEach(func(v tree.NodeID) bool { theta[x] = v; return false })
+			theta := make(consistency.Valuation, nv)
+			for x := range theta {
+				run.ForEachCurrent(cq.Var(x), func(v tree.NodeID) bool { theta[x] = v; return false })
 			}
 			// All-singleton arc-consistent prevaluations are consistent
 			// valuations by definition; verify defensively.
-			if !consistency.Consistent(t, q, theta) {
+			if !consistency.Consistent(d.t, q, theta) {
 				return true // spurious, keep searching siblings
 			}
 			return emit(theta)
 		}
-		cont := true
-		cur.Sets[pick].ForEach(func(v tree.NodeID) bool {
+		vs := cands[depth][:0]
+		run.ForEachCurrent(cq.Var(pick), func(v tree.NodeID) bool { vs = append(vs, v); return true })
+		slices.Sort(vs) // document order to NodeID order
+		cands[depth] = vs
+		for _, v := range vs {
 			e.steps++
 			if e.MaxSteps > 0 && e.steps > e.MaxSteps {
 				panic(ErrSearchBudget)
 			}
 			if stop != nil && stop() {
-				cont = false
 				return false
 			}
-			next := &consistency.Prevaluation{Sets: make([]*consistency.NodeSet, len(cur.Sets))}
-			for x, s := range cur.Sets {
-				next.Sets[x] = s.Clone()
-			}
-			pin := consistency.NewNodeSet(t.Len())
-			pin.Add(v)
-			next.Sets[pick].IntersectWith(pin)
-			reduced, ok := e.scratch().FastACFromIx(d.ix, q, next)
-			if ok {
-				if !dfs(reduced) {
-					cont = false
+			if run.Push(cq.Var(pick), v) {
+				cont := dfs(depth + 1)
+				run.Pop()
+				if !cont {
 					return false
 				}
 			}
-			return true
-		})
-		return cont
+		}
+		return true
 	}
-	dfs(p)
+	dfs(0)
 }
 
 // ErrSearchBudget is panicked (and recovered by callers that set MaxSteps)

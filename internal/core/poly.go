@@ -17,7 +17,7 @@ type ACAlgorithm int
 // Available arc-consistency engines (cross-checked in tests; compared in
 // the ablation benchmarks).
 const (
-	// FastAC is the optimized deletion-only worklist engine (default).
+	// FastAC is the bitset-domain worklist engine (default).
 	FastAC ACAlgorithm = iota
 	// HornAC is the paper-exact Horn-SAT reduction of Proposition 3.1.
 	HornAC
