@@ -63,7 +63,7 @@ func BenchmarkTableIPolyScaling(b *testing.B) {
 		for _, n := range []int{500, 1000, 2000, 4000} {
 			b.Run(fmt.Sprintf("sig=%s/n=%d", name, n), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
-				t := tree.Random(rng, tree.DefaultRandomConfig(n))
+				doc := Index(tree.Random(rng, tree.DefaultRandomConfig(n)))
 				q := benchQuery(rng, sig, 6, 8)
 				engine, err := core.NewPolyEngine(sig)
 				if err != nil {
@@ -71,7 +71,7 @@ func BenchmarkTableIPolyScaling(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					engine.EvalBoolean(t, q)
+					engine.EvalBoolean(doc, q)
 				}
 			})
 		}
@@ -128,15 +128,21 @@ func BenchmarkTableINPHardness(b *testing.B) {
 
 // BenchmarkTableIStrategies compares the three strategies on a tractable
 // acyclic query — the "who wins" comparison: Yannakakis and the
-// X-property engine must beat backtracking.
+// X-property engine must beat backtracking. The first two evaluate
+// against one indexed Document; the backtracking engine's *Tree entry
+// point indexes the tree on every call, which its timing includes.
 func BenchmarkTableIStrategies(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	t := tree.Random(rng, tree.DefaultRandomConfig(2000))
+	doc := Index(t)
 	q := cq.MustParse("Q() <- A(x), Child+(x, y), B(y), Child+(y, z), C(z)")
 	b.Run("acyclic-yannakakis", func(b *testing.B) {
-		e := core.NewAcyclicEngine()
+		pq := MustPrepare(q)
+		if pq.Plan().Strategy != core.StrategyAcyclic {
+			b.Fatalf("plan %v, want the acyclic strategy", pq.Plan())
+		}
 		for i := 0; i < b.N; i++ {
-			e.EvalBoolean(t, q)
+			pq.BoolErr(doc)
 		}
 	})
 	b.Run("x-property", func(b *testing.B) {
@@ -145,7 +151,7 @@ func BenchmarkTableIStrategies(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			e.EvalBoolean(t, q)
+			e.EvalBoolean(doc, q)
 		}
 	})
 	b.Run("backtracking", func(b *testing.B) {
@@ -367,10 +373,11 @@ func BenchmarkEvaluateFacade(b *testing.B) {
 }
 
 // BenchmarkPreparedVsOneShot measures the prepare/execute split: the
-// prepared eval-many path versus paying classification, planning and
-// evaluation-state allocation on every call. Allocations per evaluation
-// are the headline metric — the prepared path reuses pooled domain tables,
-// semijoin buffers and tree indexes.
+// prepared eval-many path against one Document versus paying
+// classification, planning, tree indexing and evaluation-state allocation
+// on every call (EvaluateAll). Allocations per evaluation are the headline
+// metric — the prepared path reuses pooled domain tables, semijoin buffers
+// and the document's tree indexes.
 func BenchmarkPreparedVsOneShot(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	big := tree.Random(rng, tree.DefaultRandomConfig(1500))
@@ -389,29 +396,29 @@ func BenchmarkPreparedVsOneShot(b *testing.B) {
 		b.Run(c.name+"/oneshot", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// Fresh engine per call: the pre-refactor cost model
-				// (re-classify, re-plan, re-allocate state every time).
-				core.NewEngine().EvalAll(c.tr, q)
+				// Re-classify, re-plan, re-index and re-allocate state
+				// every time.
+				EvaluateAll(c.tr, q)
 			}
 		})
 		b.Run(c.name+"/prepared", func(b *testing.B) {
-			pq := MustPrepare(q)
+			pq, doc := MustPrepare(q), Index(c.tr)
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pq.All(c.tr)
+				pq.AllErr(doc)
 			}
 		})
 	}
 	// The server shape: one prepared query, many goroutines, many trees.
 	pq := MustCompile("Q(y) <- A(x), Child+(x, y), B(y)")
-	trees := []*Tree{big, tree.Random(rng, tree.DefaultRandomConfig(1000))}
+	docs := []*Document{Index(big), Index(tree.Random(rng, tree.DefaultRandomConfig(1000)))}
 	b.Run("acyclic/prepared-parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				pq.All(trees[i%len(trees)])
+				pq.AllErr(docs[i%len(docs)])
 				i++
 			}
 		})

@@ -71,14 +71,15 @@ func table1() {
 		for _, n := range []int{500, 1000, 2000, 4000} {
 			t := tree.Random(rng, tree.DefaultRandomConfig(n))
 			start := time.Now()
-			engine.EvalBoolean(t, q)
+			engine.EvalBoolean(core.NewDocument(t), q)
 			fmt.Printf("  n=%d: %6.2f", n, float64(time.Since(start).Microseconds())/1000)
 		}
 		fmt.Println()
 	}
 
 	fmt.Println("\nPrepare/execute split (the dichotomy as engineering): per-call")
-	fmt.Println("microseconds on n=2000, one-shot (re-plan per call) vs prepared:")
+	fmt.Println("microseconds on n=2000, one-shot (re-plan and re-index per call)")
+	fmt.Println("vs prepared against one indexed document:")
 	{
 		rng := rand.New(rand.NewSource(9))
 		t := tree.Random(rng, tree.DefaultRandomConfig(2000))
@@ -86,13 +87,14 @@ func table1() {
 		const reps = 50
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			core.MustPrepare(q).Bool(t) // worst case: recompile every call
+			// Worst case: recompile and re-index every call.
+			core.MustPrepare(q).BoolDoc(core.NewDocument(t), core.EnumOptions{})
 		}
 		oneShot := time.Since(start)
-		prep := core.MustPrepare(q)
+		prep, doc := core.MustPrepare(q), core.NewDocument(t)
 		start = time.Now()
 		for i := 0; i < reps; i++ {
-			prep.Bool(t)
+			prep.BoolDoc(doc, core.EnumOptions{})
 		}
 		prepared := time.Since(start)
 		fmt.Printf("  one-shot %6.1f µs/call   prepared %6.1f µs/call\n",
@@ -161,7 +163,7 @@ func fig1() {
 	q := rewrite.Figure1Query()
 	prep := core.MustPrepare(q) // classify + plan once, off the hot path
 	start := time.Now()
-	direct := prep.Monadic(corpus.Combined)
+	direct, _ := prep.MonadicDoc(core.NewDocument(corpus.Combined), core.EnumOptions{})
 	dt := time.Since(start)
 	apq, err := rewrite.TranslateCQ(q, rewrite.Options{})
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -544,26 +544,11 @@ func (c *Corpus) TuplesSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[T
 			if err := ctx.Err(); err != nil {
 				return cappedTuples{}, err
 			}
-			sortTuples(out)
+			slices.SortFunc(out, slices.Compare[[]NodeID])
 			return cappedTuples{tuples: out, truncated: truncated}, nil
 		},
 		func(r corpus.Result[cappedTuples]) TuplesResult {
 			return TuplesResult{Doc: r.Doc, Query: r.Query, Tuples: r.Value.tuples,
 				Truncated: r.Value.truncated, Err: r.Err}
 		})
-}
-
-// sortTuples orders a tuple relation lexicographically by NodeID.
-func sortTuples(ts [][]NodeID) {
-	sort.Slice(ts, func(i, j int) bool { return tupleLess(ts[i], ts[j]) })
-}
-
-// tupleLess is the lexicographic tuple order.
-func tupleLess(a, b []NodeID) bool {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return len(a) < len(b)
 }

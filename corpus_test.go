@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -391,9 +392,7 @@ func TestBatchMaxTuples(t *testing.T) {
 					t.Fatalf("cap=%d %s: truncated=%v with %d of %d tuples", cap, r.Doc, r.Truncated, len(r.Tuples), len(want))
 				}
 				// Capped tuples are sorted and drawn from the full relation.
-				if !sort.SliceIsSorted(r.Tuples, func(i, j int) bool {
-					return tupleLess(r.Tuples[i], r.Tuples[j])
-				}) {
+				if !slices.IsSortedFunc(r.Tuples, slices.Compare[[]NodeID]) {
 					t.Fatalf("cap=%d %s: capped tuples unsorted: %v", cap, r.Doc, r.Tuples)
 				}
 				fullSet := asSet(want)

@@ -12,6 +12,8 @@
 //     dichotomy — Yannakakis for acyclic queries, the Theorem 3.5
 //     X-property algorithm for tractable signatures, MAC backtracking
 //     otherwise. Classify exposes the Theorem 1.1 / Table I dichotomy.
+//     These one-shot helpers prepare the query and index the tree on
+//     every call.
 //   - Prepared queries: Prepare compiles a query once (classification,
 //     acyclicity analysis, planning) into a concurrency-safe PreparedQuery
 //     that evaluates repeatedly without re-planning or re-allocating
@@ -21,11 +23,11 @@
 //     concurrency-safe Document shared by all strategies — the per-tree
 //     cost, paid once. Together Prepare and Index make the paper's cost
 //     split fully symmetric: prepare the query, prepare the data, execute.
-//   - Execution tiers: range-over-func iterators (Tuples, NodeSeq),
-//     error-returning evaluation (BoolErr, AllErr, NodesErr — typed
-//     ErrNotMonadic instead of panics, context cancellation via
-//     WithContext), and the legacy *Tree methods, which keep working
-//     unchanged over a weak per-query document cache.
+//   - Execution: every PreparedQuery method takes a *Document —
+//     range-over-func iterators (Tuples, NodeSeq), error-returning
+//     evaluation (BoolErr, AllErr, NodesErr — typed ErrNotMonadic instead
+//     of panics, context cancellation via WithContext), and ordered,
+//     cursor-resumable pages (Paginate).
 //   - Corpora: NewCorpus manages a fleet of named Documents (add, remove,
 //     swap, memory accounting with optional LRU eviction) and fans
 //     prepared queries across all or a subset of them with a bounded
@@ -115,31 +117,35 @@ func ParseQuery(src string) (*Query, error) { return cq.Parse(src) }
 // MustParseQuery panics on parse errors.
 func MustParseQuery(src string) *Query { return cq.MustParse(src) }
 
-// sharedEngine backs the one-shot Evaluate* functions: a package-level,
-// goroutine-safe engine whose plan cache (keyed by query fingerprint)
-// means repeated one-shot calls with the same query classify and plan it
-// only once. Prepare gives explicit control over the compiled query's
-// lifetime instead.
-var sharedEngine = core.NewEngine()
-
 // Evaluate decides Boolean satisfaction of q on t using the best
-// applicable algorithm (see PlanFor).
+// applicable algorithm (see PlanFor). Like every one-shot helper it
+// prepares q and indexes t on each call; callers that reuse a query or a
+// tree should hold a PreparedQuery (Prepare) and a Document (Index).
 func Evaluate(t *Tree, q *Query) bool {
-	return sharedEngine.EvalBoolean(t, q)
+	sat, _ := MustPrepare(q).BoolErr(Index(t))
+	return sat
 }
 
-// EvaluateAll enumerates the distinct answer tuples of q on t.
+// EvaluateAll enumerates the distinct answer tuples of q on t in
+// lexicographic NodeID order.
 func EvaluateAll(t *Tree, q *Query) [][]NodeID {
-	return sharedEngine.EvalAll(t, q)
+	out, _ := MustPrepare(q).AllErr(Index(t))
+	return out
 }
 
-// EvaluateNodes answers a monadic (unary) query.
+// EvaluateNodes answers a monadic (unary) query with its sorted answer
+// node set; it panics with an error wrapping ErrNotMonadic if q is not
+// monadic.
 func EvaluateNodes(t *Tree, q *Query) []NodeID {
-	return sharedEngine.EvalMonadic(t, q)
+	out, err := MustPrepare(q).NodesErr(Index(t))
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // PlanFor explains which algorithm Evaluate would use for q and why.
-func PlanFor(q *Query) Plan { return sharedEngine.PlanFor(q) }
+func PlanFor(q *Query) Plan { return MustPrepare(q).Plan() }
 
 // Classify reports the complexity side of the signature per Theorem 1.1:
 // polynomial time iff all axes share an X-property order, NP-complete

@@ -18,12 +18,10 @@ import (
 //
 // A Document is immutable and safe for concurrent use: a server indexes
 // each document once and evaluates any number of prepared queries against
-// it from any number of goroutines. The legacy *Tree methods
-// (Bool/All/Nodes/ForEach*) remain available and resolve trees through a
-// weak per-engine document cache, so they keep working unchanged — but
-// each PreparedQuery prepared standalone then maintains its own cache,
-// paying the indexing cost once per query rather than once per document.
-// Index is how to pay it exactly once.
+// it from any number of goroutines. Every PreparedQuery method takes a
+// *Document; the one-shot helpers (Evaluate, EvaluateAll, EvaluateNodes)
+// take a *Tree and index it on every call, so callers that evaluate
+// against the same tree more than once should hold a Document.
 type Document = core.Document
 
 // Index builds the Document for t: every tree-derived structure is
@@ -33,6 +31,5 @@ func Index(t *Tree) *Document { return core.NewDocument(t) }
 
 // ErrNotMonadic is reported when a monadic entry point is used on a query
 // whose head is not unary: NodesErr returns it (wrapped — match with
-// errors.Is), and NodeSeq panics with such a wrapped error. The legacy
-// Nodes/ForEachNode methods keep their original panic contract.
+// errors.Is), and NodeSeq panics with such a wrapped error.
 var ErrNotMonadic = core.ErrNotMonadic

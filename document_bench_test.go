@@ -2,14 +2,10 @@ package cqtrees
 
 // BenchmarkDocumentReuse: the index-once/query-many contract. Each
 // iteration plays a server handling one fresh document with N distinct
-// prepared queries. The document path calls Index once and evaluates every
-// query against the shared *Document; the tree-pointer path uses the
-// legacy *Tree methods, whose weak document cache is per PreparedQuery
-// when prepared standalone — so it pays one tree-index construction per
-// query. Both sub-benchmarks assert the exact index-build count via the
-// consistency package's instrumentation counter (b.Fatalf on mismatch), so
-// the CI smoke run also guards the reuse guarantee, and ReportAllocs
-// exposes the allocation gap.
+// prepared queries: it calls Index once and evaluates every query against
+// the shared *Document. The benchmark asserts the exact index-build count
+// via the consistency package's instrumentation counter (b.Fatalf on
+// mismatch), so the CI smoke run also guards the reuse guarantee.
 //
 // The kernel rank tables (parent/first-child/sibling pre-rank arrays and
 // the internal-node words behind consistency.Image/Preimage) are part of
@@ -36,10 +32,11 @@ var docReuseQueries = []string{
 func BenchmarkDocumentReuse(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	tr := tree.Random(rng, tree.RandomConfig{Nodes: 4000, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}})
-	// Expected answer counts, for self-checking both paths.
+	// Expected answer counts, for self-checking the benchmark.
 	want := make([]int, len(docReuseQueries))
+	doc := Index(tr)
 	for i, src := range docReuseQueries {
-		want[i] = len(MustCompile(src).Nodes(tr))
+		want[i] = len(nodesOf(b, MustCompile(src), doc))
 	}
 
 	b.Run(fmt.Sprintf("document/queries=%d", len(docReuseQueries)), func(b *testing.B) {
@@ -58,24 +55,6 @@ func BenchmarkDocumentReuse(b *testing.B) {
 		if builds := consistency.IndexBuildCount() - start; builds != int64(b.N) {
 			b.Fatalf("document path built tree indexes %d times over %d iterations, want exactly %d (one per document)",
 				builds, b.N, b.N)
-		}
-	})
-
-	b.Run(fmt.Sprintf("tree-pointer/queries=%d", len(docReuseQueries)), func(b *testing.B) {
-		b.ReportAllocs()
-		start := consistency.IndexBuildCount()
-		for i := 0; i < b.N; i++ {
-			for j, src := range docReuseQueries {
-				pq := MustCompile(src)
-				if nodes := pq.Nodes(tr); len(nodes) != want[j] {
-					b.Fatalf("query %d: %d nodes, want %d", j, len(nodes), want[j])
-				}
-			}
-		}
-		wantBuilds := int64(b.N * len(docReuseQueries))
-		if builds := consistency.IndexBuildCount() - start; builds != wantBuilds {
-			b.Fatalf("tree-pointer path built tree indexes %d times, want %d (one per prepared query)",
-				builds, wantBuilds)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ import (
 )
 
 // strategyQueries covers all three evaluation strategies; each is monadic
-// so every tier (Tuples, NodeSeq, AllErr, NodesErr, legacy) applies.
+// so every tier (Tuples, NodeSeq, AllErr, NodesErr) applies.
 var strategyQueries = map[string]string{
 	"acyclic":   "Q(y) <- A(x), Child+(x, y), B(y)",
 	"xproperty": "Q(y) <- A(x), Child+(x, y), B(y), Child+(y, z), C(z), Child+(x, z)",
@@ -66,7 +67,7 @@ func TestDocumentSharedAcrossGoroutines(t *testing.T) {
 				for v := range pqs[i].NodeSeq(doc) {
 					seq = append(seq, v)
 				}
-				sortNodes(seq)
+				slices.Sort(seq)
 				if !reflect.DeepEqual(seq, want[i]) && !(len(seq) == 0 && len(want[i]) == 0) {
 					errs <- fmt.Errorf("goroutine %d query %d: NodeSeq %v != %v", g, i, seq, want[i])
 					return
@@ -85,11 +86,10 @@ func TestDocumentSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestDocumentTierParity is the three-tier parity property test: on random
-// trees and queries, the Document-based iterators (Tuples/NodeSeq), the
-// error-returning tier (AllErr/NodesErr), and the legacy *Tree methods
-// (All/Nodes, ForEachTuple/ForEachNode) must all agree — byte-identically
-// for the materialized forms — under every strategy.
+// TestDocumentTierParity is the tier parity property test: on random
+// trees and queries, the iterators (Tuples/NodeSeq) and the
+// error-returning tier (AllErr/NodesErr) over one Document must agree
+// with each other and with the brute-force oracle under every strategy.
 func TestDocumentTierParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	alphabet := []string{"A", "B", "C"}
@@ -109,54 +109,42 @@ func TestDocumentTierParity(t *testing.T) {
 		hit[pq.Plan().Strategy]++
 		doc := Index(tr)
 
-		legacy := pq.All(tr)
+		want := core.ReferenceEvalAll(tr, q)
 		allErr, err := pq.AllErr(doc)
 		if err != nil {
 			t.Fatalf("%s trial %d: AllErr: %v", cfg.name, trial, err)
 		}
-		if !reflect.DeepEqual(allErr, legacy) {
-			t.Fatalf("%s trial %d: AllErr %v != legacy All %v\nq = %s\ntree = %s",
-				cfg.name, trial, allErr, legacy, q, tr)
+		if !reflect.DeepEqual(allErr, want) {
+			t.Fatalf("%s trial %d: AllErr %v != oracle %v\nq = %s\ntree = %s",
+				cfg.name, trial, allErr, want, q, tr)
 		}
-		var tuples [][]NodeID
-		for tuple := range pq.Tuples(doc) {
-			tuples = append(tuples, tuple) // owned copies — no copy needed
-		}
-		sortTuplesLex(tuples)
-		if !reflect.DeepEqual(tuples, legacy) && !(len(tuples) == 0 && len(legacy) == 0) {
-			t.Fatalf("%s trial %d: Tuples %v != legacy All %v\nq = %s\ntree = %s",
-				cfg.name, trial, tuples, legacy, q, tr)
-		}
-		if streamed := collectTuples(pq, tr); !reflect.DeepEqual(streamed, tuples) &&
-			!(len(streamed) == 0 && len(tuples) == 0) {
-			t.Fatalf("%s trial %d: ForEachTuple %v != Tuples %v", cfg.name, trial, streamed, tuples)
+		tuples := collectTuples(pq, doc)
+		if !reflect.DeepEqual(tuples, want) && !(len(tuples) == 0 && len(want) == 0) {
+			t.Fatalf("%s trial %d: Tuples %v != oracle %v\nq = %s\ntree = %s",
+				cfg.name, trial, tuples, want, q, tr)
 		}
 		sat, err := pq.BoolErr(doc)
-		if err != nil || sat != pq.Bool(tr) {
-			t.Fatalf("%s trial %d: BoolErr = %v, %v; legacy Bool = %v", cfg.name, trial, sat, err, pq.Bool(tr))
+		if err != nil || sat != (len(want) > 0) {
+			t.Fatalf("%s trial %d: BoolErr = %v, %v; oracle has %d answers", cfg.name, trial, sat, err, len(want))
 		}
 
 		if len(q.Head) == 1 {
-			legacyNodes := pq.Nodes(tr)
 			nodesErr, err := pq.NodesErr(doc)
 			if err != nil {
 				t.Fatalf("%s trial %d: NodesErr: %v", cfg.name, trial, err)
 			}
-			if !reflect.DeepEqual(nodesErr, legacyNodes) {
-				t.Fatalf("%s trial %d: NodesErr %v != legacy Nodes %v", cfg.name, trial, nodesErr, legacyNodes)
+			seq := slices.Collect(pq.NodeSeq(doc))
+			slices.Sort(seq)
+			if !reflect.DeepEqual(seq, nodesErr) && !(len(seq) == 0 && len(nodesErr) == 0) {
+				t.Fatalf("%s trial %d: NodeSeq %v != NodesErr %v", cfg.name, trial, seq, nodesErr)
 			}
-			var seq, streamed []NodeID
-			for v := range pq.NodeSeq(doc) {
-				seq = append(seq, v)
+			if len(nodesErr) != len(want) {
+				t.Fatalf("%s trial %d: NodesErr %v != oracle %v", cfg.name, trial, nodesErr, want)
 			}
-			pq.ForEachNode(tr, func(v NodeID) bool { streamed = append(streamed, v); return true })
-			sortNodes(seq)
-			sortNodes(streamed)
-			if !reflect.DeepEqual(seq, streamed) && !(len(seq) == 0 && len(streamed) == 0) {
-				t.Fatalf("%s trial %d: NodeSeq %v != ForEachNode %v", cfg.name, trial, seq, streamed)
-			}
-			if !reflect.DeepEqual(seq, legacyNodes) && !(len(seq) == 0 && len(legacyNodes) == 0) {
-				t.Fatalf("%s trial %d: NodeSeq %v != Nodes %v", cfg.name, trial, seq, legacyNodes)
+			for i, tp := range want {
+				if nodesErr[i] != tp[0] {
+					t.Fatalf("%s trial %d: NodesErr %v != oracle %v", cfg.name, trial, nodesErr, want)
+				}
 			}
 		}
 	}
@@ -206,7 +194,7 @@ func TestIteratorEarlyExit(t *testing.T) {
 }
 
 // TestErrNotMonadic: the error-returning tier reports a typed, wrappable
-// ErrNotMonadic where the legacy tier panics.
+// ErrNotMonadic; NodeSeq and the one-shot EvaluateNodes panic with it.
 func TestErrNotMonadic(t *testing.T) {
 	tr := MustParseTree("A(B,C(B))")
 	doc := Index(tr)
@@ -224,14 +212,15 @@ func TestErrNotMonadic(t *testing.T) {
 		}()
 		pq.NodeSeq(doc)
 	}()
-	// The legacy contract is preserved: Nodes still panics.
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("legacy Nodes on binary query should panic")
+			r := recover()
+			err, ok := r.(error)
+			if !ok || !errors.Is(err, ErrNotMonadic) {
+				t.Errorf("EvaluateNodes panic = %v, want error wrapping ErrNotMonadic", r)
 			}
 		}()
-		pq.Nodes(tr)
+		EvaluateNodes(tr, pq.Query())
 	}()
 	// Monadic queries are unaffected.
 	mq := MustCompile("Q(y) <- A(x), Child+(x, y), B(y)")
@@ -390,10 +379,10 @@ func TestContextCancelParallel(t *testing.T) {
 	}
 }
 
-// TestDocumentIndexBuiltOnce: evaluating N prepared queries against one
-// Document builds the tree indexes exactly once, while the legacy
-// tree-pointer path pays one build per PreparedQuery (its weak cache is
-// per query when prepared standalone).
+// TestDocumentIndexBuiltOnce pins the indexing contract: evaluating N
+// prepared queries against one Document builds the tree indexes exactly
+// once, while each one-shot helper call (Evaluate, EvaluateAll,
+// EvaluateNodes) takes a *Tree and builds exactly one index per call.
 func TestDocumentIndexBuiltOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tr := tree.Random(rng, tree.RandomConfig{Nodes: 200, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}})
@@ -420,15 +409,22 @@ func TestDocumentIndexBuiltOnce(t *testing.T) {
 		t.Errorf("document path: %d index builds for %d queries, want exactly 1", got, len(srcs))
 	}
 
-	before = consistency.IndexBuildCount()
-	for _, src := range srcs {
-		pq := MustCompile(src)
-		_ = pq.Nodes(tr)
-		_ = pq.Bool(tr)
+	oneShots := map[string]func(q *Query){
+		"Evaluate":      func(q *Query) { Evaluate(tr, q) },
+		"EvaluateAll":   func(q *Query) { EvaluateAll(tr, q) },
+		"EvaluateNodes": func(q *Query) { EvaluateNodes(tr, q) },
 	}
-	if got := consistency.IndexBuildCount() - before; got != int64(len(srcs)) {
-		t.Errorf("tree-pointer path: %d index builds for %d standalone queries, want %d",
-			got, len(srcs), len(srcs))
+	for name, call := range oneShots {
+		for _, src := range srcs {
+			q := MustParseQuery(src)
+			for rep := 0; rep < 2; rep++ {
+				before = consistency.IndexBuildCount()
+				call(q)
+				if got := consistency.IndexBuildCount() - before; got != 1 {
+					t.Errorf("%s call %d on %s: %d index builds, want exactly 1", name, rep, src, got)
+				}
+			}
+		}
 	}
 }
 
@@ -440,9 +436,9 @@ func TestNegativeParallelismClamped(t *testing.T) {
 	tr := tree.Random(rng, tree.RandomConfig{Nodes: 80, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}})
 	doc := Index(tr)
 	pq := MustCompile(strategyQueries["xproperty"])
-	want := pq.Nodes(tr)
+	want := nodesOf(t, pq, doc)
 	for _, workers := range []int{-7, -1, 0, 1} {
-		if got := pq.WithParallelism(workers).Nodes(tr); !reflect.DeepEqual(got, want) {
+		if got := nodesOf(t, pq.WithParallelism(workers), doc); !reflect.DeepEqual(got, want) {
 			t.Errorf("WithParallelism(%d): %v != %v", workers, got, want)
 		}
 		if got, err := pq.NodesErr(doc, WithWorkers(workers)); err != nil || !reflect.DeepEqual(got, want) {

@@ -9,15 +9,14 @@ package cqtrees
 //
 // Variants:
 //
-//	pertuple-AC   the seed polyAll cost model — one FastAC pass, then a
+//	pertuple-AC   the per-candidate cost model — one FastAC pass, then a
 //	              from-scratch pinned arc-consistency run per candidate
-//	              (PolyEngine.CheckTuple), rebuilding domain indexes each
-//	              time.
-//	stream        PreparedQuery.ForEachNode (incremental pinned checks
+//	              (PolyEngine.CheckTuple), rebuilding domains each time.
+//	stream        PreparedQuery.NodeSeq (incremental pinned checks
 //	              seeded from the shared maximal prevaluation).
-//	materialize   PreparedQuery.Nodes.
-//	parallel4     PreparedQuery.WithParallelism(4).Nodes.
-//	first-answer  ForEachNode with an immediate stop — the early-exit
+//	materialize   PreparedQuery.NodesErr.
+//	parallel4     PreparedQuery.WithParallelism(4).NodesErr.
+//	first-answer  NodeSeq with an immediate break — the early-exit
 //	              price of an existence-style query.
 
 import (
@@ -67,7 +66,8 @@ func BenchmarkEnumeration(b *testing.B) {
 		if pq.Plan().Strategy != core.StrategyXProperty {
 			b.Fatalf("benchmark query must hit the X-property strategy, got %v", pq.Plan())
 		}
-		if got := len(pq.Nodes(tr)); got != cfg.answers {
+		doc := Index(tr)
+		if got := len(nodesOf(b, pq, doc)); got != cfg.answers {
 			b.Fatalf("planted %d answers, query found %d", cfg.answers, got)
 		}
 		name := fmt.Sprintf("n=%d/answers=%d", cfg.n, cfg.answers)
@@ -85,7 +85,7 @@ func BenchmarkEnumeration(b *testing.B) {
 				}
 				count := 0
 				p.Sets[y].ForEach(func(v NodeID) bool {
-					if eng.CheckTuple(tr, q, []NodeID{v}) {
+					if eng.CheckTuple(doc, q, []NodeID{v}) {
 						count++
 					}
 					return true
@@ -99,10 +99,9 @@ func BenchmarkEnumeration(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				count := 0
-				pq.ForEachNode(tr, func(NodeID) bool {
+				for range pq.NodeSeq(doc) {
 					count++
-					return true
-				})
+				}
 				if count != cfg.answers {
 					b.Fatalf("count = %d", count)
 				}
@@ -111,7 +110,7 @@ func BenchmarkEnumeration(b *testing.B) {
 		b.Run(name+"/materialize", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := pq.Nodes(tr); len(got) != cfg.answers {
+				if got := nodesOf(b, pq, doc); len(got) != cfg.answers {
 					b.Fatalf("count = %d", len(got))
 				}
 			}
@@ -120,7 +119,7 @@ func BenchmarkEnumeration(b *testing.B) {
 			par := pq.WithParallelism(4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := par.Nodes(tr); len(got) != cfg.answers {
+				if got := nodesOf(b, par, doc); len(got) != cfg.answers {
 					b.Fatalf("count = %d", len(got))
 				}
 			}
@@ -128,10 +127,10 @@ func BenchmarkEnumeration(b *testing.B) {
 		b.Run(name+"/first-answer", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				found := false
-				pq.ForEachNode(tr, func(NodeID) bool {
+				for range pq.NodeSeq(doc) {
 					found = true
-					return false
-				})
+					break
+				}
 				if !found {
 					b.Fatal("no answer")
 				}
@@ -145,12 +144,14 @@ func BenchmarkEnumeration(b *testing.B) {
 	tr := enumBenchTree(rng, 4000, 16)
 	q := MustParseQuery("Q(y, z) <- A(x), Child+(x, y), B(y), Child+(y, z), C(z), Child+(x, z)")
 	pq := MustPrepare(q)
-	want := len(pq.All(tr))
+	doc := Index(tr)
+	want := len(allOf(b, pq, doc))
 	b.Run("pair/n=4000/stream", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			count := 0
-			pq.ForEachTuple(tr, func([]NodeID) bool {
+			// The zero-copy engine stream (Tuples yields owned copies).
+			pq.p.ForEachTupleDoc(doc, core.EnumOptions{}, func([]NodeID) bool {
 				count++
 				return true
 			})
@@ -163,7 +164,7 @@ func BenchmarkEnumeration(b *testing.B) {
 		par := pq.WithParallelism(4)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := par.All(tr); len(got) != want {
+			if got := allOf(b, par, doc); len(got) != want {
 				b.Fatalf("count = %d, want %d", len(got), want)
 			}
 		}

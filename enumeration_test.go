@@ -4,49 +4,46 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cq"
 	"repro/internal/tree"
 )
 
-// collectTuples drains ForEachTuple into an owned, sorted slice (the
-// callback's tuple buffer is reused, so it must be copied).
-func collectTuples(pq *PreparedQuery, tr *Tree) [][]NodeID {
-	var out [][]NodeID
-	pq.ForEachTuple(tr, func(tuple []NodeID) bool {
-		cp := make([]NodeID, len(tuple))
-		copy(cp, tuple)
-		out = append(out, cp)
-		return true
-	})
-	sortTuplesLex(out)
+// collectTuples drains the Tuples iterator into a sorted slice.
+func collectTuples(pq *PreparedQuery, doc *Document) [][]NodeID {
+	out := slices.Collect(pq.Tuples(doc))
+	slices.SortFunc(out, slices.Compare[[]NodeID])
 	return out
 }
 
-func sortTuplesLex(out [][]NodeID) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			less := false
-			for k := range out[j] {
-				if out[j][k] != out[j-1][k] {
-					less = out[j][k] < out[j-1][k]
-					break
-				}
-			}
-			if !less {
-				break
-			}
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+// allOf is the suite's materialized evaluation: AllErr on doc, failing
+// the test on error.
+func allOf(tb testing.TB, pq *PreparedQuery, doc *Document) [][]NodeID {
+	tb.Helper()
+	out, err := pq.AllErr(doc)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return out
+}
+
+// nodesOf is allOf for a monadic query's sorted answer node set.
+func nodesOf(tb testing.TB, pq *PreparedQuery, doc *Document) []NodeID {
+	tb.Helper()
+	out, err := pq.NodesErr(doc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }
 
 // TestStreamingMatchesOracle: on random trees and queries, the streamed
-// tuple set must equal the brute-force oracle (and the materialized All)
-// under every strategy; streamed tuples must be pairwise distinct.
+// tuple set must equal the brute-force oracle (and the materialized
+// AllErr and the one-shot EvaluateAll) under every strategy; streamed
+// tuples must be pairwise distinct.
 func TestStreamingMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	alphabet := []string{"A", "B", "C"}
@@ -64,15 +61,20 @@ func TestStreamingMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: Prepare: %v", cfg.name, err)
 		}
 		hit[pq.Plan().Strategy]++
+		doc := Index(tr)
 
-		got := collectTuples(pq, tr)
+		got := collectTuples(pq, doc)
 		want := core.ReferenceEvalAll(tr, q)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s trial %d: streamed %v != oracle %v\nq = %s\ntree = %s",
 				cfg.name, trial, got, want, q, tr)
 		}
-		if all := pq.All(tr); !reflect.DeepEqual(all, want) {
-			t.Fatalf("%s trial %d: All %v != oracle %v\nq = %s\ntree = %s",
+		if all := allOf(t, pq, doc); !reflect.DeepEqual(all, want) {
+			t.Fatalf("%s trial %d: AllErr %v != oracle %v\nq = %s\ntree = %s",
+				cfg.name, trial, all, want, q, tr)
+		}
+		if all := EvaluateAll(tr, q); !reflect.DeepEqual(all, want) {
+			t.Fatalf("%s trial %d: EvaluateAll %v != oracle %v\nq = %s\ntree = %s",
 				cfg.name, trial, all, want, q, tr)
 		}
 		// Distinctness of the stream.
@@ -84,29 +86,29 @@ func TestStreamingMatchesOracle(t *testing.T) {
 			}
 			seen[k] = true
 		}
-		// Monadic: ForEachNode must agree with Nodes and with the oracle.
+		// Monadic: NodeSeq must agree with NodesErr, EvaluateNodes and the
+		// oracle.
 		if len(q.Head) == 1 {
-			var nodes []NodeID
-			pq.ForEachNode(tr, func(v NodeID) bool {
-				nodes = append(nodes, v)
-				return true
-			})
+			nodes := slices.Collect(pq.NodeSeq(doc))
 			flat := make([]NodeID, len(want))
 			for i, tp := range want {
 				flat[i] = tp[0]
 			}
-			sortNodes(nodes)
+			slices.Sort(nodes)
 			if !reflect.DeepEqual(nodes, flat) && !(len(nodes) == 0 && len(flat) == 0) {
-				t.Fatalf("%s trial %d: ForEachNode %v != oracle %v\nq = %s\ntree = %s",
+				t.Fatalf("%s trial %d: NodeSeq %v != oracle %v\nq = %s\ntree = %s",
 					cfg.name, trial, nodes, flat, q, tr)
 			}
-			if ns := pq.Nodes(tr); !reflect.DeepEqual(ns, flat) && !(len(ns) == 0 && len(flat) == 0) {
-				t.Fatalf("%s trial %d: Nodes %v != oracle %v", cfg.name, trial, ns, flat)
+			if ns := nodesOf(t, pq, doc); !reflect.DeepEqual(ns, flat) && !(len(ns) == 0 && len(flat) == 0) {
+				t.Fatalf("%s trial %d: NodesErr %v != oracle %v", cfg.name, trial, ns, flat)
+			}
+			if ns := EvaluateNodes(tr, q); !reflect.DeepEqual(ns, flat) && !(len(ns) == 0 && len(flat) == 0) {
+				t.Fatalf("%s trial %d: EvaluateNodes %v != oracle %v", cfg.name, trial, ns, flat)
 			}
 		}
 		// Streaming again on the same PreparedQuery (scratch reuse) must
 		// not drift.
-		if again := collectTuples(pq, tr); !reflect.DeepEqual(again, got) {
+		if again := collectTuples(pq, doc); !reflect.DeepEqual(again, got) {
 			t.Fatalf("%s trial %d: re-stream drifted: %v then %v", cfg.name, trial, got, again)
 		}
 	}
@@ -118,17 +120,10 @@ func TestStreamingMatchesOracle(t *testing.T) {
 	t.Logf("strategy coverage: %v", hit)
 }
 
-func sortNodes(ns []NodeID) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}
-
-// TestStreamingEarlyExit: returning false from the callback must stop
-// enumeration immediately — the callback runs exactly min(limit, |answer|)
-// times — for every strategy and for both tuple and node streaming.
+// TestStreamingEarlyExit: breaking out of the range loop must stop
+// enumeration immediately — the loop body runs exactly min(limit,
+// |answer|) times — for every strategy and for both tuple and node
+// streaming.
 func TestStreamingEarlyExit(t *testing.T) {
 	queries := map[string]string{
 		"acyclic":   "Q(y) <- A(x), Child+(x, y), B(y)",
@@ -136,41 +131,45 @@ func TestStreamingEarlyExit(t *testing.T) {
 		"backtrack": "Q(y) <- A(x), Child(x, y), B(y), Child+(x, z), C(z), Following(y, z)",
 	}
 	rng := rand.New(rand.NewSource(9))
-	tr := tree.Random(rng, tree.RandomConfig{Nodes: 150, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}})
+	doc := Index(tree.Random(rng, tree.RandomConfig{Nodes: 150, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}}))
 	for name, src := range queries {
 		t.Run(name, func(t *testing.T) {
 			pq := MustCompile(src)
-			total := len(pq.All(tr))
+			total := len(allOf(t, pq, doc))
 			if total < 2 {
 				t.Fatalf("want >= 2 answers to make early exit meaningful, got %d", total)
 			}
 			for _, limit := range []int{1, 2, total, total + 5} {
 				calls := 0
-				pq.ForEachTuple(tr, func([]NodeID) bool {
+				for range pq.Tuples(doc) {
 					calls++
-					return calls < limit
-				})
+					if calls == limit {
+						break
+					}
+				}
 				want := limit
 				if want > total {
 					want = total
 				}
 				if calls != want {
-					t.Errorf("limit %d: ForEachTuple callback ran %d times, want %d", limit, calls, want)
+					t.Errorf("limit %d: Tuples loop ran %d times, want %d", limit, calls, want)
 				}
 				calls = 0
-				pq.ForEachNode(tr, func(NodeID) bool {
+				for range pq.NodeSeq(doc) {
 					calls++
-					return calls < limit
-				})
+					if calls == limit {
+						break
+					}
+				}
 				if calls != want {
-					t.Errorf("limit %d: ForEachNode callback ran %d times, want %d", limit, calls, want)
+					t.Errorf("limit %d: NodeSeq loop ran %d times, want %d", limit, calls, want)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelMatchesSequential: WithParallelism(n).All/Nodes must return
+// TestParallelMatchesSequential: WithParallelism(n).AllErr/NodesErr must return
 // exactly the sequential result on random trees and queries (and the
 // derived handle must leave the original sequential).
 func TestParallelMatchesSequential(t *testing.T) {
@@ -188,21 +187,22 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := pq.All(tr)
+		doc := Index(tr)
+		want := allOf(t, pq, doc)
 		for _, workers := range []int{2, 4} {
 			par := pq.WithParallelism(workers)
-			if got := par.All(tr); !reflect.DeepEqual(got, want) {
+			if got := allOf(t, par, doc); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d (workers=%d): parallel All %v != sequential %v\nq = %s\ntree = %s",
 					cfg.name, trial, workers, got, want, q, tr)
 			}
 			if len(q.Head) == 1 {
-				if got, seq := par.Nodes(tr), pq.Nodes(tr); !reflect.DeepEqual(got, seq) {
+				if got, seq := nodesOf(t, par, doc), nodesOf(t, pq, doc); !reflect.DeepEqual(got, seq) {
 					t.Fatalf("%s trial %d (workers=%d): parallel Nodes %v != sequential %v",
 						cfg.name, trial, workers, got, seq)
 				}
 			}
 		}
-		if got := pq.All(tr); !reflect.DeepEqual(got, want) {
+		if got := allOf(t, pq, doc); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s trial %d: WithParallelism mutated the original handle", cfg.name, trial)
 		}
 	}
@@ -218,16 +218,16 @@ func TestParallelEnumerationConcurrent(t *testing.T) {
 		"xproperty": "Q(y) <- A(x), Child+(x, y), B(y), Child+(y, z), C(z), Child+(x, z)",
 	}
 	rng := rand.New(rand.NewSource(7))
-	trees := []*Tree{
-		tree.Random(rng, tree.RandomConfig{Nodes: 200, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}}),
-		tree.Random(rng, tree.RandomConfig{Nodes: 60, MaxChildren: 5, Alphabet: []string{"A", "B", "C"}}),
+	docs := []*Document{
+		Index(tree.Random(rng, tree.RandomConfig{Nodes: 200, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}})),
+		Index(tree.Random(rng, tree.RandomConfig{Nodes: 60, MaxChildren: 5, Alphabet: []string{"A", "B", "C"}})),
 	}
 	for name, src := range queries {
 		t.Run(name, func(t *testing.T) {
 			pq := MustCompile(src).WithParallelism(4)
-			want := make([][][]NodeID, len(trees))
-			for i, tr := range trees {
-				want[i] = pq.All(tr)
+			want := make([][][]NodeID, len(docs))
+			for i, doc := range docs {
+				want[i] = allOf(t, pq, doc)
 				if len(want[i]) == 0 {
 					t.Fatalf("tree %d: want answers for a meaningful race test", i)
 				}
@@ -239,9 +239,10 @@ func TestParallelEnumerationConcurrent(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for it := 0; it < 10; it++ {
-						i := (g + it) % len(trees)
-						if got := pq.All(trees[i]); !reflect.DeepEqual(got, want[i]) {
-							errs <- fmt.Errorf("goroutine %d tree %d: %v != %v", g, i, got, want[i])
+						i := (g + it) % len(docs)
+						got, err := pq.AllErr(docs[i])
+						if err != nil || !reflect.DeepEqual(got, want[i]) {
+							errs <- fmt.Errorf("goroutine %d tree %d: %v, %v != %v", g, i, got, err, want[i])
 							return
 						}
 					}
@@ -253,30 +254,5 @@ func TestParallelEnumerationConcurrent(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestMonadicFastPathLegacyAPI: the legacy one-shot EvaluateNodes and the
-// engine EvalMonadic must agree with the streamed fast path (they now
-// route through it) and with the oracle.
-func TestMonadicFastPathLegacyAPI(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	alphabet := []string{"A", "B", "C"}
-	for trial := 0; trial < 60; trial++ {
-		cfg := parityConfigs[trial%len(parityConfigs)]
-		tr := tree.Random(rng, tree.RandomConfig{Nodes: 1 + rng.Intn(12), MaxChildren: 3, Alphabet: alphabet})
-		q := randomQuery(rng, cfg.axes, 2+rng.Intn(3), 1+rng.Intn(3), alphabet)
-		// Force a monadic head.
-		q.SetHead(cq.Var(rng.Intn(q.NumVars())))
-		ref := core.ReferenceEvalAll(tr, q)
-		flat := make([]NodeID, len(ref))
-		for i, tp := range ref {
-			flat[i] = tp[0]
-		}
-		got := EvaluateNodes(tr, q)
-		if !reflect.DeepEqual(got, flat) && !(len(got) == 0 && len(flat) == 0) {
-			t.Fatalf("%s trial %d: EvaluateNodes %v != oracle %v\nq = %s\ntree = %s",
-				cfg.name, trial, got, flat, q, tr)
-		}
 	}
 }

@@ -85,9 +85,9 @@ func ExampleCorpus_paginate() {
 	// true
 }
 
-// The error-returning tier replaces the legacy "panics if not monadic"
-// contract with a typed ErrNotMonadic, and accepts a context whose
-// cancellation is checked during enumeration.
+// The error-returning tier reports a typed ErrNotMonadic instead of
+// panicking, and accepts a context whose cancellation is checked during
+// enumeration.
 func ExamplePreparedQuery_NodesErr() {
 	doc := cqtrees.Index(cqtrees.MustParseTree("A(B,C(B))"))
 	binary := cqtrees.MustCompile("Q(x, y) <- A(x), Child+(x, y), B(y)")

@@ -41,8 +41,11 @@ func main() {
 	fmt.Printf("plan:  %v (prepared in %v)\n", pq.Plan(), prepTime)
 
 	t0 = time.Now()
-	answers := pq.Nodes(corpus.Combined)
+	answers, err := pq.NodesErr(cqtrees.Index(corpus.Combined))
 	direct := time.Since(t0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ndirect evaluation: %d matching PPs in %v\n", len(answers), direct)
 
 	// Theorem 6.10 route: translate once, evaluate the acyclic union.

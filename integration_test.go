@@ -41,7 +41,6 @@ func randomPaperQuery(rng *rand.Rand, nv, na int) *cq.Query {
 
 func TestIntegrationEngineVsAPQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	engine := core.NewEngine()
 	executed := 0
 	defer func() {
 		if executed < 20 {
@@ -58,12 +57,13 @@ func TestIntegrationEngineVsAPQ(t *testing.T) {
 		if !apq.IsAcyclic() {
 			t.Fatalf("trial %d: APQ not acyclic for %s", trial, q)
 		}
+		pq := MustPrepare(q)
 		for sub := 0; sub < 8; sub++ {
 			tr := tree.Random(rng, tree.RandomConfig{
 				Nodes: 1 + rng.Intn(10), MaxChildren: 3,
 				Alphabet: []string{"A", "B", "C"},
 			})
-			want := engine.EvalBoolean(tr, q)
+			want, _ := pq.BoolErr(Index(tr))
 			got := apq.EvalBoolean(tr)
 			if want != got {
 				t.Fatalf("trial %d: engine %v, APQ %v\nquery %s\nAPQ %s\ntree %s",
@@ -75,7 +75,6 @@ func TestIntegrationEngineVsAPQ(t *testing.T) {
 
 func TestIntegrationMonadicXPathAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(7 * 13))
-	engine := core.NewEngine()
 	for trial := 0; trial < 25; trial++ {
 		q := randomPaperQuery(rng, 3, 2+rng.Intn(2))
 		q.SetHead(cq.Var(rng.Intn(q.NumVars())))
@@ -93,7 +92,7 @@ func TestIntegrationMonadicXPathAgreement(t *testing.T) {
 				Alphabet: []string{"A", "B", "C"},
 			})
 			want := map[tree.NodeID]bool{}
-			for _, v := range engine.EvalMonadic(tr, q) {
+			for _, v := range EvaluateNodes(tr, q) {
 				want[v] = true
 			}
 			got := map[tree.NodeID]bool{}

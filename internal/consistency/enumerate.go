@@ -129,22 +129,12 @@ func NewPinBase(t *tree.Tree, q *cq.Query, p *Prevaluation) *PinBase {
 
 // PinBaseForIx is NewPinBase backed by Scratch-owned storage over a
 // borrowed document index (already built; snapshotting copies no
-// orderings). The result is valid until the next PinBaseFor(Ix) call on
+// orderings). The result is valid until the next PinBaseForIx call on
 // sc — and no longer than the borrowed index; while valid it is still
 // safe for concurrent PinRuns.
 func (sc *Scratch) PinBaseForIx(ix *TreeIndex, q *cq.Query, p *Prevaluation) *PinBase {
 	sc.pinBase.init(ix, q, p)
 	return &sc.pinBase
-}
-
-// PinBaseFor is PinBaseForIx over the Scratch's private index for t, which
-// an arc-consistency run on the same scratch and tree has typically
-// already built (legacy *Tree entry point). The result borrows that
-// private index, which is rebuilt in place when the tree changes, so it
-// is valid only until the next PinBaseFor(Ix) call or legacy *Tree
-// arc-consistency run on sc.
-func (sc *Scratch) PinBaseFor(t *tree.Tree, q *cq.Query, p *Prevaluation) *PinBase {
-	return sc.PinBaseForIx(sc.indexFor(t), q, p)
 }
 
 // bind points b at ix and q: sizes, support context and the atoms of each

@@ -148,11 +148,12 @@ func TestPinBaseScratchReuse(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		tr := tree.Random(rng, tree.RandomConfig{Nodes: n, MaxChildren: 4, Alphabet: alphabet})
 		q := randomQuery(rng, allTestAxes, alphabet, 1+rng.Intn(4), rng.Intn(4), rng.Intn(3))
-		p, ok := sc.FastAC(tr, q)
+		ix := NewTreeIndex(tr)
+		p, ok := sc.FastACIx(ix, q)
 		if !ok || q.NumVars() == 0 {
 			continue
 		}
-		base := sc.PinBaseFor(tr, q, p)
+		base := sc.PinBaseForIx(ix, q, p)
 		run := sc.PinRunFor(base)
 		x := cq.Var(rng.Intn(q.NumVars()))
 		for v := 0; v < tr.Len(); v++ {

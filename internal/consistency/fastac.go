@@ -186,9 +186,9 @@ func FastACFromStats(t *tree.Tree, q *cq.Query, init *Prevaluation) (*Prevaluati
 	return NewScratch().FastACFromStats(t, q, init)
 }
 
-// FastACFromStats is the worklist with sc's reusable buffers; see
-// FastACFromStats (package level) for the contract. The returned
-// prevaluation's sets are init's sets.
+// FastACFromStats is the worklist with sc's reusable buffers over a tree
+// index built for this call; see FastACFromStats (package level) for the
+// contract. The returned prevaluation's sets are init's sets.
 func (sc *Scratch) FastACFromStats(t *tree.Tree, q *cq.Query, init *Prevaluation) (*Prevaluation, Stats, bool) {
 	if q.NumVars() == 0 {
 		return &Prevaluation{}, Stats{}, true
@@ -196,7 +196,7 @@ func (sc *Scratch) FastACFromStats(t *tree.Tree, q *cq.Query, init *Prevaluation
 	if t.Len() == 0 {
 		return nil, Stats{}, false
 	}
-	return sc.fastACFromStatsIx(sc.indexFor(t), q, init)
+	return sc.fastACFromStatsIx(NewTreeIndex(t), q, init)
 }
 
 // fastACFromStatsIx is the worklist body against a borrowed document

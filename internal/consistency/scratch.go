@@ -5,20 +5,6 @@ import (
 	"repro/internal/tree"
 )
 
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growNodeIDs(s []tree.NodeID, n int) []tree.NodeID {
-	if cap(s) < n {
-		return make([]tree.NodeID, n)
-	}
-	return s[:n]
-}
-
 // Scratch holds the per-call mutable buffers of arc-consistency runs: the
 // per-variable bitset domains and worklist of FastAC, the NodeSets of the
 // initial prevaluation, and the pin base/run storage of incremental
@@ -26,19 +12,16 @@ func growNodeIDs(s []tree.NodeID, n int) []tree.NodeID {
 // of repeated evaluation; it is NOT safe for concurrent use — pool
 // Scratches (one per goroutine) instead.
 //
-// Tree-derived structures are no longer owned here: the *Ix entry points
-// borrow an immutable TreeIndex (shared document-wide; see core.Document),
-// and only the legacy *Tree entry points fall back to a private index
-// rebuilt when the tree pointer changes between calls.
+// Tree-derived structures are not owned here: every *Ix entry point
+// borrows an immutable TreeIndex (shared document-wide; see core.Document).
 //
 // Prevaluations returned by Scratch methods that take no caller-supplied
 // initial prevaluation alias Scratch-owned sets: they are valid only until
 // the next call on the same Scratch.
 type Scratch struct {
-	ownIx      *TreeIndex // fallback index for legacy *Tree entry points
-	acBase     PinBase    // FastAC: the query binding (no snapshot sets)
-	acRun      PinRun     // FastAC: level 0 holds the domains being revised
-	allAtoms   []int32    // FastAC: the worklist seed, every atom
+	acBase     PinBase // FastAC: the query binding (no snapshot sets)
+	acRun      PinRun  // FastAC: level 0 holds the domains being revised
+	allAtoms   []int32 // FastAC: the worklist seed, every atom
 	initSets   []*NodeSet
 	labeledBuf []int32
 	pinBase    PinBase
@@ -48,17 +31,6 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers are sized lazily on first
 // use.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// indexFor returns the Scratch's private index for t, rebuilding it only
-// when the tree changed since the previous legacy call.
-func (sc *Scratch) indexFor(t *tree.Tree) *TreeIndex {
-	if sc.ownIx == nil {
-		sc.ownIx = NewTreeIndex(t)
-	} else if sc.ownIx.t != t {
-		sc.ownIx.build(t)
-	}
-	return sc.ownIx
-}
 
 // InitialPrevaluationIx is the label-filtered initial prevaluation built
 // from the index's cached label bitsets and full-node-set words (word
@@ -96,12 +68,6 @@ func (sc *Scratch) InitialPrevaluationIx(ix *TreeIndex, q *cq.Query) *Prevaluati
 	return &Prevaluation{Sets: sets}
 }
 
-// InitialPrevaluation is InitialPrevaluationIx over the Scratch's private
-// index for t (legacy *Tree entry point).
-func (sc *Scratch) InitialPrevaluation(t *tree.Tree, q *cq.Query) *Prevaluation {
-	return sc.InitialPrevaluationIx(sc.indexFor(t), q)
-}
-
 // filterByLabel removes from s every node not carrying the label. The
 // in-place removal during iteration is safe: ForEach advances on a copied
 // word, so clearing the current bit cannot derail it.
@@ -119,20 +85,6 @@ func filterByLabel(t *tree.Tree, s *NodeSet, label string) {
 // (no variables, empty tree) are handled by the worklist itself.
 func (sc *Scratch) FastACIx(ix *TreeIndex, q *cq.Query) (*Prevaluation, bool) {
 	return sc.FastACFromIx(ix, q, sc.InitialPrevaluationIx(ix, q))
-}
-
-// FastAC is FastACIx over the Scratch's private index for t. The result
-// aliases Scratch-owned sets (see type doc). The guards exist to skip
-// building the fallback index for degenerate inputs; the worklist
-// re-checks them.
-func (sc *Scratch) FastAC(t *tree.Tree, q *cq.Query) (*Prevaluation, bool) {
-	if q.NumVars() == 0 {
-		return &Prevaluation{}, true
-	}
-	if t.Len() == 0 {
-		return nil, false
-	}
-	return sc.FastACIx(sc.indexFor(t), q)
 }
 
 // PinnedFastACIx is PinnedAC(EngineFast, ...) with sc's buffers against a
@@ -155,26 +107,8 @@ func (sc *Scratch) PinnedFastACIx(ix *TreeIndex, q *cq.Query, vars []cq.Var, nod
 	return sc.FastACFromIx(ix, q, init)
 }
 
-// PinnedFastAC is PinnedFastACIx over the Scratch's private index for t
-// (guards as in FastAC: skip the fallback index for degenerate inputs).
-func (sc *Scratch) PinnedFastAC(t *tree.Tree, q *cq.Query, vars []cq.Var, nodes []tree.NodeID) (*Prevaluation, bool) {
-	if q.NumVars() == 0 {
-		return &Prevaluation{}, true
-	}
-	if t.Len() == 0 {
-		return nil, false
-	}
-	return sc.PinnedFastACIx(sc.indexFor(t), q, vars, nodes)
-}
-
-// FastACFrom runs the worklist from init (consumed and mutated) with sc's
-// buffers; the result's sets are init's sets.
-func (sc *Scratch) FastACFrom(t *tree.Tree, q *cq.Query, init *Prevaluation) (*Prevaluation, bool) {
-	p, _, ok := sc.FastACFromStats(t, q, init)
-	return p, ok
-}
-
-// FastACFromIx is FastACFrom against a borrowed document index.
+// FastACFromIx runs the worklist from init (consumed and mutated) against
+// a borrowed document index; the result's sets are init's sets.
 func (sc *Scratch) FastACFromIx(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*Prevaluation, bool) {
 	p, _, ok := sc.fastACFromStatsIx(ix, q, init)
 	return p, ok

@@ -64,22 +64,11 @@ func IndexBuildCount() int64 { return indexBuilds.Load() }
 // NewTreeIndex builds the index for t. The orderings and full-set words
 // are computed eagerly; label bitsets on first use per label.
 func NewTreeIndex(t *tree.Tree) *TreeIndex {
-	ix := &TreeIndex{}
-	ix.build(t)
-	return ix
-}
-
-// Tree returns the tree the index was built for.
-func (ix *TreeIndex) Tree() *tree.Tree { return ix.t }
-
-// build computes the orderings for t, reusing backing arrays when the
-// receiver has been built before (the Scratch fallback path rebinds its
-// private index when the tree changes between legacy *Tree calls).
-func (ix *TreeIndex) build(t *tree.Tree) {
 	indexBuilds.Add(1)
+	ix := &TreeIndex{t: t}
 	n := t.Len()
-	ix.sibRank = growInt32(ix.sibRank, n)
-	ix.sibStart = growInt32(ix.sibStart, n)
+	ix.sibRank = make([]int32, n)
+	ix.sibStart = make([]int32, n)
 	var r int32
 	if n > 0 {
 		ix.sibRank[t.Root()] = r
@@ -98,9 +87,9 @@ func (ix *TreeIndex) build(t *tree.Tree) {
 		}
 	}
 
-	ix.preEndNode = growNodeIDs(ix.preEndNode, n)
-	ix.preEndPos = growInt32(ix.preEndPos, n)
-	ix.preEndVal = growInt32(ix.preEndVal, n)
+	ix.preEndNode = make([]tree.NodeID, n)
+	ix.preEndPos = make([]int32, n)
+	ix.preEndVal = make([]int32, n)
 	sortKey := make([]int64, n)
 	sortIdx := make([]int32, n)
 	sortBuf := make([]int32, n)
@@ -114,11 +103,11 @@ func (ix *TreeIndex) build(t *tree.Tree) {
 		ix.preEndPos[v] = int32(pos)
 		ix.preEndVal[pos] = t.PreEnd(tree.NodeID(v))
 	}
-	ix.parentPre = growInt32(ix.parentPre, n)
-	ix.firstChildPre = growInt32(ix.firstChildPre, n)
-	ix.nextSibPre = growInt32(ix.nextSibPre, n)
-	ix.prevSibPre = growInt32(ix.prevSibPre, n)
-	ix.subtreeEnd = growInt32(ix.subtreeEnd, n)
+	ix.parentPre = make([]int32, n)
+	ix.firstChildPre = make([]int32, n)
+	ix.nextSibPre = make([]int32, n)
+	ix.prevSibPre = make([]int32, n)
+	ix.subtreeEnd = make([]int32, n)
 	for pr := int32(0); pr < int32(n); pr++ {
 		v := t.ByPre(pr)
 		ix.subtreeEnd[pr] = t.PreEnd(v)
@@ -143,7 +132,7 @@ func (ix *TreeIndex) build(t *tree.Tree) {
 			ix.prevSibPre[pr] = -1
 		}
 	}
-	ix.internalPre = bitset.Grow(ix.internalPre, bitset.Words(n))
+	ix.internalPre = make([]uint64, bitset.Words(n))
 	for pr := int32(0); pr < int32(n); pr++ {
 		if ix.subtreeEnd[pr] > pr {
 			bitset.Set(ix.internalPre, pr)
@@ -151,10 +140,11 @@ func (ix *TreeIndex) build(t *tree.Tree) {
 	}
 
 	ix.full.ResetFull(n)
-	ix.labelSets.Store(nil)
-	ix.emptySet.Store(nil)
-	ix.t = t
+	return ix
 }
+
+// Tree returns the tree the index was built for.
+func (ix *TreeIndex) Tree() *tree.Tree { return ix.t }
 
 // MaterializeLabels eagerly builds the bitset of every label occurring in
 // the tree (plus the shared empty set unknown labels resolve to), so that

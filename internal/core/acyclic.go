@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/axis"
 	"repro/internal/bitset"
@@ -11,34 +10,14 @@ import (
 	"repro/internal/tree"
 )
 
-// AcyclicEngine evaluates acyclic conjunctive queries (queries whose query
-// graph's undirected shadow is a forest) in the style of Yannakakis'
+// The acyclic strategy (StrategyAcyclic) evaluates queries whose query
+// graph's undirected shadow is a forest in the style of Yannakakis'
 // algorithm [Yannakakis 1981], cited in §1.1 as the reason APQs evaluate
 // particularly well: a bottom-up semijoin pass then a top-down pass make
 // the candidate sets globally consistent, after which answers enumerate
-// backtrack-free.
-//
-// Works on every tree structure and every acyclic query regardless of
-// signature — acyclicity, not the X-property, supplies tractability here.
-//
-// The engine is safe for concurrent use: per-call state lives in pooled
-// scratches. (The one-shot methods re-derive the shadow forest per call
-// and resolve the tree through a weak document cache; Prepare compiles
-// the forest once instead.)
-type AcyclicEngine struct {
-	docs docCache
-	pool sync.Pool // of *evalScratch
-}
-
-// NewAcyclicEngine returns the engine.
-func NewAcyclicEngine() *AcyclicEngine { return &AcyclicEngine{} }
-
-func (e *AcyclicEngine) scratch() *evalScratch {
-	if s, ok := e.pool.Get().(*evalScratch); ok {
-		return s
-	}
-	return newEvalScratch()
-}
+// backtrack-free. It works on every tree structure and every acyclic query
+// regardless of signature — acyclicity, not the X-property, supplies
+// tractability here.
 
 // shadowForest is a rooted-forest view of an acyclic query graph.
 type shadowForest struct {
@@ -301,18 +280,6 @@ func acyclicBool(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) bool
 	return ok
 }
 
-// EvalBoolean decides an acyclic query: satisfiable iff the semijoin
-// reduction leaves every candidate set nonempty.
-func (e *AcyclicEngine) EvalBoolean(t *tree.Tree, q *cq.Query) bool {
-	f, err := buildShadowForest(q)
-	if err != nil {
-		panic(err)
-	}
-	s := e.scratch()
-	defer e.pool.Put(s)
-	return acyclicBool(e.docs.get(t), q, f, s)
-}
-
 // acyclicSatisfaction returns one consistent valuation, or nil.
 func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) consistency.Valuation {
 	if q.NumVars() == 0 {
@@ -351,17 +318,6 @@ func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 		}
 	}
 	return theta
-}
-
-// Satisfaction returns one consistent valuation, or nil.
-func (e *AcyclicEngine) Satisfaction(t *tree.Tree, q *cq.Query) consistency.Valuation {
-	f, err := buildShadowForest(q)
-	if err != nil {
-		panic(err)
-	}
-	s := e.scratch()
-	defer e.pool.Put(s)
-	return acyclicSatisfaction(e.docs.get(t), q, f, s)
 }
 
 // acyclicEnumFrom runs the backtrack-free enumeration recursion from
@@ -453,23 +409,4 @@ func acyclicForEachNode(d *Document, q *cq.Query, f *shadowForest, s *evalScratc
 		}
 		return fn(v)
 	})
-}
-
-// acyclicAll materializes acyclicForEachTuple, sorted lexicographically.
-func acyclicAll(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) [][]tree.NodeID {
-	return collectSortedTuples(func(fn func([]tree.NodeID) bool) {
-		acyclicForEachTuple(d, q, f, s, nil, fn)
-	})
-}
-
-// EvalAll enumerates the distinct head tuples of the query answer, in
-// lexicographic NodeID order.
-func (e *AcyclicEngine) EvalAll(t *tree.Tree, q *cq.Query) [][]tree.NodeID {
-	f, err := buildShadowForest(q)
-	if err != nil {
-		panic(err)
-	}
-	s := e.scratch()
-	defer e.pool.Put(s)
-	return acyclicAll(e.docs.get(t), q, f, s)
 }

@@ -32,8 +32,6 @@ type BacktrackEngine struct {
 	// concurrent use — the Prepared evaluation path pools one engine per
 	// in-flight call instead.
 	sc *consistency.Scratch
-	// docs resolves the legacy *Tree entry points to Documents.
-	docs docCache
 }
 
 // NewBacktrackEngine returns an engine with MAC enabled and no step bound.
@@ -260,7 +258,9 @@ func (e *BacktrackEngine) satisfaction(d *Document, q *cq.Query, stop func() boo
 }
 
 // forEachTuple streams the distinct head tuples of the answer in search
-// discovery order; see ForEachTuple.
+// discovery order: each tuple is emitted the first time the search reaches
+// a satisfaction projecting to it. The tuple passed to fn is reused (copy
+// to retain); fn returns false to stop the search early.
 func (e *BacktrackEngine) forEachTuple(d *Document, q *cq.Query, stop func() bool, fn func(tuple []tree.NodeID) bool) {
 	if len(q.Head) == 0 {
 		if e.evalBoolean(d, q, stop) {
@@ -284,28 +284,16 @@ func (e *BacktrackEngine) forEachTuple(d *Document, q *cq.Query, stop func() boo
 	})
 }
 
-// EvalBoolean decides satisfiability of q on t.
+// EvalBoolean decides satisfiability of q on t. It indexes t on every
+// call; evaluate a Prepared against a Document to reuse one index.
 func (e *BacktrackEngine) EvalBoolean(t *tree.Tree, q *cq.Query) bool {
-	return e.evalBoolean(e.docs.get(t), q, nil)
+	return e.evalBoolean(NewDocument(t), q, nil)
 }
 
-// Satisfaction returns one satisfaction of all query variables, or nil.
-func (e *BacktrackEngine) Satisfaction(t *tree.Tree, q *cq.Query) consistency.Valuation {
-	return e.satisfaction(e.docs.get(t), q, nil)
-}
-
-// ForEachTuple streams the distinct head tuples of the answer in search
-// discovery order: each tuple is emitted the first time the search reaches
-// a satisfaction projecting to it. The tuple passed to fn is reused (copy
-// to retain); fn returns false to stop the search early.
-func (e *BacktrackEngine) ForEachTuple(t *tree.Tree, q *cq.Query, fn func(tuple []tree.NodeID) bool) {
-	e.forEachTuple(e.docs.get(t), q, nil, fn)
-}
-
-// EvalAll enumerates the distinct head tuples of the answer, in
-// lexicographic NodeID order.
+// EvalAll enumerates the distinct head tuples of the answer on t, in
+// lexicographic NodeID order. Like EvalBoolean it indexes t per call.
 func (e *BacktrackEngine) EvalAll(t *tree.Tree, q *cq.Query) [][]tree.NodeID {
-	d := e.docs.get(t)
+	d := NewDocument(t)
 	return collectSortedTuples(func(fn func([]tree.NodeID) bool) {
 		e.forEachTuple(d, q, nil, fn)
 	})

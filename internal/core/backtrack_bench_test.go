@@ -20,11 +20,12 @@ func BenchmarkBacktrackMonadic(b *testing.B) {
 	q := cq.MustParse(btGoldenQueries[0].src)
 	for _, n := range []int{4000, 16000, 64000} {
 		tr := tree.Random(rand.New(rand.NewSource(1)), tree.DefaultRandomConfig(n))
+		d := NewDocument(tr)
 		e := NewBacktrackEngine()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			answers := 0
 			for i := 0; i < b.N; i++ {
-				e.ForEachTuple(tr, q, func([]tree.NodeID) bool {
+				e.forEachTuple(d, q, nil, func([]tree.NodeID) bool {
 					answers++
 					return true
 				})

@@ -39,7 +39,7 @@ var goldenSearchAxes = []axis.Axis{
 func searchTrace(tr *tree.Tree, q *cq.Query) string {
 	e := NewBacktrackEngine()
 	var b strings.Builder
-	e.ForEachTuple(tr, q, func(tuple []tree.NodeID) bool {
+	e.forEachTuple(NewDocument(tr), q, nil, func(tuple []tree.NodeID) bool {
 		fmt.Fprint(&b, " ", tuple)
 		return true
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/tree"
@@ -35,19 +36,17 @@ func CheckContainment(q, qPrime *cq.Query, maxNodes int, alphabet []string) *Cou
 	if len(q.Head) != len(qPrime.Head) {
 		panic(fmt.Sprintf("core: CheckContainment arities %d vs %d", len(q.Head), len(qPrime.Head)))
 	}
-	e := NewEngine()
+	p, pPrime := MustPrepare(q), MustPrepare(qPrime)
 	var ce *Counterexample
 	tree.EnumerateAll(maxNodes, alphabet, func(t *tree.Tree) bool {
-		left := e.EvalAll(t, q)
+		d := NewDocument(t)
+		left, _ := p.AllDoc(d, EnumOptions{})
 		if len(left) == 0 {
 			return true
 		}
-		right := map[string]bool{}
-		for _, tup := range e.EvalAll(t, qPrime) {
-			right[fmt.Sprint(tup)] = true
-		}
+		right, _ := pPrime.AllDoc(d, EnumOptions{}) // sorted lexicographically
 		for _, tup := range left {
-			if !right[fmt.Sprint(tup)] {
+			if _, ok := slices.BinarySearchFunc(right, tup, slices.Compare[[]tree.NodeID]); !ok {
 				ce = &Counterexample{Tree: t, Tuple: tup}
 				return false
 			}

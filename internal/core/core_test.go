@@ -25,10 +25,37 @@ func randomQuery(rng *rand.Rand, axes []axis.Axis, alphabet []string, nv, na, nl
 	return q
 }
 
+// evalAll is the suite's one-shot answer evaluation: prepare q, index t,
+// and enumerate the sorted answer relation.
+func evalAll(t *tree.Tree, q *cq.Query) [][]tree.NodeID {
+	out, err := MustPrepare(q).AllDoc(NewDocument(t), EnumOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// evalNodes is evalAll for a monadic query's sorted answer node set.
+func evalNodes(t *tree.Tree, q *cq.Query) []tree.NodeID {
+	out, err := MustPrepare(q).MonadicDoc(NewDocument(t), EnumOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// evalBool is evalAll for Boolean satisfaction.
+func evalBool(t *tree.Tree, q *cq.Query) bool {
+	sat, err := MustPrepare(q).BoolDoc(NewDocument(t), EnumOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return sat
+}
+
 func TestEngineMatchesOracleBoolean(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	alphabet := []string{"A", "B"}
-	e := NewEngine()
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(9)
 		tr := tree.Random(rng, tree.RandomConfig{
@@ -36,13 +63,14 @@ func TestEngineMatchesOracleBoolean(t *testing.T) {
 		})
 		q := randomQuery(rng, axis.PaperAxes, alphabet, 1+rng.Intn(3), rng.Intn(4), rng.Intn(3))
 		want := ReferenceEvalBoolean(tr, q)
-		if got := e.EvalBoolean(tr, q); got != want {
-			t.Fatalf("trial %d (%v): EvalBoolean = %v, want %v\nquery %s\ntree %s",
-				trial, e.PlanFor(q), got, want, q, tr)
+		p, d := MustPrepare(q), NewDocument(tr)
+		if got, _ := p.BoolDoc(d, EnumOptions{}); got != want {
+			t.Fatalf("trial %d (%v): BoolDoc = %v, want %v\nquery %s\ntree %s",
+				trial, p.Plan(), got, want, q, tr)
 		}
 		// A returned satisfaction must actually satisfy the query.
 		if want {
-			theta := e.Satisfaction(tr, q)
+			theta := p.SatisfactionDoc(d, EnumOptions{})
 			if theta == nil {
 				t.Fatalf("trial %d: satisfiable but Satisfaction nil\nquery %s\ntree %s", trial, q, tr)
 			}
@@ -56,7 +84,6 @@ func TestEngineMatchesOracleBoolean(t *testing.T) {
 func TestEngineMatchesOracleAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	alphabet := []string{"A", "B"}
-	e := NewEngine()
 	for trial := 0; trial < 150; trial++ {
 		n := 1 + rng.Intn(8)
 		tr := tree.Random(rng, tree.RandomConfig{
@@ -70,10 +97,10 @@ func TestEngineMatchesOracleAnswers(t *testing.T) {
 			q.Head = append(q.Head, cq.Var(rng.Intn(nv)))
 		}
 		want := ReferenceEvalAll(tr, q)
-		got := e.EvalAll(tr, q)
+		got := evalAll(tr, q)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (%v): %d answers, want %d\nquery %s\ntree %s\ngot %v want %v",
-				trial, e.PlanFor(q), len(got), len(want), q, tr, got, want)
+				trial, MustPrepare(q).Plan(), len(got), len(want), q, tr, got, want)
 		}
 		for i := range got {
 			for j := range got[i] {
@@ -108,12 +135,13 @@ func TestPolyEngineExhaustiveSmallTrees(t *testing.T) {
 		}
 		tree.EnumerateAll(4, []string{"A", "B"}, func(tr *tree.Tree) bool {
 			want := ReferenceEvalBoolean(tr, q)
-			if got := pe.EvalBoolean(tr, q); got != want {
+			d := NewDocument(tr)
+			if got := pe.EvalBoolean(d, q); got != want {
 				t.Fatalf("%s on %s: poly %v, want %v", src, tr, got, want)
 			}
 			// Horn engine must agree too.
 			pe.SetAlgorithm(HornAC)
-			if got := pe.EvalBoolean(tr, q); got != want {
+			if got := pe.EvalBoolean(d, q); got != want {
 				t.Fatalf("%s on %s: horn %v, want %v", src, tr, got, want)
 			}
 			pe.SetAlgorithm(FastAC)
@@ -136,21 +164,22 @@ func TestPolyEngineCheckTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := NewDocument(tr)
 	bs := tr.NodesWithLabel("B")
 	if len(bs) != 2 {
 		t.Fatal("expected 2 B nodes")
 	}
 	for _, b := range bs {
-		if !pe.CheckTuple(tr, q, []tree.NodeID{b}) {
+		if !pe.CheckTuple(d, q, []tree.NodeID{b}) {
 			t.Errorf("CheckTuple(%d) should hold", b)
 		}
 	}
 	c := tr.NodesWithLabel("C")[0]
-	if pe.CheckTuple(tr, q, []tree.NodeID{c}) {
+	if pe.CheckTuple(d, q, []tree.NodeID{c}) {
 		t.Errorf("CheckTuple(C) should fail (label)")
 	}
 	root := tr.Root()
-	if pe.CheckTuple(tr, q, []tree.NodeID{root}) {
+	if pe.CheckTuple(d, q, []tree.NodeID{root}) {
 		t.Errorf("CheckTuple(root) should fail")
 	}
 }
@@ -158,7 +187,6 @@ func TestPolyEngineCheckTuple(t *testing.T) {
 func TestAcyclicEngineAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	alphabet := []string{"A", "B"}
-	ae := NewAcyclicEngine()
 	queries := []string{
 		"Q(x) <- A(x)",
 		"Q(y) <- A(x), Child(x, y)",
@@ -169,12 +197,16 @@ func TestAcyclicEngineAgainstOracle(t *testing.T) {
 	}
 	for _, src := range queries {
 		q := cq.MustParse(src)
+		p := MustPrepare(q)
+		if p.Plan().Strategy != StrategyAcyclic {
+			t.Fatalf("%s: plan %v, want the acyclic strategy", src, p.Plan())
+		}
 		for trial := 0; trial < 40; trial++ {
 			tr := tree.Random(rng, tree.RandomConfig{
 				Nodes: 1 + rng.Intn(10), MaxChildren: 3, Alphabet: alphabet,
 			})
 			want := ReferenceEvalAll(tr, q)
-			got := ae.EvalAll(tr, q)
+			got, _ := p.AllDoc(NewDocument(tr), EnumOptions{})
 			if len(got) != len(want) {
 				t.Fatalf("%s on %s: %d answers, want %d (%v vs %v)", src, tr, len(got), len(want), got, want)
 			}
@@ -187,16 +219,6 @@ func TestAcyclicEngineAgainstOracle(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestAcyclicEnginePanicsOnCyclicQuery(t *testing.T) {
-	q := cq.MustParse("Q() <- Child+(x, y), Child+(x, y)")
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic for non-acyclic query")
-		}
-	}()
-	NewAcyclicEngine().EvalBoolean(tree.MustParseTerm("A"), q)
 }
 
 func TestBacktrackBudget(t *testing.T) {
@@ -218,7 +240,6 @@ func TestBacktrackBudget(t *testing.T) {
 }
 
 func TestPlanSelection(t *testing.T) {
-	e := NewEngine()
 	cases := []struct {
 		src  string
 		want Strategy
@@ -228,9 +249,9 @@ func TestPlanSelection(t *testing.T) {
 		{"Q() <- Child(x, y), Child+(x, z), Child(y, z)", StrategyBacktrack},
 	}
 	for _, tc := range cases {
-		plan := e.PlanFor(cq.MustParse(tc.src))
+		plan := MustPrepare(cq.MustParse(tc.src)).Plan()
 		if plan.Strategy != tc.want {
-			t.Errorf("PlanFor(%s) = %v, want %v", tc.src, plan.Strategy, tc.want)
+			t.Errorf("Plan(%s) = %v, want %v", tc.src, plan.Strategy, tc.want)
 		}
 		if plan.String() == "" {
 			t.Errorf("empty plan string")
@@ -241,10 +262,10 @@ func TestPlanSelection(t *testing.T) {
 func TestEvalMonadic(t *testing.T) {
 	tr := tree.MustParseTerm("A(B,C(B),B)")
 	q := cq.MustParse("Q(y) <- Child+(x, y), B(y), A(x)")
-	got := NewEngine().EvalMonadic(tr, q)
+	got, err := MustPrepare(q).MonadicDoc(NewDocument(tr), EnumOptions{})
 	want := tr.NodesWithLabel("B")
-	if len(got) != len(want) {
-		t.Fatalf("EvalMonadic = %v, want %v", got, want)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("MonadicDoc = %v, %v, want %v", got, err, want)
 	}
 }
 

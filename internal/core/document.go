@@ -1,10 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-	"weak"
-
 	"repro/internal/consistency"
 	"repro/internal/tree"
 )
@@ -44,54 +40,3 @@ func (d *Document) Len() int { return d.t.Len() }
 // Corpus memory accounting and eviction use this figure; label bitsets
 // are built lazily, so it converges once the query mix has been seen.
 func (d *Document) SizeBytes() int64 { return d.t.SizeBytes() + d.ix.SizeBytes() }
-
-// docCache backs the legacy *Tree entry points: a weak map from tree
-// pointer to its Document, so repeated evaluation against the same tree
-// reuses one set of tree indexes without keeping dead trees (or their
-// documents) alive. Each Engine owns one cache shared by every Prepared it
-// compiles; a standalone Prepare gets a private cache.
-type docCache struct {
-	mu sync.Mutex
-	m  map[*tree.Tree]weak.Pointer[Document]
-}
-
-// get returns the cached Document for t, building and caching it if
-// missing (or if the previous one was garbage-collected).
-func (c *docCache) get(t *tree.Tree) *Document {
-	c.mu.Lock()
-	if wp, ok := c.m[t]; ok {
-		if d := wp.Value(); d != nil {
-			c.mu.Unlock()
-			return d
-		}
-	}
-	c.mu.Unlock()
-	// Build outside the lock: indexing is the expensive part. A concurrent
-	// racer may build too; the first to publish wins and the loser's
-	// document is dropped before anyone evaluates against it.
-	d := NewDocument(t)
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[*tree.Tree]weak.Pointer[Document])
-	}
-	if wp, ok := c.m[t]; ok {
-		if existing := wp.Value(); existing != nil {
-			c.mu.Unlock()
-			return existing
-		}
-	}
-	c.m[t] = weak.Make(d)
-	c.mu.Unlock()
-	// When the document dies, drop its cache entry (unless the slot was
-	// already re-populated with a live document for the same tree).
-	runtime.AddCleanup(d, c.evict, t)
-	return d
-}
-
-func (c *docCache) evict(key *tree.Tree) {
-	c.mu.Lock()
-	if wp, ok := c.m[key]; ok && wp.Value() == nil {
-		delete(c.m, key)
-	}
-	c.mu.Unlock()
-}

@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/axis"
 	"repro/internal/consistency"
@@ -11,7 +10,7 @@ import (
 	"repro/internal/tree"
 )
 
-// Strategy names the algorithm an Engine selected for a query.
+// Strategy names the algorithm Prepare selected for a query.
 type Strategy int
 
 // Strategies, in preference order.
@@ -41,7 +40,7 @@ func (s Strategy) String() string {
 	}
 }
 
-// Plan explains how an Engine will evaluate a query.
+// Plan explains how a Prepared query evaluates.
 type Plan struct {
 	Strategy       Strategy
 	Classification Classification
@@ -68,102 +67,6 @@ func planFor(q *cq.Query) Plan {
 		p.Strategy = StrategyBacktrack
 	}
 	return p
-}
-
-// planCacheLimit bounds the Engine's compiled-plan cache. When full, an
-// arbitrary entry is evicted — the cache is an amortizer, not an index, so
-// any victim works.
-const planCacheLimit = 512
-
-// Engine is the top-level evaluator: it classifies each query (acyclicity
-// and signature tractability per Theorem 1.1) and dispatches to the best
-// applicable algorithm. Compiled plans are cached by query fingerprint, so
-// evaluating the same query repeatedly classifies and plans it only once.
-//
-// An Engine is safe for concurrent use and meant to be long-lived and
-// shared; per-call state lives in scratch pools inside the cached
-// Prepared queries. All Prepared queries compiled by one Engine share its
-// weak document cache, so one-shot evaluation of different queries
-// against the same tree builds that tree's indexes only once.
-type Engine struct {
-	mu    sync.Mutex
-	cache map[string]*Prepared
-	docs  docCache
-}
-
-// NewEngine returns an Engine with an empty plan cache.
-func NewEngine() *Engine {
-	return &Engine{cache: make(map[string]*Prepared)}
-}
-
-// Prepare returns the compiled form of q, reusing a cached compilation of
-// any previously seen query with the same fingerprint.
-func (e *Engine) Prepare(q *cq.Query) (*Prepared, error) {
-	key := q.Fingerprint()
-	e.mu.Lock()
-	p, ok := e.cache[key]
-	e.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := prepareWith(q, &e.docs)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	if existing, ok := e.cache[key]; ok {
-		p = existing // lost the race; share the winner's scratch pool
-	} else {
-		if len(e.cache) >= planCacheLimit {
-			for k := range e.cache {
-				delete(e.cache, k)
-				break
-			}
-		}
-		e.cache[key] = p
-	}
-	e.mu.Unlock()
-	return p, nil
-}
-
-// prepared is Prepare for queries that cannot fail compilation (every
-// dispatch path below: Prepare only errors on nil queries).
-func (e *Engine) prepared(q *cq.Query) *Prepared {
-	p, err := e.Prepare(q)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// PlanFor explains the strategy chosen for q.
-func (e *Engine) PlanFor(q *cq.Query) Plan { return e.prepared(q).Plan() }
-
-// EvalBoolean decides whether q (viewed as Boolean) is satisfiable on t.
-func (e *Engine) EvalBoolean(t *tree.Tree, q *cq.Query) bool {
-	return e.prepared(q).Bool(t)
-}
-
-// Satisfaction returns a full consistent valuation, or nil if none exists.
-func (e *Engine) Satisfaction(t *tree.Tree, q *cq.Query) consistency.Valuation {
-	return e.prepared(q).Satisfaction(t)
-}
-
-// EvalAll enumerates the distinct answer tuples of q on t (for Boolean
-// queries: one empty tuple if satisfiable).
-func (e *Engine) EvalAll(t *tree.Tree, q *cq.Query) [][]tree.NodeID {
-	return e.prepared(q).All(t)
-}
-
-// EvalMonadic returns the sorted node set answering a unary query; it
-// panics if q is not monadic. It runs through the monadic fast path: no
-// per-node tuple wrappers, and under the acyclic strategy the semijoin-
-// reduced head set is returned directly without enumeration.
-func (e *Engine) EvalMonadic(t *tree.Tree, q *cq.Query) []tree.NodeID {
-	if len(q.Head) != 1 {
-		panic(fmt.Sprintf("core: EvalMonadic on %d-ary query", len(q.Head)))
-	}
-	return e.prepared(q).Monadic(t)
 }
 
 // ReferenceEvalBoolean is a brute-force oracle used by the test suite: it
@@ -228,14 +131,8 @@ func ReferenceEvalAll(t *tree.Tree, q *cq.Query) [][]tree.NodeID {
 		}
 	}
 	rec(0)
-	sortTupleSlice(out)
+	slices.SortFunc(out, slices.Compare[[]tree.NodeID])
 	return out
-}
-
-// sortTupleSlice sorts answer tuples lexicographically — the materialized
-// (All) output order of every engine.
-func sortTupleSlice(out [][]tree.NodeID) {
-	sort.Slice(out, func(i, j int) bool { return lessTuple(out[i], out[j]) })
 }
 
 func copyTuple(tuple []tree.NodeID) []tree.NodeID {
@@ -252,7 +149,7 @@ func collectSortedTuples(stream func(fn func([]tree.NodeID) bool)) [][]tree.Node
 		out = append(out, copyTuple(tuple))
 		return true
 	})
-	sortTupleSlice(out)
+	slices.SortFunc(out, slices.Compare[[]tree.NodeID])
 	return out
 }
 
@@ -316,15 +213,6 @@ func dedupEmit(seen map[string]bool, emit func([]tree.NodeID) bool) func([]tree.
 		seen[string(key)] = true
 		return emit(tuple)
 	}
-}
-
-func lessTuple(a, b []tree.NodeID) bool {
-	for k := range a {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
 }
 
 // Verify that the classification facts agree with the proved maximal

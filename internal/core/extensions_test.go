@@ -44,12 +44,13 @@ func TestExample45QueriesMatchOracle(t *testing.T) {
 		})
 		q := randomQuery(rng, sig, alphabet, 1+rng.Intn(3), rng.Intn(4), rng.Intn(2))
 		want := ReferenceEvalBoolean(tr, q)
-		if got := pe.EvalBoolean(tr, q); got != want {
+		d := NewDocument(tr)
+		if got := pe.EvalBoolean(d, q); got != want {
 			t.Fatalf("trial %d: poly %v oracle %v\nquery %s\ntree %s", trial, got, want, q, tr)
 		}
 		// Both AC engines must agree on the extended axes too.
 		pe.SetAlgorithm(HornAC)
-		if got := pe.EvalBoolean(tr, q); got != want {
+		if got := pe.EvalBoolean(d, q); got != want {
 			t.Fatalf("trial %d: horn %v oracle %v\nquery %s\ntree %s", trial, got, want, q, tr)
 		}
 		pe.SetAlgorithm(FastAC)
@@ -68,7 +69,7 @@ func TestDocOrderQuerySemantics(t *testing.T) {
 	q.SetHead(x, y)
 	// A nodes at pre 1 and 5; B at pre 2 and 4. Pairs with pre(A) < pre(B):
 	// (1,2), (1,4) — the late A (pre 5) precedes nothing.
-	got := NewEngine().EvalAll(tr, q)
+	got := evalAll(tr, q)
 	if len(got) != 2 {
 		t.Fatalf("want 2 pairs, got %v", got)
 	}
@@ -83,7 +84,7 @@ func TestDocOrderSuccChainPinsTraversal(t *testing.T) {
 	// Succ<pre chains walk the document order node by node.
 	tr := tree.MustParseTerm("A(B(C),D)")
 	q := cq.MustParse("Q(x) <- A(w), DocOrderSucc(w, x)")
-	got := NewEngine().EvalMonadic(tr, q)
+	got := evalNodes(tr, q)
 	if len(got) != 1 || !tr.HasLabel(got[0], "B") {
 		t.Fatalf("successor of the root in document order should be B: %v", got)
 	}
@@ -93,15 +94,14 @@ func TestInverseAxesInQueries(t *testing.T) {
 	// Inverse axes are redundant (§1.1) but supported: Parent/Ancestor
 	// queries must agree with their forward formulations.
 	rng := rand.New(rand.NewSource(77))
-	e := NewEngine()
 	for trial := 0; trial < 60; trial++ {
 		tr := tree.Random(rng, tree.RandomConfig{
 			Nodes: 1 + rng.Intn(12), MaxChildren: 3, Alphabet: []string{"A", "B"},
 		})
 		fwd := cq.MustParse("Q(y) <- A(x), Child+(x, y), B(y)")
 		bwd := cq.MustParse("Q(y) <- B(y), Ancestor+(y, x), A(x)")
-		a := e.EvalMonadic(tr, fwd)
-		b := e.EvalMonadic(tr, bwd)
+		a := evalNodes(tr, fwd)
+		b := evalNodes(tr, bwd)
 		if len(a) != len(b) {
 			t.Fatalf("forward/backward disagree on %s: %v vs %v", tr, a, b)
 		}
@@ -116,11 +116,11 @@ func TestInverseAxesInQueries(t *testing.T) {
 func TestSelfAxisCollapsesVariables(t *testing.T) {
 	tr := tree.MustParseTerm("A|B(C)")
 	q := cq.MustParse("Q() <- A(x), Self(x, y), B(y)")
-	if !NewEngine().EvalBoolean(tr, q) {
+	if !evalBool(tr, q) {
 		t.Errorf("Self should allow x = y on a multi-labeled node")
 	}
 	tr2 := tree.MustParseTerm("A(B)")
-	if NewEngine().EvalBoolean(tr2, q) {
+	if evalBool(tr2, q) {
 		t.Errorf("no node carries both labels")
 	}
 }

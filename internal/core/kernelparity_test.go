@@ -57,7 +57,8 @@ func TestStrategiesKernelPathParity(t *testing.T) {
 			// A fresh Prepared per policy: pooled scratches never carry
 			// state from a differently-policied run.
 			fresh := MustPrepare(q)
-			results = append(results, fresh.All(tr))
+			got, _ := fresh.AllDoc(NewDocument(tr), EnumOptions{})
+			results = append(results, got)
 		}
 		consistency.SetKernelPolicy(consistency.KernelAuto)
 		for i, pol := range policies {
@@ -82,6 +83,7 @@ func TestEachStrategyKernelParity(t *testing.T) {
 	defer consistency.SetKernelPolicy(consistency.KernelAuto)
 	rng := rand.New(rand.NewSource(9))
 	tr := tree.Random(rng, tree.RandomConfig{Nodes: 600, MaxChildren: 4, Alphabet: []string{"A", "B", "C"}})
+	d := NewDocument(tr)
 	queries := []struct {
 		src  string
 		want Strategy
@@ -99,7 +101,7 @@ func TestEachStrategyKernelParity(t *testing.T) {
 		var base [][]tree.NodeID
 		for _, pol := range []consistency.KernelPolicy{consistency.KernelNever, consistency.KernelAlways, consistency.KernelAuto} {
 			consistency.SetKernelPolicy(pol)
-			got := MustPrepare(q).All(tr)
+			got, _ := MustPrepare(q).AllDoc(d, EnumOptions{})
 			if base == nil {
 				base = got
 				if len(base) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,7 +120,7 @@ func (p *Prepared) polyAllParallel(d *Document, workers int, stop func() bool) [
 	for _, r := range results {
 		out = append(out, r...)
 	}
-	sortTupleSlice(out)
+	slices.SortFunc(out, slices.Compare[[]tree.NodeID])
 	return out
 }
 
@@ -211,6 +212,6 @@ func (p *Prepared) acyclicAllParallel(d *Document, workers int, stop func() bool
 			out = append(out, tp)
 		}
 	}
-	sortTupleSlice(out)
+	slices.SortFunc(out, slices.Compare[[]tree.NodeID])
 	return out
 }

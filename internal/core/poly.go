@@ -53,7 +53,6 @@ func runAC(alg ACAlgorithm, d *Document, q *cq.Query, sc *consistency.Scratch) (
 type PolyEngine struct {
 	order axis.Order
 	alg   ACAlgorithm
-	docs  docCache
 	pool  sync.Pool // of *consistency.Scratch
 }
 
@@ -97,10 +96,10 @@ func polyBool(d *Document, q *cq.Query, alg ACAlgorithm, sc *consistency.Scratch
 // EvalBoolean decides a Boolean query in time O(‖A‖·|Q|): true iff an
 // arc-consistent prevaluation exists (Theorem 3.5). Head variables, if
 // any, are ignored (the query is treated as its Boolean projection).
-func (e *PolyEngine) EvalBoolean(t *tree.Tree, q *cq.Query) bool {
+func (e *PolyEngine) EvalBoolean(d *Document, q *cq.Query) bool {
 	sc := e.scratch()
 	defer e.pool.Put(sc)
-	return polyBool(e.docs.get(t), q, e.alg, sc)
+	return polyBool(d, q, e.alg, sc)
 }
 
 // polySatisfaction returns the minimum valuation of the maximal
@@ -118,11 +117,11 @@ func polySatisfaction(d *Document, q *cq.Query, order axis.Order, alg ACAlgorith
 
 // Satisfaction returns a consistent valuation of all query variables (the
 // minimum valuation of the maximal arc-consistent prevaluation, Lemma
-// 3.4), or nil if the query is unsatisfiable on t.
-func (e *PolyEngine) Satisfaction(t *tree.Tree, q *cq.Query) consistency.Valuation {
+// 3.4), or nil if the query is unsatisfiable on d.
+func (e *PolyEngine) Satisfaction(d *Document, q *cq.Query) consistency.Valuation {
 	sc := e.scratch()
 	defer e.pool.Put(sc)
-	return polySatisfaction(e.docs.get(t), q, e.order, e.alg, sc)
+	return polySatisfaction(d, q, e.order, e.alg, sc)
 }
 
 // polyCheckTuple decides tuple membership by the singleton-restriction
@@ -146,10 +145,10 @@ func polyCheckTuple(d *Document, q *cq.Query, alg ACAlgorithm, sc *consistency.S
 
 // CheckTuple decides whether the tuple (one node per head variable) is in
 // the query answer.
-func (e *PolyEngine) CheckTuple(t *tree.Tree, q *cq.Query, tuple []tree.NodeID) bool {
+func (e *PolyEngine) CheckTuple(d *Document, q *cq.Query, tuple []tree.NodeID) bool {
 	sc := e.scratch()
 	defer e.pool.Put(sc)
-	return polyCheckTuple(e.docs.get(t), q, e.alg, sc, tuple)
+	return polyCheckTuple(d, q, e.alg, sc, tuple)
 }
 
 // polyForEachTuple streams the distinct answer tuples of a k-ary query via
@@ -237,25 +236,12 @@ func polyForEachNode(d *Document, q *cq.Query, alg ACAlgorithm, sc *consistency.
 	})
 }
 
-// polyAll materializes polyForEachTuple, sorted lexicographically.
-func polyAll(d *Document, q *cq.Query, alg ACAlgorithm, sc *consistency.Scratch) [][]tree.NodeID {
-	return collectSortedTuples(func(fn func([]tree.NodeID) bool) {
-		polyForEachTuple(d, q, alg, sc, nil, fn)
-	})
-}
-
 // EvalAll enumerates the full answer relation of a k-ary query, in
 // lexicographic NodeID order.
-func (e *PolyEngine) EvalAll(t *tree.Tree, q *cq.Query) [][]tree.NodeID {
+func (e *PolyEngine) EvalAll(d *Document, q *cq.Query) [][]tree.NodeID {
 	sc := e.scratch()
 	defer e.pool.Put(sc)
-	return polyAll(e.docs.get(t), q, e.alg, sc)
-}
-
-// ForEachTuple streams the distinct answer tuples; see Prepared.ForEachTuple
-// for the contract.
-func (e *PolyEngine) ForEachTuple(t *tree.Tree, q *cq.Query, fn func(tuple []tree.NodeID) bool) {
-	sc := e.scratch()
-	defer e.pool.Put(sc)
-	polyForEachTuple(e.docs.get(t), q, e.alg, sc, nil, fn)
+	return collectSortedTuples(func(fn func([]tree.NodeID) bool) {
+		polyForEachTuple(d, q, e.alg, sc, nil, fn)
+	})
 }

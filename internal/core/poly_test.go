@@ -24,7 +24,7 @@ func TestPolyEngineBinaryAnswers(t *testing.T) {
 		})
 		q := cq.MustParse("Q(x, y) <- A(x), Child+(x, y), B(y)")
 		want := ReferenceEvalAll(tr, q)
-		got := pe.EvalAll(tr, q)
+		got := pe.EvalAll(NewDocument(tr), q)
 		if len(want) != len(got) {
 			t.Fatalf("trial %d: %d answers, want %d on %s", trial, len(got), len(want), tr)
 		}
@@ -37,17 +37,17 @@ func TestPolyEngineBinaryAnswers(t *testing.T) {
 }
 
 func TestPolyEngineBooleanAnswerShape(t *testing.T) {
-	tr := tree.MustParseTerm("A(B)")
+	d := NewDocument(tree.MustParseTerm("A(B)"))
 	pe, err := NewPolyEngine([]axis.Axis{axis.ChildPlus})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sat := cq.MustParse("Q() <- A(x), Child+(x, y), B(y)")
-	if got := pe.EvalAll(tr, sat); len(got) != 1 || len(got[0]) != 0 {
+	if got := pe.EvalAll(d, sat); len(got) != 1 || len(got[0]) != 0 {
 		t.Errorf("satisfiable Boolean query should yield one empty tuple: %v", got)
 	}
 	unsat := cq.MustParse("Q() <- B(x), Child+(x, y), A(y)")
-	if got := pe.EvalAll(tr, unsat); got != nil {
+	if got := pe.EvalAll(d, unsat); got != nil {
 		t.Errorf("unsatisfiable Boolean query should yield nil: %v", got)
 	}
 }
@@ -65,7 +65,7 @@ func TestPolyEngineSatisfactionUsesWitnessOrder(t *testing.T) {
 		t.Fatalf("order = %v, want <post", pe.Order())
 	}
 	q := cq.MustParse("Q() <- A(x), Following(x, y), B(y)")
-	theta := pe.Satisfaction(tr, q)
+	theta := pe.Satisfaction(NewDocument(tr), q)
 	if theta == nil {
 		t.Fatal("satisfiable")
 	}
@@ -80,7 +80,7 @@ func TestPolyEngineSatisfactionUsesWitnessOrder(t *testing.T) {
 }
 
 func TestPolyEngineEmptyTree(t *testing.T) {
-	empty := tree.NewBuilder(0).Build()
+	empty := NewDocument(tree.NewBuilder(0).Build())
 	pe, err := NewPolyEngine([]axis.Axis{axis.ChildPlus})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestCheckTupleArityPanics(t *testing.T) {
 			t.Errorf("expected panic on arity mismatch")
 		}
 	}()
-	pe.CheckTuple(tree.MustParseTerm("A"), q, []tree.NodeID{0, 0})
+	pe.CheckTuple(NewDocument(tree.MustParseTerm("A")), q, []tree.NodeID{0, 0})
 }
 
 func TestEngineStepsMetricMonotone(t *testing.T) {

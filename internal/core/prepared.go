@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/axis"
@@ -13,10 +13,9 @@ import (
 	"repro/internal/tree"
 )
 
-// ErrNotMonadic is returned by the error-returning monadic entry points
-// (MonadicDoc and the public NodesErr/NodeSeq tier) when the compiled
-// query's head is not unary. It replaces the legacy "panics if not
-// monadic" contract; match it with errors.Is.
+// ErrNotMonadic is returned by the monadic entry points (MonadicDoc,
+// ForEachNodeDoc) when the compiled query's head is not unary; match it
+// with errors.Is.
 var ErrNotMonadic = errors.New("query is not monadic")
 
 // evalScratch bundles the per-call mutable state of one evaluation: the
@@ -56,10 +55,8 @@ func (s *evalScratch) backtracker() *BacktrackEngine {
 // buffers so repeated evaluation stops re-allocating domain tables and
 // semijoin buffers.
 //
-// Evaluation is Document-centric: the *Doc methods take a shared
-// *Document (tree indexes built once, by NewDocument). The *Tree methods
-// are thin compatibility wrappers resolving the tree through a weak
-// per-engine document cache.
+// Evaluation is Document-centric: every method takes a shared *Document
+// (tree indexes built once, by NewDocument).
 //
 // A Prepared is immutable after Prepare and safe for concurrent use: each
 // evaluation borrows a private scratch from an internal pool.
@@ -71,7 +68,6 @@ type Prepared struct {
 	order  axis.Order    // StrategyXProperty
 	alg    ACAlgorithm
 
-	docs *docCache // resolves legacy *Tree calls to Documents
 	pool sync.Pool // of *evalScratch
 }
 
@@ -80,17 +76,11 @@ type Prepared struct {
 // strategy's query-only structures. The query is cloned, so later mutation
 // of q does not affect the Prepared.
 func Prepare(q *cq.Query) (*Prepared, error) {
-	return prepareWith(q, &docCache{})
-}
-
-// prepareWith is Prepare with a caller-supplied document cache (an Engine
-// shares one cache across every query it compiles).
-func prepareWith(q *cq.Query, docs *docCache) (*Prepared, error) {
 	if q == nil {
 		return nil, fmt.Errorf("core: Prepare of nil query")
 	}
 	c := q.Clone()
-	p := &Prepared{q: c, plan: planFor(c), docs: docs}
+	p := &Prepared{q: c, plan: planFor(c)}
 	switch p.plan.Strategy {
 	case StrategyAcyclic:
 		f, err := buildShadowForest(c)
@@ -129,11 +119,6 @@ func (p *Prepared) scratch() *evalScratch {
 }
 
 func (p *Prepared) release(s *evalScratch) { p.pool.Put(s) }
-
-// document resolves the legacy *Tree entry points through the weak
-// per-engine document cache: the first call for a tree builds its indexes,
-// subsequent calls (from any Prepared sharing the cache) reuse them.
-func (p *Prepared) document(t *tree.Tree) *Document { return p.docs.get(t) }
 
 // OrderDir is one head position's enumeration direction over pre-order
 // ranks (document order); see EnumOptions.Order.
@@ -398,7 +383,7 @@ func (p *Prepared) AllDoc(d *Document, o EnumOptions) ([][]tree.NodeID, error) {
 		if !ordered {
 			// An unordered limit prefix keeps the sorted-relation shape
 			// (sorted among themselves, like the batch tuple cap).
-			sortTupleSlice(out)
+			slices.SortFunc(out, slices.Compare[[]tree.NodeID])
 		}
 		if err := o.err(); err != nil {
 			return nil, err
@@ -443,72 +428,11 @@ func (p *Prepared) MonadicDoc(d *Document, o EnumOptions) ([]tree.NodeID, error)
 			// is discovery-ordered. Sorting unconditionally keeps the contract
 			// simple and costs O(answer log answer). Ordered enumeration keeps
 			// the requested document order instead.
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+			slices.Sort(out)
 		}
 	}
 	if err := o.err(); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ---- legacy *Tree compatibility tier ------------------------------------
-//
-// These wrappers resolve the tree through the weak per-engine document
-// cache and preserve the original contracts exactly (including the panic
-// on non-monadic Nodes/ForEachNode); results are byte-identical to the
-// Document tier with a background context.
-
-// Bool decides Boolean satisfaction of the compiled query on t.
-func (p *Prepared) Bool(t *tree.Tree) bool {
-	sat, _ := p.BoolDoc(p.document(t), EnumOptions{})
-	return sat
-}
-
-// Satisfaction returns a full consistent valuation, or nil if none exists.
-func (p *Prepared) Satisfaction(t *tree.Tree) consistency.Valuation {
-	return p.SatisfactionDoc(p.document(t), EnumOptions{})
-}
-
-// ForEachTuple streams the distinct answer tuples of the compiled query on
-// t; see ForEachTupleDoc for the contract.
-func (p *Prepared) ForEachTuple(t *tree.Tree, fn func(tuple []tree.NodeID) bool) {
-	p.ForEachTupleDoc(p.document(t), EnumOptions{}, fn)
-}
-
-// ForEachNode streams the answer nodes of a monadic compiled query; it
-// panics if the query is not monadic. See ForEachNodeDoc for the contract.
-func (p *Prepared) ForEachNode(t *tree.Tree, fn func(v tree.NodeID) bool) {
-	if len(p.q.Head) != 1 {
-		panic(fmt.Sprintf("core: ForEachNode on %d-ary query", len(p.q.Head)))
-	}
-	p.ForEachNodeDoc(p.document(t), EnumOptions{}, fn)
-}
-
-// All enumerates the distinct answer tuples of the compiled query on t in
-// lexicographic NodeID order (for Boolean queries: one empty tuple if
-// satisfiable).
-func (p *Prepared) All(t *tree.Tree) [][]tree.NodeID {
-	return p.AllOpt(t, EnumOptions{})
-}
-
-// AllOpt is All with enumeration options.
-func (p *Prepared) AllOpt(t *tree.Tree, o EnumOptions) [][]tree.NodeID {
-	out, _ := p.AllDoc(p.document(t), o)
-	return out
-}
-
-// Monadic returns the sorted node set answering a unary compiled query; it
-// panics if the query is not monadic.
-func (p *Prepared) Monadic(t *tree.Tree) []tree.NodeID {
-	return p.MonadicOpt(t, EnumOptions{})
-}
-
-// MonadicOpt is Monadic with enumeration options.
-func (p *Prepared) MonadicOpt(t *tree.Tree, o EnumOptions) []tree.NodeID {
-	if len(p.q.Head) != 1 {
-		panic(fmt.Sprintf("core: Monadic on %d-ary query", len(p.q.Head)))
-	}
-	out, _ := p.MonadicDoc(p.document(t), o)
-	return out
 }

@@ -308,7 +308,8 @@ func (q *Query) CanonicalKey() string {
 // length-prefixed — programmatic construction allows arbitrary labels,
 // e.g. treebank tags like "ADVP|PRT"), and it pins the variable count,
 // since unused variables affect satisfiability on empty trees. Used as
-// the plan-cache key by the evaluation engines.
+// the result-cache key of the server and, hashed, as the query identity
+// in pagination cursors.
 func (q *Query) Fingerprint() string {
 	ls := make([]string, 0, len(q.Labels))
 	for _, la := range q.Labels {

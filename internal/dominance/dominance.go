@@ -94,7 +94,8 @@ func (p *Problem) ToCQ() *cq.Query {
 
 // SatisfiedBy reports whether the parse tree t realizes all constraints.
 func (p *Problem) SatisfiedBy(t *tree.Tree) bool {
-	return core.NewEngine().EvalBoolean(t, p.ToCQ())
+	sat, _ := core.MustPrepare(p.ToCQ()).BoolDoc(core.NewDocument(t), core.EnumOptions{})
+	return sat
 }
 
 // SolvedForms computes a set of acyclic conjunctive queries (solved

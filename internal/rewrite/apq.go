@@ -8,8 +8,7 @@
 package rewrite
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -57,11 +56,11 @@ func (a *APQ) IsAcyclic() bool {
 }
 
 // EvalBoolean evaluates the APQ as a Boolean query (true iff some
-// disjunct is satisfiable) using the acyclic engine.
+// disjunct is satisfiable). It indexes t once per call.
 func (a *APQ) EvalBoolean(t *tree.Tree) bool {
-	engine := core.NewAcyclicEngine()
+	d := core.NewDocument(t)
 	for _, q := range a.Disjuncts {
-		if engine.EvalBoolean(t, q) {
+		if sat, _ := core.MustPrepare(q).BoolDoc(d, core.EnumOptions{}); sat {
 			return true
 		}
 	}
@@ -69,29 +68,17 @@ func (a *APQ) EvalBoolean(t *tree.Tree) bool {
 }
 
 // EvalAll evaluates the APQ's answer set: the union of the disjuncts'
-// answers (all disjuncts must have the same head arity).
+// answers (all disjuncts must have the same head arity), sorted
+// lexicographically. It indexes t once per call.
 func (a *APQ) EvalAll(t *tree.Tree) [][]tree.NodeID {
-	engine := core.NewAcyclicEngine()
-	seen := map[string]bool{}
+	d := core.NewDocument(t)
 	var out [][]tree.NodeID
 	for _, q := range a.Disjuncts {
-		for _, tup := range engine.EvalAll(t, q) {
-			key := fmt.Sprint(tup)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, tup)
-			}
-		}
+		tuples, _ := core.MustPrepare(q).AllDoc(d, core.EnumOptions{})
+		out = append(out, tuples...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
+	slices.SortFunc(out, slices.Compare[[]tree.NodeID])
+	return slices.CompactFunc(out, slices.Equal[[]tree.NodeID])
 }
 
 // EquivalentOn reports whether the APQ and the original query q agree on

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -223,10 +224,9 @@ func (s *Server) computeDoc(ctx context.Context, pq *cqtrees.PreparedQuery, mode
 		var out [][]cqtrees.NodeID
 		bytes := int64(64)
 		stopped := false
+		// Tuples yields freshly allocated, caller-owned tuples: no copy.
 		for t := range pq.Tuples(doc, cqtrees.WithContext(ctx)) {
-			cp := make([]cqtrees.NodeID, len(t))
-			copy(cp, t)
-			out = append(out, cp)
+			out = append(out, t)
 			bytes += 32 + 4*int64(len(t))
 			if bytes > budget && capN > 0 && len(out) > capN {
 				stopped = true
@@ -238,7 +238,7 @@ func (s *Server) computeDoc(ctx context.Context, pq *cqtrees.PreparedQuery, mode
 		if err := ctx.Err(); err != nil && !stopped {
 			return nil, 0, err
 		}
-		sortTupleRows(out)
+		slices.SortFunc(out, slices.Compare[[]cqtrees.NodeID]) // the batch iterators' order
 		size := bytes
 		if stopped {
 			size = budget + 1 // incomplete relations must never cache
@@ -272,18 +272,4 @@ func renderCached(row *evalResult, mode string, v any, capN int) {
 		row.Tuples = tuples
 		row.Truncated = truncated
 	}
-}
-
-// sortTupleRows orders a tuple relation lexicographically by NodeID —
-// the same order the batch iterators return.
-func sortTupleRows(ts [][]cqtrees.NodeID) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 }

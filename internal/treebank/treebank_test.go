@@ -6,7 +6,27 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/rewrite"
+	"repro/internal/tree"
 )
+
+// evalAll is the suite's one-shot answer evaluation: prepare q, index t,
+// and enumerate the sorted answer relation.
+func evalAll(t *tree.Tree, q *cq.Query) [][]tree.NodeID {
+	out, err := core.MustPrepare(q).AllDoc(core.NewDocument(t), core.EnumOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// evalNodes is evalAll for a monadic query's sorted answer node set.
+func evalNodes(t *tree.Tree, q *cq.Query) []tree.NodeID {
+	out, err := core.MustPrepare(q).MonadicDoc(core.NewDocument(t), core.EnumOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Config{Sentences: 10, MaxDepth: 5, Seed: 7})
@@ -48,8 +68,7 @@ func TestFigure1QueryOnCorpus(t *testing.T) {
 	// check every reported PP.
 	corpus := Generate(Config{Sentences: 30, MaxDepth: 6, Seed: 3})
 	q := rewrite.Figure1Query()
-	engine := core.NewEngine()
-	answers := engine.EvalMonadic(corpus.Combined, q)
+	answers := evalNodes(corpus.Combined, q)
 	tr := corpus.Combined
 	for _, z := range answers {
 		if !tr.HasLabel(z, "PP") {
@@ -60,7 +79,7 @@ func TestFigure1QueryOnCorpus(t *testing.T) {
 	small := Generate(Config{Sentences: 1, MaxDepth: 4, Seed: 5})
 	if small.Combined.Len() < 40 {
 		want := core.ReferenceEvalAll(small.Combined, q)
-		got := engine.EvalAll(small.Combined, q)
+		got := evalAll(small.Combined, q)
 		if len(want) != len(got) {
 			t.Fatalf("oracle %d answers, engine %d", len(want), len(got))
 		}
@@ -71,7 +90,7 @@ func TestFigure1PlanIsBacktrackOrRewrite(t *testing.T) {
 	// The Fig. 1 query is cyclic over an NP-hard signature — the engine
 	// must pick the general strategy.
 	q := rewrite.Figure1Query()
-	plan := core.NewEngine().PlanFor(q)
+	plan := core.MustPrepare(q).Plan()
 	if plan.Strategy != core.StrategyBacktrack {
 		t.Errorf("plan = %v, want backtracking", plan.Strategy)
 	}
@@ -86,7 +105,6 @@ func TestCorpusQueriesMatchOracle(t *testing.T) {
 	if tr.Len() > 60 {
 		t.Skip("corpus too large for the oracle")
 	}
-	engine := core.NewEngine()
 	queries := []string{
 		"Q(x) <- NP(x), Child+(s, x), S(s)",
 		"Q(x) <- PP(x), Child(n, x), NP(n)",
@@ -95,7 +113,7 @@ func TestCorpusQueriesMatchOracle(t *testing.T) {
 	for _, src := range queries {
 		q := cq.MustParse(src)
 		want := core.ReferenceEvalAll(tr, q)
-		got := engine.EvalAll(tr, q)
+		got := evalAll(tr, q)
 		if len(want) != len(got) {
 			t.Errorf("%s: oracle %d, engine %d", src, len(want), len(got))
 		}

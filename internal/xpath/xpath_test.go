@@ -10,6 +10,16 @@ import (
 	"repro/internal/tree"
 )
 
+// evalNodes is the suite's one-shot monadic evaluation: prepare q, index
+// t, and return the sorted answer node set.
+func evalNodes(t *tree.Tree, q *cq.Query) []tree.NodeID {
+	out, err := core.MustPrepare(q).MonadicDoc(core.NewDocument(t), core.EnumOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // sameNodeSet compares two node lists as sets.
 func sameNodeSet(a, b []tree.NodeID) bool {
 	if len(a) != len(b) {
@@ -73,14 +83,13 @@ func TestEvalIntroQueryEquivalence(t *testing.T) {
 	// Following(x,z), C(z)  (the introduction's claim).
 	e := MustParse("//A[child::B]/following::C")
 	q := cq.MustParse("Q(z) <- A(x), Child(x, y), B(y), Following(x, z), C(z)")
-	engine := core.NewEngine()
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		tr := tree.Random(rng, tree.RandomConfig{
 			Nodes: 1 + rng.Intn(20), MaxChildren: 3,
 			Alphabet: []string{"A", "B", "C"},
 		})
-		want := engine.EvalMonadic(tr, q)
+		want := evalNodes(tr, q)
 		got := EvalFromRoot(tr, e)
 		if !sameNodeSet(want, got) {
 			t.Fatalf("trial %d: XPath %v vs CQ %v on %s", trial, got, want, tr)
@@ -122,7 +131,6 @@ func TestToCQEquivalence(t *testing.T) {
 		"//A/descendant::B[following-sibling::C]",
 		"//A[ancestor::B]",
 	}
-	engine := core.NewEngine()
 	rng := rand.New(rand.NewSource(9))
 	for _, src := range exprs {
 		e := MustParse(src)
@@ -139,7 +147,7 @@ func TestToCQEquivalence(t *testing.T) {
 				Alphabet: []string{"A", "B", "C"},
 			})
 			want := EvalFromRoot(tr, e)
-			got := engine.EvalMonadic(tr, q)
+			got := evalNodes(tr, q)
 			if !sameNodeSet(want, got) {
 				t.Fatalf("%q: XPath %v vs CQ %v on %s", src, want, got, tr)
 			}
@@ -164,7 +172,6 @@ func TestFromAcyclicCQ(t *testing.T) {
 		"Q(z) <- A(x), Following(x, z), B(y), Child(y, z)",
 		"Q(x) <- A(x), B(y)", // disconnected component
 	}
-	engine := core.NewEngine()
 	rng := rand.New(rand.NewSource(13))
 	for _, src := range queries {
 		q := cq.MustParse(src)
@@ -178,7 +185,7 @@ func TestFromAcyclicCQ(t *testing.T) {
 				Alphabet:      []string{"A", "B", "C"},
 				UnlabeledProb: 0.1,
 			})
-			want := engine.EvalMonadic(tr, q)
+			want := evalNodes(tr, q)
 			got := EvalFromRoot(tr, e)
 			if !sameNodeSet(want, got) {
 				t.Fatalf("%s -> %s: CQ %v vs XPath %v on %s", src, e, want, got, tr)
@@ -202,14 +209,13 @@ func TestFromAPQEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := core.NewEngine()
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 15; trial++ {
 		tr := tree.Random(rng, tree.RandomConfig{
 			Nodes: 1 + rng.Intn(12), MaxChildren: 3,
 			Alphabet: []string{"S", "NP", "PP"},
 		})
-		want := engine.EvalMonadic(tr, q)
+		want := evalNodes(tr, q)
 		got := map[tree.NodeID]bool{}
 		for _, e := range exprs {
 			for _, v := range EvalFromRoot(tr, e) {

@@ -21,22 +21,19 @@ import (
 // for concurrent use, and per-call scratch state (domain tables, semijoin
 // buffers, valuation maps) is pooled internally rather than re-allocated.
 //
-// Three evaluation tiers exist:
+// Every method evaluates against a shared *Document:
 //
-//   - Iterators: Tuples and NodeSeq return Go range-over-func iterators
-//     over a shared *Document; breaking out of the loop stops the
-//     underlying streaming engine immediately.
-//   - Error-returning: BoolErr, AllErr and NodesErr evaluate against a
-//     *Document and report ErrNotMonadic / context cancellation as errors
+//   - Iterators: Tuples and NodeSeq return Go range-over-func iterators;
+//     breaking out of the loop stops the underlying streaming engine
+//     immediately.
+//   - Error-returning: BoolErr, AllErr and NodesErr report ErrNotMonadic,
+//     context cancellation and invalid order/cursor options as errors
 //     instead of panicking.
-//   - Legacy *Tree methods: Bool, All, Nodes, ForEachTuple, ForEachNode
-//     take a *Tree, resolve it through a weak per-query document cache,
-//     and preserve their original contracts (including the panic on
-//     non-monadic Nodes) with byte-identical results.
+//   - Pagination: Paginate returns one ordered page and a resume cursor.
 type PreparedQuery struct {
 	p *core.Prepared
-	// parallel is the worker count for materialized enumeration (All,
-	// Nodes, AllErr, NodesErr); 0 or 1 means sequential. Set via
+	// parallel is the worker count for materialized enumeration (AllErr,
+	// NodesErr); 0 or 1 means sequential. Set via
 	// WithParallelism, overridable per call with WithWorkers.
 	parallel int
 }
@@ -87,7 +84,7 @@ func MustCompile(src string) *PreparedQuery {
 }
 
 // WithParallelism returns a handle on the same compiled query whose
-// materialized enumeration calls (All/Nodes and AllErr/NodesErr) shard the
+// materialized enumeration calls (AllErr and NodesErr) shard the
 // outer candidate loop across the given number of worker goroutines (each
 // worker borrows its own pooled evaluation scratch). The receiver is not
 // modified; both handles share the compiled plan and scratch pool and
@@ -95,14 +92,13 @@ func MustCompile(src string) *PreparedQuery {
 //
 // workers <= 1 restores sequential evaluation: 0 and 1 are equivalent,
 // and negative counts are rejected by clamping to 0 (they are never
-// stored). Parallelism applies to All under the acyclic and X-property
-// strategies and to Nodes under the X-property strategy; backtracking
-// evaluation is inherently sequential and ignores it, and Nodes on an
+// stored). Parallelism applies to AllErr under the acyclic and X-property
+// strategies and to NodesErr under the X-property strategy; backtracking
+// evaluation is inherently sequential and ignores it, and NodesErr on an
 // acyclic query is always sequential (its fast path returns the
 // semijoin-reduced head set directly, already O(answer) — there is no
-// outer loop to shard). Streaming (ForEachTuple/ForEachNode, Tuples,
-// NodeSeq) is always sequential — the callback contract is
-// single-goroutine.
+// outer loop to shard). Streaming (Tuples, NodeSeq) is always
+// sequential — the callback contract is single-goroutine.
 func (pq *PreparedQuery) WithParallelism(workers int) *PreparedQuery {
 	if workers < 0 {
 		workers = 0
@@ -272,10 +268,6 @@ func (pq *PreparedQuery) docOpts(opts []EvalOption) (core.EnumOptions, error) {
 	return o, err
 }
 
-func (pq *PreparedQuery) opts() core.EnumOptions {
-	return core.EnumOptions{Parallel: pq.parallel}
-}
-
 // arity returns the number of head variables of the compiled query.
 func (pq *PreparedQuery) arity() int { return len(pq.p.Query().Head) }
 
@@ -293,8 +285,7 @@ func (pq *PreparedQuery) arity() int { return len(pq.p.Query().Head) }
 //	}
 //
 // Each yielded tuple is freshly allocated and owned by the consumer (safe
-// for slices.Collect); use ForEachTuple for the zero-copy streaming
-// contract. Tuples arrive in a strategy-dependent order (AllErr sorts; this
+// for slices.Collect and for retaining without a copy). Tuples arrive in a strategy-dependent order (AllErr sorts; this
 // does not). For Boolean queries one empty tuple is yielded if the query is
 // satisfiable. If a WithContext context is cancelled mid-iteration the
 // sequence just stops — use AllErr to observe the cancellation error.
@@ -364,8 +355,8 @@ func (pq *PreparedQuery) AllErr(doc *Document, opts ...EvalOption) ([][]NodeID, 
 
 // NodesErr answers a monadic (unary) compiled query on doc with the sorted
 // answer node set (or the WithOrder order). It returns an error wrapping
-// ErrNotMonadic if the query is not monadic — replacing the legacy "panics
-// if not monadic" contract — the context's error on cancellation, and the
+// ErrNotMonadic if the query is not monadic, the context's error on
+// cancellation, and the
 // typed cursor/order errors for invalid options.
 func (pq *PreparedQuery) NodesErr(doc *Document, opts ...EvalOption) ([]NodeID, error) {
 	o, err := pq.docOpts(opts)
@@ -451,42 +442,6 @@ func (pq *PreparedQuery) Paginate(doc *Document, opts ...EvalOption) (Page, erro
 		page.Next = encodeCursor(c)
 	}
 	return page, nil
-}
-
-// ---- legacy *Tree tier ----------------------------------------------------
-
-// Bool decides Boolean satisfaction of the compiled query on t.
-func (pq *PreparedQuery) Bool(t *Tree) bool { return pq.p.Bool(t) }
-
-// All enumerates the distinct answer tuples of the compiled query on t in
-// lexicographic NodeID order (for Boolean queries: one empty tuple if
-// satisfiable). The work is output-sensitive: candidates are pruned to one
-// shared arc-consistent (resp. semijoin-reduced) prevaluation, and tuple
-// membership checks are incremental rather than from-scratch.
-func (pq *PreparedQuery) All(t *Tree) [][]NodeID { return pq.p.AllOpt(t, pq.opts()) }
-
-// Nodes answers a monadic (unary) compiled query with the sorted answer
-// node set; it panics if the query is not monadic (NodesErr is the
-// error-returning variant).
-func (pq *PreparedQuery) Nodes(t *Tree) []NodeID { return pq.p.MonadicOpt(t, pq.opts()) }
-
-// ForEachTuple streams the distinct answer tuples of the compiled query on
-// t without materializing the answer relation: fn is called once per tuple
-// and enumeration stops as soon as fn returns false, so existence checks
-// and prefix-limited scans cost only the answers actually consumed. The
-// tuple slice is reused between calls — copy it to retain (Tuples yields
-// owned copies instead). Tuples arrive in a strategy-dependent order (All
-// sorts; this does not). For Boolean queries fn is called once with an
-// empty tuple if the query is satisfiable.
-func (pq *PreparedQuery) ForEachTuple(t *Tree, fn func(tuple []NodeID) bool) {
-	pq.p.ForEachTuple(t, fn)
-}
-
-// ForEachNode streams the answer nodes of a monadic compiled query (in
-// increasing NodeID order under the acyclic and X-property strategies);
-// it panics if the query is not monadic. fn returns false to stop early.
-func (pq *PreparedQuery) ForEachNode(t *Tree, fn func(v NodeID) bool) {
-	pq.p.ForEachNode(t, fn)
 }
 
 // Plan reports the evaluation strategy and Theorem 1.1 classification

@@ -62,10 +62,9 @@ var parityConfigs = []parityConfig{
 }
 
 // TestPreparedMatchesOneShot is the prepare/execute parity property test:
-// on random trees and random queries, Prepare(q).All(t) must equal the
-// one-shot EvaluateAll(t, q) — recomputed with a fresh engine so the two
-// paths share no cached plan — and both must match the brute-force oracle.
-// All three strategies must be exercised.
+// on random trees and random queries, Prepare(q).AllErr(Index(t)) must
+// equal the one-shot EvaluateAll(t, q), and both must match the
+// brute-force oracle. All three strategies must be exercised.
 func TestPreparedMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	alphabet := []string{"A", "B", "C"}
@@ -84,8 +83,9 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 		}
 		hit[pq.Plan().Strategy]++
 
-		got := pq.All(tr)
-		want := core.NewEngine().EvalAll(tr, q)
+		doc := Index(tr)
+		got := allOf(t, pq, doc)
+		want := EvaluateAll(tr, q)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s trial %d: prepared %v != one-shot %v\nq = %s\ntree = %s",
 				cfg.name, trial, got, want, q, tr)
@@ -96,15 +96,15 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 		}
 		// Re-evaluation on the same PreparedQuery (scratch reuse) and on a
 		// second tree (tree-index invalidation) must stay consistent.
-		if again := pq.All(tr); !reflect.DeepEqual(again, got) {
+		if again := allOf(t, pq, doc); !reflect.DeepEqual(again, got) {
 			t.Fatalf("%s trial %d: re-evaluation drifted: %v then %v", cfg.name, trial, got, again)
 		}
 		tr2 := tree.Random(rng, tree.RandomConfig{Nodes: 1 + rng.Intn(8), MaxChildren: 2, Alphabet: alphabet})
-		if got2, want2 := pq.All(tr2), core.ReferenceEvalAll(tr2, q); !reflect.DeepEqual(got2, want2) {
+		if got2, want2 := allOf(t, pq, Index(tr2)), core.ReferenceEvalAll(tr2, q); !reflect.DeepEqual(got2, want2) {
 			t.Fatalf("%s trial %d: second tree: prepared %v != oracle %v", cfg.name, trial, got2, want2)
 		}
-		if pq.Bool(tr) != (len(got) > 0) && len(q.Head) == 0 {
-			t.Fatalf("%s trial %d: Bool disagrees with All", cfg.name, trial)
+		if sat, err := pq.BoolErr(doc); err != nil || sat != (len(got) > 0) {
+			t.Fatalf("%s trial %d: BoolErr = %v, %v disagrees with AllErr", cfg.name, trial, sat, err)
 		}
 	}
 	for _, s := range []core.Strategy{core.StrategyAcyclic, core.StrategyXProperty, core.StrategyBacktrack} {
@@ -125,17 +125,17 @@ func TestPreparedConcurrent(t *testing.T) {
 		"backtrack": "Q(y) <- A(x), Child(x, y), B(y), Child+(x, z), C(z), Following(y, z)",
 	}
 	rng := rand.New(rand.NewSource(5))
-	trees := []*Tree{
-		tree.Random(rng, tree.DefaultRandomConfig(120)),
-		tree.Random(rng, tree.DefaultRandomConfig(60)),
-		MustParseTree("A(B,C(B))"),
+	docs := []*Document{
+		Index(tree.Random(rng, tree.DefaultRandomConfig(120))),
+		Index(tree.Random(rng, tree.DefaultRandomConfig(60))),
+		Index(MustParseTree("A(B,C(B))")),
 	}
 	for name, src := range queries {
 		t.Run(name, func(t *testing.T) {
 			pq := MustCompile(src)
-			want := make([][][]NodeID, len(trees))
-			for i, tr := range trees {
-				want[i] = pq.All(tr)
+			want := make([][][]NodeID, len(docs))
+			for i, doc := range docs {
+				want[i] = allOf(t, pq, doc)
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, 16)
@@ -144,13 +144,13 @@ func TestPreparedConcurrent(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for it := 0; it < 20; it++ {
-						i := (g + it) % len(trees)
-						if got := pq.All(trees[i]); !reflect.DeepEqual(got, want[i]) {
-							errs <- fmt.Errorf("goroutine %d: tree %d: got %v, want %v", g, i, got, want[i])
+						i := (g + it) % len(docs)
+						if got, err := pq.AllErr(docs[i]); err != nil || !reflect.DeepEqual(got, want[i]) {
+							errs <- fmt.Errorf("goroutine %d: tree %d: got %v, %v, want %v", g, i, got, err, want[i])
 							return
 						}
-						if got := pq.Bool(trees[i]); got != (len(want[i]) > 0) {
-							errs <- fmt.Errorf("goroutine %d: tree %d: Bool = %v", g, i, got)
+						if got, err := pq.BoolErr(docs[i]); err != nil || got != (len(want[i]) > 0) {
+							errs <- fmt.Errorf("goroutine %d: tree %d: BoolErr = %v, %v", g, i, got, err)
 							return
 						}
 					}
@@ -165,8 +165,8 @@ func TestPreparedConcurrent(t *testing.T) {
 	}
 }
 
-// TestSharedEngineFacade checks that the legacy one-shot functions (now
-// thin wrappers over a shared plan-cached engine) behave identically
+// TestSharedEngineFacade checks that the one-shot functions (each call
+// prepares the query and indexes the tree afresh) behave identically
 // across repeated and concurrent calls.
 func TestSharedEngineFacade(t *testing.T) {
 	tr := MustParseTree("A(B,C(B,A(B)))")
@@ -179,7 +179,7 @@ func TestSharedEngineFacade(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				if got := EvaluateAll(tr, q); !reflect.DeepEqual(got, first) {
-					t.Errorf("shared engine drifted: %v vs %v", got, first)
+					t.Errorf("one-shot evaluation drifted: %v vs %v", got, first)
 					return
 				}
 			}
@@ -216,10 +216,11 @@ func TestPreparedPlanAndIntrospection(t *testing.T) {
 }
 
 // TestFingerprintInjective: labels are arbitrary strings under
-// programmatic construction, so the plan-cache key must not collide when
-// a label contains the encoding's delimiters. (Regression: the old
+// programmatic construction, so the fingerprint — the key of the serving
+// caches and the query hash in cursors — must not collide when a label
+// contains the encoding's delimiters. (Regression: the old
 // CanonicalKey-based fingerprint mapped labels {A@1, B@2} and the single
-// label "A/1;B"@2 to the same key, making the shared cache serve one
+// label "A/1;B"@2 to the same key, making a shared cache serve one
 // query's plan for the other.)
 func TestFingerprintInjective(t *testing.T) {
 	q1 := cq.New()
@@ -237,7 +238,7 @@ func TestFingerprintInjective(t *testing.T) {
 	if q1.Fingerprint() == q2.Fingerprint() {
 		t.Fatalf("distinct queries share a fingerprint: %q", q1.Fingerprint())
 	}
-	// And the shared engine must answer them independently.
+	// And evaluation must answer them independently.
 	tr := MustParseTree("A(A,B)")
 	if Evaluate(tr, q1) == Evaluate(tr, q2) {
 		t.Fatalf("q1 (satisfiable) and q2 (label %q never occurs) should differ", "A/1;B")
@@ -250,9 +251,10 @@ func TestPreparedImmuneToQueryMutation(t *testing.T) {
 	tr := MustParseTree("A(B,C(B))")
 	q := MustParseQuery("Q(y) <- A(x), Child+(x, y), B(y)")
 	pq := MustPrepare(q)
-	before := pq.All(tr)
+	doc := Index(tr)
+	before := allOf(t, pq, doc)
 	q.AddLabel("Z", 0) // would make the query unsatisfiable
-	if after := pq.All(tr); !reflect.DeepEqual(after, before) {
+	if after := allOf(t, pq, doc); !reflect.DeepEqual(after, before) {
 		t.Errorf("prepared query affected by mutation: %v vs %v", after, before)
 	}
 }

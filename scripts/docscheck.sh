@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docscheck.sh — lint the documentation tree so it cannot silently rot.
 #
-# Two checks, both hard CI failures:
+# Four checks, all hard CI failures:
 #
 #  1. Links resolve. Every relative markdown link in README.md and
 #     docs/*.md must point at a file or directory that exists in the
@@ -15,6 +15,15 @@
 #     Add a flag without a docs row and this fails; the reverse —
 #     documenting a flag that no longer exists — fails too, so removed
 #     flags cannot linger in the table.
+#
+#  3. The layer map is complete. The "Layer map" section of
+#     docs/architecture.md must name every internal/* package directory,
+#     and every internal/* name in it must be a package directory.
+#
+#  4. The serving binaries stay lean. `go list -deps` of cmd/cqserve,
+#     cmd/cqload and cmd/cqeval must not reach internal/xprop, onethree,
+#     succinct or treebank — the paper-experiment packages the layer map
+#     says the serving binaries never link.
 #
 # Exit status: 0 clean, 1 lint failure, 2 usage/IO error.
 
@@ -84,8 +93,42 @@ while IFS= read -r name; do
 	fi
 done <<<"$doced"
 
+# ---- 3. layer map covers internal/ -------------------------------------
+archdoc=docs/architecture.md
+if [ ! -f "$archdoc" ]; then
+	echo "docscheck: missing $archdoc" >&2
+	exit 2
+fi
+mapped="$(awk '/^## Layer map/ {on = 1; next} /^## / {on = 0} on' "$archdoc" |
+	grep -o 'internal/[a-z0-9_]*' | sort -u)"
+present="$(for d in internal/*/; do echo "${d%/}"; done | sort -u)"
+while IFS= read -r pkg; do
+	[ -n "$pkg" ] || continue
+	if ! grep -qx "$pkg" <<<"$mapped"; then
+		echo "FAIL $archdoc: layer map does not name package $pkg" >&2
+		fail=1
+	fi
+done <<<"$present"
+while IFS= read -r pkg; do
+	[ -n "$pkg" ] || continue
+	if ! grep -qx "$pkg" <<<"$present"; then
+		echo "FAIL $archdoc: layer map names $pkg, which does not exist" >&2
+		fail=1
+	fi
+done <<<"$mapped"
+
+# ---- 4. serving binaries never link the experiment packages -------------
+module="$(go list -m)"
+deps="$(go list -deps ./cmd/cqserve ./cmd/cqload ./cmd/cqeval)"
+for pkg in xprop onethree succinct treebank; do
+	if grep -qx "$module/internal/$pkg" <<<"$deps"; then
+		echo "FAIL serving binaries (cqserve, cqload, cqeval) link internal/$pkg" >&2
+		fail=1
+	fi
+done
+
 if [ "$fail" -ne 0 ]; then
 	echo "docscheck: documentation lint failed" >&2
 	exit 1
 fi
-echo "docscheck: links resolve, all flags documented"
+echo "docscheck: links resolve, all flags documented, layer map complete, serving binaries lean"
