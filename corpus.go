@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -295,11 +294,10 @@ func (c *Corpus) Names() []string { return c.c.Names() }
 type BatchOption func(*batchConfig)
 
 type batchConfig struct {
-	ctx       context.Context
-	workers   int
-	names     []string
-	filter    func(string) bool
-	maxTuples int
+	ctx     context.Context
+	workers int
+	names   []string
+	filter  func(string) bool
 }
 
 // WithBatchContext attaches a context to the batch: in-flight per-document
@@ -339,21 +337,6 @@ func WithDocFilter(fn func(name string) bool) BatchOption {
 	return func(c *batchConfig) { c.filter = fn }
 }
 
-// WithBatchMaxTuples caps each document's tuple enumeration at n answers
-// (Tuples/TuplesSet only; other modes ignore it). A capped document stops
-// enumerating as soon as the cap is exceeded — the engine does the
-// output-sensitive minimum of work and the result buffer stays bounded —
-// and its TuplesResult carries Truncated = true with the first n tuples
-// of the stream, sorted among themselves. An exactly-n answer relation is
-// complete, not truncated. n <= 0 (the default) disables the cap.
-//
-// Capped enumeration streams on the batch worker's goroutine, so the
-// per-document WithParallelism sharding does not apply under a cap (the
-// across-document WithBatchWorkers fan-out is unaffected).
-func WithBatchMaxTuples(n int) BatchOption {
-	return func(c *batchConfig) { c.maxTuples = n }
-}
-
 // BoolResult is one document's outcome of a Boolean batch.
 type BoolResult struct {
 	// Doc is the document's corpus name.
@@ -383,13 +366,9 @@ type TuplesResult struct {
 	Doc   string
 	Query int
 	// Tuples is the sorted distinct answer relation when Err is nil (for
-	// Boolean queries: one empty tuple if satisfiable). Under
-	// WithBatchMaxTuples it holds at most that many tuples.
+	// Boolean queries: one empty tuple if satisfiable).
 	Tuples [][]NodeID
-	// Truncated reports that Tuples was cut at the WithBatchMaxTuples cap
-	// — the document has more answers than returned.
-	Truncated bool
-	Err       error
+	Err    error
 }
 
 // newBatchConfig folds the options.
@@ -427,7 +406,7 @@ func missingErr(m corpus.Miss) error {
 func batchSeq[T, R any](c *Corpus, queries int, opts []BatchOption,
 	missingRow func(miss corpus.Miss, query int) R,
 	eval func(ctx context.Context, j corpus.Job) (T, error),
-	wrap func(corpus.Result[T]) R,
+	wrap func(corpus.Result[corpus.Job, T]) R,
 ) iter.Seq[R] {
 	cfg := newBatchConfig(opts)
 	jobs, missing := c.snapshot(cfg, queries)
@@ -471,8 +450,8 @@ func (c *Corpus) BoolSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[Boo
 			pq := pqs[j.Query]
 			return pq.p.BoolDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
 		},
-		func(r corpus.Result[bool]) BoolResult {
-			return BoolResult{Doc: r.Doc, Query: r.Query, Sat: r.Value, Err: r.Err}
+		func(r corpus.Result[corpus.Job, bool]) BoolResult {
+			return BoolResult{Doc: r.Job.Doc.Name, Query: r.Job.Query, Sat: r.Value, Err: r.Err}
 		})
 }
 
@@ -493,8 +472,8 @@ func (c *Corpus) NodesSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[No
 			pq := pqs[j.Query]
 			return pq.p.MonadicDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
 		},
-		func(r corpus.Result[[]NodeID]) NodesResult {
-			return NodesResult{Doc: r.Doc, Query: r.Query, Nodes: r.Value, Err: r.Err}
+		func(r corpus.Result[corpus.Job, []NodeID]) NodesResult {
+			return NodesResult{Doc: r.Job.Doc.Name, Query: r.Job.Query, Nodes: r.Value, Err: r.Err}
 		})
 }
 
@@ -504,51 +483,17 @@ func (c *Corpus) Tuples(pq *PreparedQuery, opts ...BatchOption) iter.Seq[TuplesR
 	return c.TuplesSet([]*PreparedQuery{pq}, opts...)
 }
 
-// cappedTuples is the internal eval payload of a tuples batch: the
-// (possibly capped) relation plus the truncation marker.
-type cappedTuples struct {
-	tuples    [][]NodeID
-	truncated bool
-}
-
 // TuplesSet is Tuples over a set of prepared queries.
 func (c *Corpus) TuplesSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[TuplesResult] {
-	maxTuples := newBatchConfig(opts).maxTuples
 	return batchSeq(c, len(pqs), opts,
 		func(m corpus.Miss, q int) TuplesResult {
 			return TuplesResult{Doc: m.Name, Query: q, Err: missingErr(m)}
 		},
-		func(ctx context.Context, j corpus.Job) (cappedTuples, error) {
+		func(ctx context.Context, j corpus.Job) ([][]NodeID, error) {
 			pq := pqs[j.Query]
-			if maxTuples <= 0 {
-				v, err := pq.p.AllDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
-				return cappedTuples{tuples: v}, err
-			}
-			// Capped: stream until one past the cap — an exactly-full
-			// relation is complete, not truncated — then sort the prefix so
-			// capped rows keep the sorted-relation shape.
-			out := make([][]NodeID, 0, min(maxTuples, 64))
-			truncated := false
-			pq.p.ForEachTupleDoc(j.Doc.Doc, core.EnumOptions{Ctx: ctx}, func(t []NodeID) bool {
-				if len(out) >= maxTuples {
-					truncated = true
-					return false
-				}
-				cp := make([]NodeID, len(t))
-				copy(cp, t)
-				out = append(out, cp)
-				return true
-			})
-			// The streaming engine goes silent on cancellation; surface it
-			// as the row error like the uncapped path does.
-			if err := ctx.Err(); err != nil {
-				return cappedTuples{}, err
-			}
-			slices.SortFunc(out, slices.Compare[[]NodeID])
-			return cappedTuples{tuples: out, truncated: truncated}, nil
+			return pq.p.AllDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
 		},
-		func(r corpus.Result[cappedTuples]) TuplesResult {
-			return TuplesResult{Doc: r.Doc, Query: r.Query, Tuples: r.Value.tuples,
-				Truncated: r.Value.truncated, Err: r.Err}
+		func(r corpus.Result[corpus.Job, [][]NodeID]) TuplesResult {
+			return TuplesResult{Doc: r.Job.Doc.Name, Query: r.Job.Query, Tuples: r.Value, Err: r.Err}
 		})
 }

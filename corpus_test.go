@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -338,70 +337,5 @@ func TestCorpusSizeBytes(t *testing.T) {
 	// ~56 bytes of precomputed orders + headers per node is the floor.
 	if got, floor := big.SizeBytes(), int64(5000*56); got < floor {
 		t.Fatalf("big SizeBytes = %d, below per-node floor %d", got, floor)
-	}
-}
-
-// TestBatchMaxTuples: WithBatchMaxTuples caps each document's answer
-// relation at n sorted tuples. A capped row is marked Truncated and holds
-// exactly n tuples that are a genuine subset of the full relation; a
-// document with at most n answers is complete and unmarked — including
-// the exactly-n case. A cap at least as large as every relation is a
-// no-op that reproduces the uncapped results bit for bit.
-func TestBatchMaxTuples(t *testing.T) {
-	c, _ := buildCorpus(t, 6, 100, 13)
-	pq := MustCompile(strategyQueries["backtrack"])
-
-	full := map[string][][]NodeID{}
-	maxLen := 0
-	for r := range c.Tuples(pq) {
-		if r.Err != nil {
-			t.Fatalf("uncapped %s: %v", r.Doc, r.Err)
-		}
-		if r.Truncated {
-			t.Fatalf("uncapped %s marked truncated", r.Doc)
-		}
-		full[r.Doc] = r.Tuples
-		maxLen = max(maxLen, len(r.Tuples))
-	}
-	if maxLen < 2 {
-		t.Fatalf("corpus too small to exercise the cap: max relation %d", maxLen)
-	}
-
-	asSet := func(tuples [][]NodeID) map[string]bool {
-		set := make(map[string]bool, len(tuples))
-		for _, tup := range tuples {
-			set[fmt.Sprint(tup)] = true
-		}
-		return set
-	}
-	for _, workers := range []int{1, 4} {
-		for _, cap := range []int{1, 2, maxLen, maxLen + 7} {
-			for r := range c.Tuples(pq, WithBatchWorkers(workers), WithBatchMaxTuples(cap)) {
-				if r.Err != nil {
-					t.Fatalf("cap=%d %s: %v", cap, r.Doc, r.Err)
-				}
-				want := full[r.Doc]
-				if len(want) <= cap {
-					// Fits under the cap (exactly-n included): complete.
-					if r.Truncated || !reflect.DeepEqual(r.Tuples, want) {
-						t.Fatalf("cap=%d %s: truncated=%v, %v != %v", cap, r.Doc, r.Truncated, r.Tuples, want)
-					}
-					continue
-				}
-				if !r.Truncated || len(r.Tuples) != cap {
-					t.Fatalf("cap=%d %s: truncated=%v with %d of %d tuples", cap, r.Doc, r.Truncated, len(r.Tuples), len(want))
-				}
-				// Capped tuples are sorted and drawn from the full relation.
-				if !slices.IsSortedFunc(r.Tuples, slices.Compare[[]NodeID]) {
-					t.Fatalf("cap=%d %s: capped tuples unsorted: %v", cap, r.Doc, r.Tuples)
-				}
-				fullSet := asSet(want)
-				for _, tup := range r.Tuples {
-					if !fullSet[fmt.Sprint(tup)] {
-						t.Fatalf("cap=%d %s: tuple %v not in the full relation", cap, r.Doc, tup)
-					}
-				}
-			}
-		}
 	}
 }

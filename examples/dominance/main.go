@@ -42,15 +42,15 @@ func main() {
 	}
 	fmt.Printf("\nsolved forms (acyclic disjuncts): %d\n", len(forms.Disjuncts))
 
-	readings := map[string]string{
-		"surface scope (Q1 over Q2)": "S(Q1(Q2(P)))",
-		"inverse scope (Q2 over Q1)": "S(Q2(Q1(P)))",
-		"broken (disjoint scopes)":   "S(Q1(P),Q2(X))",
+	readings := []struct{ name, src string }{
+		{"surface scope (Q1 over Q2)", "S(Q1(Q2(P)))"},
+		{"inverse scope (Q2 over Q1)", "S(Q2(Q1(P)))"},
+		{"broken (disjoint scopes)", "S(Q1(P),Q2(X))"},
 	}
 	fmt.Println("\ncandidate readings:")
-	for name, src := range readings {
-		t := cqtrees.MustParseTree(src)
-		fmt.Printf("  %-28s realized: %v\n", name, p.SatisfiedBy(t))
+	for _, r := range readings {
+		t := cqtrees.MustParseTree(r.src)
+		fmt.Printf("  %-28s realized: %v\n", r.name, p.SatisfiedBy(t))
 	}
 
 	// An over-constrained variant is detected as unsatisfiable.

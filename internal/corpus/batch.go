@@ -28,12 +28,10 @@ func Jobs(docs []Doc, queries int) []Job {
 	return jobs
 }
 
-// Result carries one per-(document, query) outcome of a batch.
-type Result[T any] struct {
-	// Doc is the document's corpus name.
-	Doc string
-	// Query indexes the batch's prepared-query set.
-	Query int
+// Result carries one job's outcome of a batch.
+type Result[J, T any] struct {
+	// Job is the job this result answers.
+	Job J
 	// Value is the evaluation result when Err is nil.
 	Value T
 	// Err is the per-job error: a cancellation error, or whatever eval
@@ -42,14 +40,16 @@ type Result[T any] struct {
 }
 
 // Run fans eval across jobs with a bounded worker pool and streams
-// results in completion order (document-major submission order when
-// workers <= 1). The returned iterator is single-use.
+// results in completion order (submission order when workers <= 1). The
+// returned iterator is single-use. Jobs are opaque to Run: the corpus
+// batch API passes document-major Jobs, the server its cache misses.
 //
-// workers <= 1 evaluates inline on the consumer's goroutine; otherwise
-// min(workers, len(jobs)) goroutines evaluate concurrently. Scratch reuse
-// is the callee's concern: core.Prepared pools evaluation scratch
-// internally, so a worker that evaluates many documents against the same
-// prepared query keeps hitting warm buffers.
+// workers <= 0 means GOMAXPROCS; when min(workers, len(jobs)) <= 1, Run
+// evaluates inline on the consumer's goroutine, otherwise that many
+// goroutines evaluate concurrently. Scratch reuse is the callee's
+// concern: core.Prepared pools evaluation scratch internally, so a worker
+// that evaluates many documents against the same prepared query keeps
+// hitting warm buffers.
 //
 // Cancellation: eval receives a context derived from ctx that is also
 // cancelled when the consumer breaks out of the iteration, so in-flight
@@ -57,7 +57,7 @@ type Result[T any] struct {
 // joins before the iterator returns. Jobs already dispatched report the
 // cancellation error their evaluation returned; jobs not yet dispatched
 // when ctx dies are never started and produce no result.
-func Run[T any](ctx context.Context, workers int, jobs []Job, eval func(ctx context.Context, j Job) (T, error)) iter.Seq[Result[T]] {
+func Run[J, T any](ctx context.Context, workers int, jobs []J, eval func(ctx context.Context, j J) (T, error)) iter.Seq[Result[J, T]] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -68,27 +68,27 @@ func Run[T any](ctx context.Context, workers int, jobs []Job, eval func(ctx cont
 		workers = len(jobs)
 	}
 	if workers <= 1 {
-		return func(yield func(Result[T]) bool) {
+		return func(yield func(Result[J, T]) bool) {
 			for _, j := range jobs {
 				if ctx.Err() != nil {
 					return
 				}
 				v, err := eval(ctx, j)
-				if !yield(Result[T]{Doc: j.Doc.Name, Query: j.Query, Value: v, Err: err}) {
+				if !yield(Result[J, T]{Job: j, Value: v, Err: err}) {
 					return
 				}
 			}
 		}
 	}
-	return func(yield func(Result[T]) bool) {
+	return func(yield func(Result[J, T]) bool) {
 		if ctx.Err() != nil {
 			return
 		}
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
-		jobCh := make(chan Job)
-		resCh := make(chan Result[T])
+		jobCh := make(chan J)
+		resCh := make(chan Result[J, T])
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -101,7 +101,7 @@ func Run[T any](ctx context.Context, workers int, jobs []Job, eval func(ctx cont
 					// worker is free to drain and join immediately, which
 					// is what releases server-side capacity under load.
 					if err := ctx.Err(); err != nil {
-						resCh <- Result[T]{Doc: j.Doc.Name, Query: j.Query, Err: err}
+						resCh <- Result[J, T]{Job: j, Err: err}
 						continue
 					}
 					v, err := eval(ctx, j)
@@ -109,7 +109,7 @@ func Run[T any](ctx context.Context, workers int, jobs []Job, eval func(ctx cont
 					// either reads resCh or, after an early exit, drains it
 					// until the pool joins — so every finished evaluation's
 					// result is delivered even when cancellation races it.
-					resCh <- Result[T]{Doc: j.Doc.Name, Query: j.Query, Value: v, Err: err}
+					resCh <- Result[J, T]{Job: j, Value: v, Err: err}
 				}
 			}()
 		}

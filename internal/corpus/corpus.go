@@ -668,9 +668,8 @@ func (c *Corpus) Names() []string {
 
 // Doc is a snapshot view of one named document.
 type Doc struct {
-	Name  string
-	Doc   *core.Document
-	Bytes int64
+	Name string
+	Doc  *core.Document
 }
 
 // Miss is one name a batch snapshot could not resolve, with the typed
@@ -710,7 +709,7 @@ func (c *Corpus) Snapshot(names []string, filter func(string) bool) (docs []Doc,
 			}
 			continue
 		}
-		docs = append(docs, Doc{Name: name, Doc: doc, Bytes: doc.SizeBytes()})
+		docs = append(docs, Doc{Name: name, Doc: doc})
 	}
 	return docs, missing
 }

@@ -304,7 +304,7 @@ func TestRunCancelSkipsEval(t *testing.T) {
 			return 0, ctx.Err()
 		}
 
-		results := make(chan Result[int], len(jobs))
+		results := make(chan Result[Job, int], len(jobs))
 		go func() {
 			defer close(results)
 			for r := range Run(ctx, workers, jobs, eval) {

@@ -15,13 +15,23 @@ import (
 // name explicitly.
 func scrapeMetric(t *testing.T, h http.Handler, name string) float64 {
 	t.Helper()
+	sum, found := scrapeSeries(t, h, name, "")
+	if !found {
+		t.Fatalf("metric %s absent from scrape", name)
+	}
+	return sum
+}
+
+// scrapeSeries sums the named family's series whose label set contains
+// label (every series when label is empty); found reports whether any
+// series matched.
+func scrapeSeries(t *testing.T, h http.Handler, name, label string) (sum float64, found bool) {
+	t.Helper()
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", rr.Code)
 	}
-	sum := 0.0
-	found := false
 	for _, line := range strings.Split(rr.Body.String(), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -30,8 +40,8 @@ func scrapeMetric(t *testing.T, h http.Handler, name string) float64 {
 		if !ok {
 			t.Fatalf("unparseable metrics line %q", line)
 		}
-		base, _, _ := strings.Cut(series, "{")
-		if base != name {
+		base, labels, _ := strings.Cut(series, "{")
+		if base != name || !strings.Contains(labels, label) {
 			continue
 		}
 		f, err := strconv.ParseFloat(val, 64)
@@ -41,10 +51,7 @@ func scrapeMetric(t *testing.T, h http.Handler, name string) float64 {
 		sum += f
 		found = true
 	}
-	if !found {
-		t.Fatalf("metric %s absent from scrape", name)
-	}
-	return sum
+	return sum, found
 }
 
 // cachedServer builds a server with the result cache on and seeds it with

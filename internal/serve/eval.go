@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	cqtrees "repro"
+	"repro/internal/cache"
+	"repro/internal/corpus"
 )
 
 // ---- batch evaluation -----------------------------------------------------
@@ -141,6 +144,99 @@ func containsToken(header, mediaType string) bool {
 	return false
 }
 
+// admit takes an evaluation slot for r, answering 429/503 itself (ok =
+// false) when the gate refuses. Evaluation is the expensive tier, so only
+// it passes the gate: metadata endpoints and cache hits stay responsive
+// under saturation. The caller defers release, so even a panicking
+// evaluation — converted to a 500 by the recovery middleware — frees its
+// slot.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	release, err := s.gate.Acquire(ctx)
+	if err != nil {
+		s.admissionReject(w, err)
+		return nil, false
+	}
+	if s.hook != nil {
+		// The hook runs before the caller can defer release: a panicking
+		// hook hands the slot back itself.
+		defer func() {
+			if p := recover(); p != nil {
+				release()
+				panic(p)
+			}
+		}()
+		s.hook(r)
+	}
+	return release, true
+}
+
+// rowRule is the per-document row rule every /eval shape applies: which
+// document failures become error rows, how they are classified, and the
+// counts the response status is decided from.
+type rowRule struct {
+	explicit  bool // the client named the documents
+	expected  int  // documents that owe a row
+	errors    int  // error rows
+	cancelled int  // error rows cut by the request's context
+	hydra     hydraTally
+}
+
+// selectDocs freezes the request's document list (an unrestricted
+// request takes the current fleet), so batch completeness is decidable:
+// a timed-out batch may never reach some documents, and those produce no
+// rows at all.
+func (s *Server) selectDocs(req evalRequest) ([]string, rowRule) {
+	docs := req.Docs
+	explicit := len(docs) > 0
+	if !explicit {
+		docs = s.corpus.Names()
+	}
+	return docs, rowRule{explicit: explicit, expected: len(docs)}
+}
+
+// fail applies the row rule to one document's error. An implicitly
+// selected document that is unknown — removed or evicted between the
+// listing and its lookup — owes no row (row = false): the client never
+// asked for it by name. Any other error is an error row carrying its
+// persistence reason.
+func (rr *rowRule) fail(err error) (reason string, row bool) {
+	if !rr.explicit && errors.Is(err, cqtrees.ErrUnknownDocument) {
+		rr.expected--
+		return "", false
+	}
+	rr.errors++
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		rr.cancelled++
+	}
+	reason, retryAfter := reasonOf(err)
+	rr.hydra.count(reason, retryAfter)
+	return reason, true
+}
+
+// finish sorts and writes a buffered response (the batch and paginated
+// shapes). 504 only when the deadline actually cut work short: some row
+// was cancelled, or some frozen-list document never produced a row — a
+// batch that completed just before the deadline fired is a 200. Then the
+// persistence escalation: when every row failed and the persistence layer
+// was involved, the batch as a whole is undeliverable — 503 + Retry-After
+// (transient, retry here later) or 404 (everything asked for is
+// quarantined; retrying cannot help). Otherwise 200, observed as outcome.
+func (s *Server) finish(ctx context.Context, w http.ResponseWriter, pq *cqtrees.PreparedQuery, start time.Time,
+	resp *evalResponse, rr *rowRule, outcome string) {
+	resp.Docs = len(resp.Results)
+	resp.Errors = rr.errors
+	sort.Slice(resp.Results, func(i, j int) bool { return resp.Results[i].Doc < resp.Results[j].Doc })
+	status := http.StatusOK
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) && (rr.cancelled > 0 || resp.Docs < rr.expected) {
+		resp.TimedOut = true
+		status, outcome = http.StatusGatewayTimeout, "timeout"
+	} else if status = rr.hydra.status(w, resp.Docs, resp.Errors); status != http.StatusOK {
+		outcome = "failed"
+	}
+	s.metrics.observeEval(start, pq, outcome)
+	writeEval(w, status, resp)
+}
+
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req evalRequest
@@ -194,6 +290,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	// tuples mode, buffered JSON. Reject the incompatible combinations up
 	// front — silently ignoring an order or a cursor would return pages
 	// the client cannot resume.
+	ndjson := wantsNDJSON(r)
 	paginated := req.Order != nil || req.Cursor != "" || req.Limit > 0
 	if paginated {
 		switch {
@@ -203,7 +300,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		case len(req.Docs) != 1:
 			httpError(w, http.StatusBadRequest, "order/limit/cursor require exactly one doc, got %d", len(req.Docs))
 			return
-		case wantsNDJSON(r):
+		case ndjson:
 			httpError(w, http.StatusBadRequest, "pagination is incompatible with NDJSON streaming")
 			return
 		}
@@ -226,52 +323,109 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// Paginated requests bypass the result cache by design: a page is a
-	// cursor-dependent slice, so caching it would key on the cursor token
-	// and never be re-hit — while the underlying O(depth + page) resume
-	// already makes recomputation cheap. They do pass the admission gate.
-	if paginated {
-		release, err := s.gate.Acquire(ctx)
-		if err != nil {
-			s.admissionReject(w, err)
-			return
-		}
-		defer release()
-		if s.hook != nil {
-			s.hook(r)
-		}
-		s.evalPaginated(ctx, w, req, pq, start)
+	// The buffered batch admits itself: its cache lookups happen before
+	// the gate, and only misses take a slot. Paginated and streaming
+	// requests bypass the result cache by design — a page is a
+	// cursor-dependent slice that would never be re-hit (and the O(depth +
+	// page) resume already makes recomputation cheap); streaming exists
+	// for results too large to materialize, which are exactly the ones the
+	// cache's per-entry cap refuses.
+	if !paginated && !ndjson {
+		s.evalBatch(ctx, w, r, req, pq, mode, start)
 		return
 	}
-
-	// The cached path manages admission itself: lookups happen before the
-	// gate, and only cache misses acquire a slot. Streaming responses
-	// bypass the cache — they exist for results too large to materialize,
-	// which are exactly the ones the cache's per-entry cap refuses.
-	if s.cache != nil && !wantsNDJSON(r) {
-		s.evalCached(ctx, w, r, req, pq, mode, start)
-		return
-	}
-
-	// Admission: evaluation is the expensive tier, so only it passes the
-	// gate (metadata endpoints stay responsive under saturation). The
-	// release is deferred, so even a panicking evaluation — converted to a
-	// 500 by the recovery middleware — frees its slot.
-	release, err := s.gate.Acquire(ctx)
-	if err != nil {
-		s.admissionReject(w, err)
+	release, ok := s.admit(ctx, w, r)
+	if !ok {
 		return
 	}
 	defer release()
-	if s.hook != nil {
-		s.hook(r)
-	}
-
-	if wantsNDJSON(r) {
-		s.evalNDJSON(ctx, w, req, pq, mode, start)
+	if paginated {
+		s.evalPaginated(ctx, w, req, pq, start)
 		return
 	}
-	s.evalBuffered(ctx, w, req, pq, mode, start)
+	s.evalNDJSON(ctx, w, req, pq, mode, start)
+}
+
+// evalBatch is the buffered JSON response path, with the result cache in
+// front of the admission gate (a cache-off server runs it with a nil
+// cache, on which every lookup misses):
+//
+//   - Pass 1 is pure lookups, no admission: a request whose every
+//     document hits is answered without ever taking (or waiting for) a
+//     gate slot — repeated work must not compete with real work for
+//     evaluation capacity. Each document's version is read before its
+//     lookup; a Swap racing past between the two just yields a miss.
+//   - Pass 2 admits once, then fans the misses across the worker pool,
+//     each through cache.Do → computeDoc, so concurrent requests for the
+//     same (query, document, version) collapse onto one engine evaluation
+//     whose result is stored for the next request.
+//
+// The response materializes in memory, bounded by the answer cap when
+// one is configured.
+func (s *Server) evalBatch(ctx context.Context, w http.ResponseWriter, r *http.Request,
+	req evalRequest, pq *cqtrees.PreparedQuery, mode string, start time.Time) {
+	var fp string
+	if s.cache != nil {
+		fp = pq.Query().Fingerprint() // only a real cache reads the key
+	}
+	docs, rule := s.selectDocs(req)
+	capN := s.answerCap(req.MaxAnswers)
+
+	resp := evalResponse{Mode: mode, Plan: pq.Plan().String(), Results: make([]evalResult, 0, len(docs))}
+	add := func(name string, v any, err error) {
+		if err != nil {
+			if reason, row := rule.fail(err); row {
+				resp.Results = append(resp.Results, evalResult{Doc: name, Error: err.Error(), Reason: reason})
+			}
+			return
+		}
+		row := evalResult{Doc: name}
+		renderCached(&row, mode, v, capN)
+		if row.Truncated {
+			resp.Truncated++
+		}
+		resp.Results = append(resp.Results, row)
+	}
+
+	var misses []cache.Key
+	hits := 0
+	for _, name := range docs {
+		ver, ok := s.corpus.Version(name)
+		if !ok {
+			add(name, nil, missingDocErr(name))
+			continue
+		}
+		k := cache.Key{Query: fp, Doc: name, Version: ver, Mode: mode}
+		if v, ok := s.cache.Get(k); ok {
+			add(name, v, nil)
+			hits++
+			continue
+		}
+		misses = append(misses, k)
+	}
+
+	outcome := "ok"
+	if len(misses) == 0 && hits > 0 {
+		outcome = "cached" // never acquired a slot, never ran the engine
+	}
+	if len(misses) > 0 {
+		release, ok := s.admit(ctx, w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		eval := func(ctx context.Context, k cache.Key) (any, error) {
+			return s.cache.Do(ctx, k, func() (any, int64, error) {
+				return s.computeDoc(ctx, pq, mode, k.Doc, capN)
+			})
+		}
+		// Collected before any row is added: a range-over-func body would
+		// move resp and rule to the heap on hit-only requests too.
+		for _, res := range slices.Collect(corpus.Run(ctx, req.Workers, misses, eval)) {
+			add(res.Job.Doc, res.Value, res.Err)
+		}
+	}
+	s.finish(ctx, w, pq, start, &resp, &rule, outcome)
 }
 
 // evalPaginated answers one page of one document's ordered answer
@@ -280,6 +434,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 // specs that do not fit the query), 409 for cursors minted by a different
 // query or order, 410 for cursors whose document has changed content —
 // so clients can distinguish "fix the request" from "restart the walk".
+// Document-tier failures follow the batch row rule, with one document.
 func (s *Server) evalPaginated(ctx context.Context, w http.ResponseWriter, req evalRequest, pq *cqtrees.PreparedQuery, start time.Time) {
 	doc := req.Docs[0]
 	opts := []cqtrees.EvalOption{cqtrees.WithContext(ctx)}
@@ -304,10 +459,17 @@ func (s *Server) evalPaginated(ctx context.Context, w http.ResponseWriter, req e
 		opts = append(opts, cqtrees.WithCursor(req.Cursor))
 	}
 
-	resp := evalResponse{Mode: "tuples", Plan: pq.Plan().String(), Docs: 1}
+	resp := evalResponse{Mode: "tuples", Plan: pq.Plan().String()}
+	rule := rowRule{explicit: true, expected: 1}
 	page, err := s.corpus.Page(pq, doc, opts...)
 	switch {
 	case err == nil:
+		s.metrics.evalsTotal.With(strategySlug(pq.Plan())).Inc()
+		resp.Results = []evalResult{{Doc: doc, Tuples: page.Tuples, Truncated: page.Next != ""}}
+		if page.Next != "" {
+			resp.Truncated = 1
+			resp.NextCursor = page.Next
+		}
 	case errors.Is(err, cqtrees.ErrCursorMalformed), errors.Is(err, cqtrees.ErrOrderArity):
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -317,141 +479,9 @@ func (s *Server) evalPaginated(ctx context.Context, w http.ResponseWriter, req e
 	case errors.Is(err, cqtrees.ErrCursorStale):
 		httpError(w, http.StatusGone, "%v", err)
 		return
-	case errors.Is(err, context.DeadlineExceeded):
-		resp.TimedOut = true
-		resp.Results = []evalResult{{Doc: doc, Error: err.Error()}}
-		resp.Errors = 1
-		s.metrics.observeEval(start, pq, "timeout")
-		writeEval(w, http.StatusGatewayTimeout, &resp)
-		return
 	default:
-		// Document-tier failure: an error row plus the same persistence
-		// escalation the batch path applies — with one document, an
-		// all-rows failure is just this row's failure.
-		var tally hydraTally
-		reason, retryAfter := reasonOf(err)
-		tally.count(reason, retryAfter)
+		reason, _ := rule.fail(err)
 		resp.Results = []evalResult{{Doc: doc, Error: err.Error(), Reason: reason}}
-		resp.Errors = 1
-		status := tally.status(w, 1, 1)
-		s.metrics.observeEval(start, pq, "failed")
-		writeEval(w, status, &resp)
-		return
 	}
-	s.metrics.evalsTotal.With(strategySlug(pq.Plan())).Inc()
-	resp.Results = []evalResult{{Doc: doc, Tuples: page.Tuples, Truncated: page.Next != ""}}
-	if page.Next != "" {
-		resp.Truncated = 1
-		resp.NextCursor = page.Next
-	}
-	s.metrics.observeEval(start, pq, "ok")
-	writeEval(w, http.StatusOK, &resp)
-}
-
-// evalBuffered is the classic JSON response path: the whole batch fans
-// out across the worker pool and the response materializes in memory —
-// bounded by the answer cap when one is configured.
-func (s *Server) evalBuffered(ctx context.Context, w http.ResponseWriter, req evalRequest, pq *cqtrees.PreparedQuery, mode string, start time.Time) {
-	// The document list is frozen up front (an unrestricted request takes
-	// the current fleet): batch completeness is then decidable — a timed
-	// out batch may never dispatch some documents, and those produce no
-	// result rows at all.
-	explicit := len(req.Docs) > 0
-	docs := req.Docs
-	if !explicit {
-		docs = s.corpus.Names()
-	}
-	expected := len(docs)
-	opts := []cqtrees.BatchOption{
-		cqtrees.WithBatchContext(ctx),
-		cqtrees.WithBatchWorkers(req.Workers),
-		cqtrees.WithDocs(docs...),
-	}
-	cap := s.answerCap(req.MaxAnswers)
-	if mode == "tuples" && cap > 0 {
-		opts = append(opts, cqtrees.WithBatchMaxTuples(cap))
-	}
-
-	resp := evalResponse{Mode: mode, Plan: pq.Plan().String(), Results: make([]evalResult, 0, len(docs))}
-	cancelledRows := 0
-	var tally hydraTally
-	add := func(doc string, err error, fill func(*evalResult)) {
-		// An implicit fleet selection can race a concurrent Remove or
-		// LRU eviction between Names() and the batch snapshot; the
-		// client never asked for that document by name, so its
-		// disappearance is not an error row.
-		if err != nil && !explicit && errors.Is(err, cqtrees.ErrUnknownDocument) {
-			expected--
-			return
-		}
-		// Count rows that reached the engine under their strategy; an
-		// unknown document (explicitly named, hence an error row) did not.
-		if err == nil || !errors.Is(err, cqtrees.ErrUnknownDocument) {
-			s.metrics.evalsTotal.With(strategySlug(pq.Plan())).Inc()
-		}
-		row := evalResult{Doc: doc}
-		if err != nil {
-			row.Error = err.Error()
-			resp.Errors++
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				cancelledRows++
-			}
-			reason, retryAfter := reasonOf(err)
-			row.Reason = reason
-			tally.count(reason, retryAfter)
-		} else {
-			fill(&row)
-		}
-		resp.Results = append(resp.Results, row)
-	}
-	// Empty node/tuple sets need no normalization: omitempty drops the
-	// field for nil and empty alike, so a successful empty result is a
-	// row with neither payload nor error.
-	switch mode {
-	case "bool":
-		for r := range s.corpus.Bool(pq, opts...) {
-			sat := r.Sat
-			add(r.Doc, r.Err, func(row *evalResult) { row.Sat = &sat })
-		}
-	case "nodes":
-		for r := range s.corpus.Nodes(pq, opts...) {
-			nodes := r.Nodes
-			add(r.Doc, r.Err, func(row *evalResult) { row.Nodes = nodes })
-		}
-	case "tuples":
-		for r := range s.corpus.Tuples(pq, opts...) {
-			tuples, truncated := r.Tuples, r.Truncated
-			add(r.Doc, r.Err, func(row *evalResult) {
-				row.Tuples = tuples
-				row.Truncated = truncated
-				if truncated {
-					resp.Truncated++
-				}
-			})
-		}
-	}
-	resp.Docs = len(resp.Results)
-	sort.Slice(resp.Results, func(i, j int) bool { return resp.Results[i].Doc < resp.Results[j].Doc })
-
-	// 504 only when the deadline actually cut work short: some row carried
-	// a cancellation error, or some frozen-list document never produced a
-	// row. A batch that completed just before the deadline fired is a 200.
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) &&
-		(cancelledRows > 0 || resp.Docs < expected) {
-		resp.TimedOut = true
-		s.metrics.observeEval(start, pq, "timeout")
-		writeEval(w, http.StatusGatewayTimeout, &resp)
-		return
-	}
-	// Persistence escalation: when every row failed and the persistence
-	// layer was involved, the batch as a whole is undeliverable — 503 +
-	// Retry-After (transient, retry here later) or 404 (everything asked
-	// for is quarantined; retrying cannot help).
-	if status := tally.status(w, resp.Docs, resp.Errors); status != http.StatusOK {
-		s.metrics.observeEval(start, pq, "failed")
-		writeEval(w, status, &resp)
-		return
-	}
-	s.metrics.observeEval(start, pq, "ok")
-	writeEval(w, http.StatusOK, &resp)
+	s.finish(ctx, w, pq, start, &resp, &rule, "ok")
 }

@@ -66,11 +66,7 @@ type ndSummary struct {
 const flushEvery = 4096
 
 func (s *Server) evalNDJSON(ctx context.Context, w http.ResponseWriter, req evalRequest, pq *cqtrees.PreparedQuery, mode string, start time.Time) {
-	explicit := len(req.Docs) > 0
-	docs := req.Docs
-	if !explicit {
-		docs = s.corpus.Names()
-	}
+	docs, rule := s.selectDocs(req)
 	capN := s.answerCap(req.MaxAnswers)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -88,48 +84,39 @@ func (s *Server) evalNDJSON(ctx context.Context, w http.ResponseWriter, req eval
 	emit := func(row ndRow) { _, _ = bw.Write(appendNDRow(bw.AvailableBuffer(), &row)) }
 
 	sum := ndSummary{Summary: true, Mode: mode, Plan: pq.Plan().String()}
+	// The batch row rule; the status is already committed 200, so a
+	// failure's reason is the whole signal here.
+	fail := func(name string, err error) {
+		if reason, row := rule.fail(err); row {
+			emit(ndRow{Doc: name, Error: err.Error(), Reason: reason})
+			sum.Docs++
+		}
+	}
 	for _, name := range docs {
 		if ctx.Err() != nil {
 			break // summary reports timed_out below
 		}
 		doc, err := s.corpus.GetErr(name)
-		if err == nil {
-			s.metrics.evalsTotal.With(strategySlug(pq.Plan())).Inc()
-		} else {
-			// Same contract as the buffered path: an explicitly named
-			// missing document is an error row; an implicitly selected one
-			// that vanished mid-batch is silently skipped. Hydration
-			// failures produce rows either way — the document exists, the
-			// persistence layer just cannot deliver it — with the same
-			// reason classification as the buffered path. The status is
-			// already committed 200, so the reason is the whole signal here.
-			reason, _ := reasonOf(err)
-			if explicit || reason != "" {
-				emit(ndRow{Doc: name, Error: err.Error(), Reason: reason})
-				sum.Docs++
-				sum.Errors++
-			}
+		if err != nil {
+			fail(name, err)
 			continue
 		}
+		s.metrics.evalsTotal.With(strategySlug(pq.Plan())).Inc()
 		switch mode {
 		case "bool":
-			sat, err := pq.BoolErr(doc, cqtrees.WithContext(ctx))
-			if err != nil {
-				emit(ndRow{Doc: name, Error: err.Error()})
-				sum.Errors++
+			if sat, err := pq.BoolErr(doc, cqtrees.WithContext(ctx)); err != nil {
+				fail(name, err)
 			} else {
 				emit(ndRow{Doc: name, Sat: &sat})
+				sum.Docs++
 			}
-			sum.Docs++
 		case "nodes":
-			nodes, err := pq.NodesErr(doc, cqtrees.WithContext(ctx))
-			if err != nil {
-				emit(ndRow{Doc: name, Error: err.Error()})
-				sum.Errors++
+			if nodes, err := pq.NodesErr(doc, cqtrees.WithContext(ctx)); err != nil {
+				fail(name, err)
 			} else {
 				emit(ndRow{Doc: name, Nodes: nodes})
+				sum.Docs++
 			}
-			sum.Docs++
 		case "tuples":
 			n, truncated := 0, false
 			for tuple := range pq.Tuples(doc, cqtrees.WithContext(ctx)) {
@@ -148,9 +135,7 @@ func (s *Server) evalNDJSON(ctx context.Context, w http.ResponseWriter, req eval
 			// The iterator goes silent on cancellation; distinguish a
 			// finished stream from a cut one afterwards.
 			if err := ctx.Err(); err != nil && !truncated {
-				emit(ndRow{Doc: name, Error: err.Error()})
-				sum.Errors++
-				sum.Docs++
+				fail(name, err)
 			} else {
 				count := n
 				emit(ndRow{Doc: name, Done: true, Count: &count, Truncated: truncated})
@@ -162,6 +147,7 @@ func (s *Server) evalNDJSON(ctx context.Context, w http.ResponseWriter, req eval
 		}
 		flush()
 	}
+	sum.Errors = rule.errors
 	sum.TimedOut = errors.Is(ctx.Err(), context.DeadlineExceeded)
 	outcome := "ok"
 	if sum.TimedOut {

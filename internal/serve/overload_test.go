@@ -7,11 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	cqtrees "repro"
 )
 
 // post issues one real POST /eval over the network with optional headers.
@@ -109,11 +113,21 @@ func TestServerOverload(t *testing.T) {
 		sheds++
 	}
 
-	// Release the four admitted evals one at a time. FIFO handoff means C
-	// is admitted before D, whatever order A and B finish in.
-	for i := 0; i < 4; i++ {
-		step <- struct{}{}
+	// Release the admitted evals one at a time, waiting for each freed
+	// slot's handoff to reach the hook before the next token: FIFO handoff
+	// then admits C third and D fourth, whatever order A and B (and C)
+	// pick up their tokens in.
+	admissions := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(admitted)
 	}
+	step <- struct{}{}
+	waitFor(t, "C to be admitted", func() bool { return admissions() == 3 })
+	step <- struct{}{}
+	waitFor(t, "D to be admitted", func() bool { return admissions() == 4 })
+	step <- struct{}{}
+	step <- struct{}{}
 	got := map[string]outcome{}
 	for i := 0; i < 4; i++ {
 		o := <-results
@@ -127,19 +141,7 @@ func TestServerOverload(t *testing.T) {
 	mu.Lock()
 	order := append([]string(nil), admitted...)
 	mu.Unlock()
-	if len(order) != 4 {
-		t.Fatalf("admitted %v, want 4 requests", order)
-	}
-	iC, iD := -1, -1
-	for i, id := range order {
-		if id == "C" {
-			iC = i
-		}
-		if id == "D" {
-			iD = i
-		}
-	}
-	if iC < 2 || iD < 2 || iC > iD {
+	if len(order) != 4 || order[2] != "C" || order[3] != "D" {
 		t.Fatalf("queued requests admitted out of FIFO order: %v", order)
 	}
 
@@ -397,43 +399,88 @@ func TestEvalNDJSONTruncation(t *testing.T) {
 		}
 	}
 
-	// The buffered path enforces the same cap with the same semantics.
-	var resp evalResp
-	rr := do(t, h, "POST", "/eval", `{"query": "descB", "max_answers": 1}`, &resp)
-	wantStatus(t, rr, http.StatusOK)
-	if resp.Truncated != 1 {
-		t.Fatalf("buffered truncated count = %d, want 1", resp.Truncated)
-	}
-	for _, r := range resp.Results {
-		switch r.Doc {
-		case "two":
-			if len(r.Tuples) != 1 || !r.Truncated {
-				t.Fatalf("capped row two: %+v", r)
-			}
-		case "one":
-			if len(r.Tuples) != 1 || r.Truncated {
-				t.Fatalf("exact-cap row one: %+v", r)
-			}
-		case "zero":
-			if len(r.Tuples) != 0 || r.Truncated {
-				t.Fatalf("empty row zero: %+v", r)
+	// The buffered path enforces the same cap with the same semantics,
+	// with and without the result cache in front of it.
+	for _, cfg := range []Config{{}, {CacheBytes: 1 << 20}} {
+		h := mustServer(t, cfg).Handler()
+		loadFleet(t, h)
+		var resp evalResp
+		rr := do(t, h, "POST", "/eval", `{"query": "descB", "max_answers": 1}`, &resp)
+		wantStatus(t, rr, http.StatusOK)
+		if resp.Truncated != 1 {
+			t.Fatalf("cache bytes %d: buffered truncated count = %d, want 1", cfg.CacheBytes, resp.Truncated)
+		}
+		for _, r := range resp.Results {
+			switch r.Doc {
+			case "two":
+				if len(r.Tuples) != 1 || !r.Truncated {
+					t.Fatalf("cache bytes %d: capped row two: %+v", cfg.CacheBytes, r)
+				}
+			case "one":
+				if len(r.Tuples) != 1 || r.Truncated {
+					t.Fatalf("cache bytes %d: exact-cap row one: %+v", cfg.CacheBytes, r)
+				}
+			case "zero":
+				if len(r.Tuples) != 0 || r.Truncated {
+					t.Fatalf("cache bytes %d: empty row zero: %+v", cfg.CacheBytes, r)
+				}
 			}
 		}
 	}
 }
 
 // TestMaxAnswersServerCap: the operator's -max-answers is a ceiling the
-// request may tighten but never extend.
+// request may tighten but never extend. A capped row holds the first cap
+// tuples of the engine's stream, sorted, when the result cache is off,
+// and the sorted relation's cap-prefix when a cached complete relation
+// is re-capped.
 func TestMaxAnswersServerCap(t *testing.T) {
-	s := mustServer(t, Config{MaxAnswers: 1})
-	h := s.Handler()
-	loadFleet(t, h)
+	// Backtracking emits this relation out of lexicographic order, so the
+	// two capped renderings differ.
+	const term, src, capN = "A(B(C),C,B,C(C))", "Q(z, y) <- A(x), Child(x, y), B(y), Child+(x, z), C(z), Following(y, z)", 3
+	pq := cqtrees.MustCompile(src)
+	doc := cqtrees.Index(cqtrees.MustParseTree(term))
+	var streamed [][]cqtrees.NodeID
+	for tuple := range pq.Tuples(doc) {
+		if len(streamed) == capN {
+			break
+		}
+		streamed = append(streamed, tuple)
+	}
+	slices.SortFunc(streamed, slices.Compare[[]cqtrees.NodeID])
+	full, err := pq.AllErr(doc)
+	if err != nil || len(full) <= capN || reflect.DeepEqual(streamed, full[:capN]) {
+		t.Fatalf("fixture does not separate the capped renderings: %v vs %v (%v)", streamed, full, err)
+	}
 
-	var resp evalResp
-	wantStatus(t, do(t, h, "POST", "/eval", `{"query": "descB", "max_answers": 100}`, &resp), http.StatusOK)
-	for _, r := range resp.Results {
-		if r.Doc == "two" && (len(r.Tuples) != 1 || !r.Truncated) {
-			t.Fatalf("client extended the server cap: %+v", r)
+	for _, cfg := range []Config{{MaxAnswers: 1}, {MaxAnswers: 1, CacheBytes: 1 << 20}} {
+		h := mustServer(t, cfg).Handler()
+		loadFleet(t, h)
+
+		var resp evalResp
+		wantStatus(t, do(t, h, "POST", "/eval", `{"query": "descB", "max_answers": 100}`, &resp), http.StatusOK)
+		for _, r := range resp.Results {
+			if r.Doc == "two" && (len(r.Tuples) != 1 || !r.Truncated) {
+				t.Fatalf("cache bytes %d: client extended the server cap: %+v", cfg.CacheBytes, r)
+			}
+		}
+
+		cfg.MaxAnswers = capN
+		h = mustServer(t, cfg).Handler()
+		wantStatus(t, do(t, h, "PUT", "/docs/mixed", fmt.Sprintf(`{"term": %q}`, term), nil), http.StatusCreated)
+		var capped struct {
+			Results []struct {
+				Tuples    [][]cqtrees.NodeID `json:"tuples"`
+				Truncated bool               `json:"truncated"`
+			} `json:"results"`
+		}
+		wantStatus(t, do(t, h, "POST", "/eval", fmt.Sprintf(`{"source": %q, "docs": ["mixed"]}`, src), &capped), http.StatusOK)
+		want := streamed
+		if cfg.CacheBytes > 0 {
+			want = full[:capN]
+		}
+		if len(capped.Results) != 1 || !capped.Results[0].Truncated || !reflect.DeepEqual(capped.Results[0].Tuples, want) {
+			t.Fatalf("cache bytes %d: capped row %+v, want truncated %v", cfg.CacheBytes, capped.Results, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -62,8 +63,19 @@ func corruptSnapshotBody(t *testing.T, dir, name string) {
 // TestEvalQuarantinedSnapshot: a snapshot corrupted at rest is
 // quarantined on first use; the /eval row carries the reason, an
 // all-quarantined batch is 404, healthy documents are untouched, and
-// /healthz, /metrics, and /docs all report the state.
+// /healthz, /metrics, and /docs all report the state. Neither a
+// quarantined nor an unknown document counts as an engine evaluation,
+// and a request naming only unknown documents is not a cache answer —
+// with and without the result cache.
 func TestEvalQuarantinedSnapshot(t *testing.T) {
+	for _, cacheBytes := range []int64{0, 1 << 20} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			testEvalQuarantinedSnapshot(t, cacheBytes)
+		})
+	}
+}
+
+func testEvalQuarantinedSnapshot(t *testing.T, cacheBytes int64) {
 	dir := t.TempDir()
 	persistedServer(t, Config{DataDir: dir}, map[string]string{
 		"good": "A(B,C)", "bad": "A(B,C(D))",
@@ -72,16 +84,24 @@ func TestEvalQuarantinedSnapshot(t *testing.T) {
 
 	// Cold restart: both documents register as stubs from their (healthy)
 	// headers; the corruption only surfaces when "bad" hydrates.
-	h := mustServer(t, Config{DataDir: dir}).Handler()
+	h := mustServer(t, Config{DataDir: dir, CacheBytes: cacheBytes}).Handler()
 	registerQuery(t, h, "q")
+	evals := func() float64 {
+		n, _ := scrapeSeries(t, h, "cqtrees_evals_total", "")
+		return n
+	}
 
 	// Mixed batch: the healthy document answers, the corrupt one is an
 	// error row with the quarantined reason — and the batch stays 200.
 	var resp evalResponse
+	before := evals()
 	rr := do(t, h, "POST", "/eval", `{"query": "q", "mode": "bool", "docs": ["good", "bad"]}`, &resp)
 	wantStatus(t, rr, http.StatusOK)
 	if resp.Docs != 2 || resp.Errors != 1 {
 		t.Fatalf("mixed batch: %+v", resp)
+	}
+	if got := evals(); got != before+1 {
+		t.Fatalf("mixed batch: evals_total %v -> %v, want +1 (the quarantined row never reached the engine)", before, got)
 	}
 	for _, row := range resp.Results {
 		switch row.Doc {
@@ -103,6 +123,26 @@ func TestEvalQuarantinedSnapshot(t *testing.T) {
 	wantStatus(t, rr, http.StatusNotFound)
 	if resp.Results[0].Reason != "quarantined" {
 		t.Fatalf("all-quarantined batch row: %+v", resp.Results[0])
+	}
+
+	// An unknown document is an error row that reaches neither the engine
+	// nor the cache: the request is observed as "ok", never "cached".
+	before = evals()
+	okBefore, _ := scrapeSeries(t, h, "cqtrees_eval_seconds_count", `outcome="ok"`)
+	resp = evalResponse{}
+	rr = do(t, h, "POST", "/eval", `{"query": "q", "mode": "bool", "docs": ["ghost"]}`, &resp)
+	wantStatus(t, rr, http.StatusOK)
+	if resp.Docs != 1 || resp.Errors != 1 || resp.Results[0].Reason != "" {
+		t.Fatalf("unknown-document batch: %+v", resp)
+	}
+	if got := evals(); got != before {
+		t.Fatalf("quarantined and unknown rows counted as evaluations: evals_total %v -> %v", before, got)
+	}
+	if cached, _ := scrapeSeries(t, h, "cqtrees_eval_seconds_count", `outcome="cached"`); cached != 0 {
+		t.Fatalf("unknown-document request observed as cached (%v)", cached)
+	}
+	if okAfter, _ := scrapeSeries(t, h, "cqtrees_eval_seconds_count", `outcome="ok"`); okAfter != okBefore+1 {
+		t.Fatalf("unknown-document request: outcome ok %v -> %v, want +1", okBefore, okAfter)
 	}
 
 	// The file was set aside exactly once, under its quarantine name.
