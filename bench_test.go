@@ -52,7 +52,9 @@ func benchQuery(rng *rand.Rand, axes []axis.Axis, nv, na int) *cq.Query {
 
 // BenchmarkTableIPolyScaling measures the Theorem 3.5 engine on the three
 // maximal tractable signatures across growing trees: the paper's claim is
-// O(‖A‖·|Q|), so time per evaluation should grow near-linearly with n.
+// O(‖A‖·|Q|), so time per evaluation should grow near-linearly with n. A
+// Boolean X-property decision is one maximal arc-consistency run against
+// the document's tree index.
 func BenchmarkTableIPolyScaling(b *testing.B) {
 	sigs := map[string][]axis.Axis{
 		"VerticalClosure": {axis.ChildPlus, axis.ChildStar},
@@ -63,15 +65,12 @@ func BenchmarkTableIPolyScaling(b *testing.B) {
 		for _, n := range []int{500, 1000, 2000, 4000} {
 			b.Run(fmt.Sprintf("sig=%s/n=%d", name, n), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
-				doc := Index(tree.Random(rng, tree.DefaultRandomConfig(n)))
+				ix := consistency.NewTreeIndex(tree.Random(rng, tree.DefaultRandomConfig(n)))
 				q := benchQuery(rng, sig, 6, 8)
-				engine, err := core.NewPolyEngine(sig)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sc := consistency.NewScratch()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					engine.EvalBoolean(doc, q)
+					sc.FastACIx(ix, q)
 				}
 			})
 		}
@@ -129,8 +128,9 @@ func BenchmarkTableINPHardness(b *testing.B) {
 // BenchmarkTableIStrategies compares the three strategies on a tractable
 // acyclic query — the "who wins" comparison: Yannakakis and the
 // X-property engine must beat backtracking. The first two evaluate
-// against one indexed Document; the backtracking engine's *Tree entry
-// point indexes the tree on every call, which its timing includes.
+// against one tree index (the X-property Boolean decision is one maximal
+// arc-consistency run, Theorem 3.5); the backtracking engine's *Tree
+// entry point indexes the tree on every call, which its timing includes.
 func BenchmarkTableIStrategies(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	t := tree.Random(rng, tree.DefaultRandomConfig(2000))
@@ -146,12 +146,9 @@ func BenchmarkTableIStrategies(b *testing.B) {
 		}
 	})
 	b.Run("x-property", func(b *testing.B) {
-		e, err := core.NewPolyEngineFor(q)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ix, sc := consistency.NewTreeIndex(t), consistency.NewScratch()
 		for i := 0; i < b.N; i++ {
-			e.EvalBoolean(doc, q)
+			sc.FastACIx(ix, q)
 		}
 	})
 	b.Run("backtracking", func(b *testing.B) {
@@ -287,28 +284,6 @@ func BenchmarkSuccinctnessBlowup(b *testing.B) {
 			b.ReportMetric(float64(atoms), "apq-atoms")
 			b.ReportMetric(float64(disjuncts), "apq-disjuncts")
 			b.ReportMetric(float64(d.Size()), "cq-atoms")
-		})
-	}
-}
-
-// BenchmarkACEngines (ablation): paper-exact Horn-SAT arc consistency
-// versus the bitset-domain worklist engine, across tree sizes. HornAC
-// materializes transitive relations (Θ(n²) program size); FastAC stays
-// near-linear.
-func BenchmarkACEngines(b *testing.B) {
-	q := cq.MustParse("Q() <- A(x), Child+(x, y), B(y), Child*(y, z), Child+(x, z)")
-	for _, n := range []int{200, 400, 800} {
-		rng := rand.New(rand.NewSource(3))
-		t := tree.Random(rng, tree.DefaultRandomConfig(n))
-		b.Run(fmt.Sprintf("fast/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				consistency.FastAC(t, q)
-			}
-		})
-		b.Run(fmt.Sprintf("horn/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				consistency.HornAC(t, q)
-			}
 		})
 	}
 }

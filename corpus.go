@@ -310,9 +310,8 @@ func WithBatchContext(ctx context.Context) BatchOption {
 
 // WithBatchWorkers bounds the batch's worker pool. The default (and any
 // n <= 0) is GOMAXPROCS; 1 evaluates documents sequentially on the
-// consumer's goroutine. This is fan-out across documents — per-document
-// enumeration parallelism is the prepared query's WithParallelism
-// setting, and the two multiply, so servers typically set exactly one.
+// consumer's goroutine. This is fan-out across documents; each
+// document's evaluation is sequential.
 func WithBatchWorkers(n int) BatchOption {
 	return func(c *batchConfig) { c.workers = n }
 }
@@ -447,8 +446,7 @@ func (c *Corpus) BoolSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[Boo
 			return BoolResult{Doc: m.Name, Query: q, Err: missingErr(m)}
 		},
 		func(ctx context.Context, j corpus.Job) (bool, error) {
-			pq := pqs[j.Query]
-			return pq.p.BoolDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
+			return pqs[j.Query].p.BoolDoc(j.Doc.Doc, core.EnumOptions{Ctx: ctx})
 		},
 		func(r corpus.Result[corpus.Job, bool]) BoolResult {
 			return BoolResult{Doc: r.Job.Doc.Name, Query: r.Job.Query, Sat: r.Value, Err: r.Err}
@@ -469,8 +467,7 @@ func (c *Corpus) NodesSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[No
 			return NodesResult{Doc: m.Name, Query: q, Err: missingErr(m)}
 		},
 		func(ctx context.Context, j corpus.Job) ([]NodeID, error) {
-			pq := pqs[j.Query]
-			return pq.p.MonadicDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
+			return pqs[j.Query].p.MonadicDoc(j.Doc.Doc, core.EnumOptions{Ctx: ctx})
 		},
 		func(r corpus.Result[corpus.Job, []NodeID]) NodesResult {
 			return NodesResult{Doc: r.Job.Doc.Name, Query: r.Job.Query, Nodes: r.Value, Err: r.Err}
@@ -490,8 +487,7 @@ func (c *Corpus) TuplesSet(pqs []*PreparedQuery, opts ...BatchOption) iter.Seq[T
 			return TuplesResult{Doc: m.Name, Query: q, Err: missingErr(m)}
 		},
 		func(ctx context.Context, j corpus.Job) ([][]NodeID, error) {
-			pq := pqs[j.Query]
-			return pq.p.AllDoc(j.Doc.Doc, core.EnumOptions{Parallel: pq.parallel, Ctx: ctx})
+			return pqs[j.Query].p.AllDoc(j.Doc.Doc, core.EnumOptions{Ctx: ctx})
 		},
 		func(r corpus.Result[corpus.Job, [][]NodeID]) TuplesResult {
 			return TuplesResult{Doc: r.Job.Doc.Name, Query: r.Job.Query, Tuples: r.Value, Err: r.Err}

@@ -428,18 +428,17 @@ func TestDocumentIndexBuiltOnce(t *testing.T) {
 	}
 }
 
-// TestNegativeParallelismClamped: WithParallelism and WithWorkers reject
-// negative worker counts by clamping to sequential, and 0/1 are
-// equivalent.
+// TestNegativeParallelismClamped: WithWorkers rejects negative worker
+// counts by clamping to sequential, and 0/1 are equivalent.
 func TestNegativeParallelismClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tr := tree.Random(rng, tree.RandomConfig{Nodes: 80, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}})
 	doc := Index(tr)
 	pq := MustCompile(strategyQueries["xproperty"])
-	want := nodesOf(t, pq, doc)
+	want, wantAll := nodesOf(t, pq, doc), allOf(t, pq, doc)
 	for _, workers := range []int{-7, -1, 0, 1} {
-		if got := nodesOf(t, pq.WithParallelism(workers), doc); !reflect.DeepEqual(got, want) {
-			t.Errorf("WithParallelism(%d): %v != %v", workers, got, want)
+		if got := allOf(t, pq, doc, WithWorkers(workers)); !reflect.DeepEqual(got, wantAll) {
+			t.Errorf("WithWorkers(%d): AllErr %v != %v", workers, got, wantAll)
 		}
 		if got, err := pq.NodesErr(doc, WithWorkers(workers)); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("WithWorkers(%d): %v (err %v) != %v", workers, got, err, want)

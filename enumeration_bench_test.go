@@ -11,11 +11,12 @@ package cqtrees
 //
 //	pertuple-AC   the per-candidate cost model — one FastAC pass, then a
 //	              from-scratch pinned arc-consistency run per candidate
-//	              (PolyEngine.CheckTuple), rebuilding domains each time.
+//	              (Scratch.PinnedFastACIx against one TreeIndex),
+//	              rebuilding domains each time.
 //	stream        PreparedQuery.NodeSeq (incremental pinned checks
 //	              seeded from the shared maximal prevaluation).
 //	materialize   PreparedQuery.NodesErr.
-//	parallel4     PreparedQuery.WithParallelism(4).NodesErr.
+//	parallel4     PreparedQuery.NodesErr with WithWorkers(4).
 //	first-answer  NodeSeq with an immediate break — the early-exit
 //	              price of an existence-style query.
 
@@ -73,10 +74,7 @@ func BenchmarkEnumeration(b *testing.B) {
 		name := fmt.Sprintf("n=%d/answers=%d", cfg.n, cfg.answers)
 
 		b.Run(name+"/pertuple-AC", func(b *testing.B) {
-			eng, err := core.NewPolyEngineFor(q)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ix, sc := consistency.NewTreeIndex(tr), consistency.NewScratch()
 			y := q.Head[0]
 			for i := 0; i < b.N; i++ {
 				p, ok := consistency.FastAC(tr, q)
@@ -85,7 +83,7 @@ func BenchmarkEnumeration(b *testing.B) {
 				}
 				count := 0
 				p.Sets[y].ForEach(func(v NodeID) bool {
-					if eng.CheckTuple(doc, q, []NodeID{v}) {
+					if _, ok := sc.PinnedFastACIx(ix, q, q.Head, []NodeID{v}); ok {
 						count++
 					}
 					return true
@@ -116,10 +114,8 @@ func BenchmarkEnumeration(b *testing.B) {
 			}
 		})
 		b.Run(name+"/parallel4", func(b *testing.B) {
-			par := pq.WithParallelism(4)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := nodesOf(b, par, doc); len(got) != cfg.answers {
+				if got := nodesOf(b, pq, doc, WithWorkers(4)); len(got) != cfg.answers {
 					b.Fatalf("count = %d", len(got))
 				}
 			}
@@ -161,10 +157,8 @@ func BenchmarkEnumeration(b *testing.B) {
 		}
 	})
 	b.Run("pair/n=4000/parallel4", func(b *testing.B) {
-		par := pq.WithParallelism(4)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := allOf(b, par, doc); len(got) != want {
+			if got := allOf(b, pq, doc, WithWorkers(4)); len(got) != want {
 				b.Fatalf("count = %d, want %d", len(got), want)
 			}
 		}

@@ -21,9 +21,9 @@ func collectTuples(pq *PreparedQuery, doc *Document) [][]NodeID {
 
 // allOf is the suite's materialized evaluation: AllErr on doc, failing
 // the test on error.
-func allOf(tb testing.TB, pq *PreparedQuery, doc *Document) [][]NodeID {
+func allOf(tb testing.TB, pq *PreparedQuery, doc *Document, opts ...EvalOption) [][]NodeID {
 	tb.Helper()
-	out, err := pq.AllErr(doc)
+	out, err := pq.AllErr(doc, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -31,9 +31,9 @@ func allOf(tb testing.TB, pq *PreparedQuery, doc *Document) [][]NodeID {
 }
 
 // nodesOf is allOf for a monadic query's sorted answer node set.
-func nodesOf(tb testing.TB, pq *PreparedQuery, doc *Document) []NodeID {
+func nodesOf(tb testing.TB, pq *PreparedQuery, doc *Document, opts ...EvalOption) []NodeID {
 	tb.Helper()
-	out, err := pq.NodesErr(doc)
+	out, err := pq.NodesErr(doc, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -169,9 +169,8 @@ func TestStreamingEarlyExit(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: WithParallelism(n).AllErr/NodesErr must return
-// exactly the sequential result on random trees and queries (and the
-// derived handle must leave the original sequential).
+// TestParallelMatchesSequential: AllErr/NodesErr with WithWorkers(n) must
+// return exactly the sequential result on random trees and queries.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	alphabet := []string{"A", "B", "C"}
@@ -190,20 +189,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 		doc := Index(tr)
 		want := allOf(t, pq, doc)
 		for _, workers := range []int{2, 4} {
-			par := pq.WithParallelism(workers)
-			if got := allOf(t, par, doc); !reflect.DeepEqual(got, want) {
+			par := WithWorkers(workers)
+			if got := allOf(t, pq, doc, par); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d (workers=%d): parallel All %v != sequential %v\nq = %s\ntree = %s",
 					cfg.name, trial, workers, got, want, q, tr)
 			}
 			if len(q.Head) == 1 {
-				if got, seq := nodesOf(t, par, doc), nodesOf(t, pq, doc); !reflect.DeepEqual(got, seq) {
+				if got, seq := nodesOf(t, pq, doc, par), nodesOf(t, pq, doc); !reflect.DeepEqual(got, seq) {
 					t.Fatalf("%s trial %d (workers=%d): parallel Nodes %v != sequential %v",
 						cfg.name, trial, workers, got, seq)
 				}
 			}
-		}
-		if got := allOf(t, pq, doc); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s trial %d: WithParallelism mutated the original handle", cfg.name, trial)
 		}
 	}
 }
@@ -224,10 +220,10 @@ func TestParallelEnumerationConcurrent(t *testing.T) {
 	}
 	for name, src := range queries {
 		t.Run(name, func(t *testing.T) {
-			pq := MustCompile(src).WithParallelism(4)
+			pq, par := MustCompile(src), WithWorkers(4)
 			want := make([][][]NodeID, len(docs))
 			for i, doc := range docs {
-				want[i] = allOf(t, pq, doc)
+				want[i] = allOf(t, pq, doc, par)
 				if len(want[i]) == 0 {
 					t.Fatalf("tree %d: want answers for a meaningful race test", i)
 				}
@@ -240,7 +236,7 @@ func TestParallelEnumerationConcurrent(t *testing.T) {
 					defer wg.Done()
 					for it := 0; it < 10; it++ {
 						i := (g + it) % len(docs)
-						got, err := pq.AllErr(docs[i])
+						got, err := pq.AllErr(docs[i], par)
 						if err != nil || !reflect.DeepEqual(got, want[i]) {
 							errs <- fmt.Errorf("goroutine %d tree %d: %v, %v != %v", g, i, got, err, want[i])
 							return

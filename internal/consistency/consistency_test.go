@@ -192,8 +192,8 @@ func TestPinnedACMatchesDefinition(t *testing.T) {
 		q := randomQuery(rng, testAxes, alphabet, 1+rng.Intn(3), rng.Intn(4), rng.Intn(2))
 		x := cq.Var(rng.Intn(q.NumVars()))
 		node := tree.NodeID(rng.Intn(n))
-		pf, okF := PinnedAC(EngineFast, tr, q, []cq.Var{x}, []tree.NodeID{node})
-		ph, okH := PinnedAC(EngineHorn, tr, q, []cq.Var{x}, []tree.NodeID{node})
+		pf, okF := pinnedFastAC(tr, q, []cq.Var{x}, []tree.NodeID{node})
+		ph, okH := HornACPinned(tr, q, []cq.Var{x}, []tree.NodeID{node})
 		if okF != okH {
 			t.Fatalf("trial %d: pinned engines disagree: fast %v horn %v", trial, okF, okH)
 		}

@@ -118,7 +118,7 @@ type PinBase struct {
 }
 
 // NewPinBase snapshots p — the maximal arc-consistent prevaluation of q on
-// t, as returned by FastAC/HornAC — into a fresh PinBase (with its own
+// t, as returned by FastAC — into a fresh PinBase (with its own
 // freshly built tree index). p's sets are copied; the caller may keep
 // using (or recycling) them afterwards.
 func NewPinBase(t *tree.Tree, q *cq.Query, p *Prevaluation) *PinBase {
@@ -278,9 +278,6 @@ func (sc *Scratch) PinRunFor(b *PinBase) *PinRun {
 
 // Depth returns the number of pins currently pushed.
 func (r *PinRun) Depth() int { return r.depth }
-
-// Base returns the snapshot the run enumerates over.
-func (r *PinRun) Base() *PinBase { return r.b }
 
 // words returns the current bitsets of variable x at stack depth d (d pins
 // applied).

@@ -23,9 +23,15 @@ func runDomains(r *PinRun, nv, n int) []*NodeSet {
 	return out
 }
 
+// pinnedFastAC is a from-scratch pinned FastAC run: fresh buffers and a
+// freshly built index on every call.
+func pinnedFastAC(t *tree.Tree, q *cq.Query, vars []cq.Var, nodes []tree.NodeID) (*Prevaluation, bool) {
+	return NewScratch().PinnedFastACIx(NewTreeIndex(t), q, vars, nodes)
+}
+
 // TestPinRunMatchesPinnedAC: an incremental Push from the maximal
 // arc-consistent snapshot must agree — consistency verdict AND resulting
-// domains — with a from-scratch PinnedAC run, for every (variable, node)
+// domains — with a from-scratch pinned FastAC run, for every (variable, node)
 // pin, across random trees and queries over the full axis set. This is the
 // soundness core of output-sensitive enumeration (pinned maximal AC is
 // contained in unpinned maximal AC).
@@ -49,7 +55,7 @@ func TestPinRunMatchesPinnedAC(t *testing.T) {
 		run := NewPinRun(base)
 		for x := 0; x < q.NumVars(); x++ {
 			for v := 0; v < tr.Len(); v++ {
-				want, wantOK := PinnedAC(EngineFast, tr, q, []cq.Var{cq.Var(x)}, []tree.NodeID{tree.NodeID(v)})
+				want, wantOK := pinnedFastAC(tr, q, []cq.Var{cq.Var(x)}, []tree.NodeID{tree.NodeID(v)})
 				gotOK := run.Push(cq.Var(x), tree.NodeID(v))
 				if gotOK != wantOK {
 					t.Fatalf("trial %d: pin %d=%d: incremental %v, from-scratch %v\nquery %s\ntree %s",
@@ -79,7 +85,7 @@ func TestPinRunMatchesPinnedAC(t *testing.T) {
 }
 
 // TestPinRunStackedPins: pushing two pins must agree with a from-scratch
-// PinnedAC run with both pins, and popping must restore the one-pin state
+// pinned FastAC run with both pins, and popping must restore the one-pin state
 // exactly (copy-on-write levels must not leak mutations downward).
 func TestPinRunStackedPins(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -104,7 +110,7 @@ func TestPinRunStackedPins(t *testing.T) {
 			}
 			oneDoms := runDomains(run, nv, tr.Len())
 			for v2 := 0; v2 < tr.Len(); v2++ {
-				want, wantOK := PinnedAC(EngineFast, tr, q,
+				want, wantOK := pinnedFastAC(tr, q,
 					[]cq.Var{x1, x2}, []tree.NodeID{tree.NodeID(v1), tree.NodeID(v2)})
 				gotOK := run.Push(x2, tree.NodeID(v2))
 				if gotOK != wantOK {
@@ -157,7 +163,7 @@ func TestPinBaseScratchReuse(t *testing.T) {
 		run := sc.PinRunFor(base)
 		x := cq.Var(rng.Intn(q.NumVars()))
 		for v := 0; v < tr.Len(); v++ {
-			want, wantOK := PinnedAC(EngineFast, tr, q, []cq.Var{x}, []tree.NodeID{tree.NodeID(v)})
+			want, wantOK := pinnedFastAC(tr, q, []cq.Var{x}, []tree.NodeID{tree.NodeID(v)})
 			if got := run.Push(x, tree.NodeID(v)); got != wantOK {
 				t.Fatalf("trial %d: pin %d=%d: scratch-backed incremental %v, from-scratch %v\nquery %s\ntree %s",
 					trial, x, v, got, wantOK, q, tr)

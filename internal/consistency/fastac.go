@@ -149,9 +149,10 @@ func supportedBwd(c *supportCtx, a axis.Axis, w tree.NodeID, dx *pinDom) bool {
 // FastAC computes the subset-maximal arc-consistent prevaluation of q on t
 // with an AC-3-style worklist over the label-filtered initial
 // prevaluation, reporting (nil, false) if some variable's set empties.
-// Unlike HornAC it never materializes axis relations: every support test
-// is a bit test or a first-alive-bit scan over the domain's order bitsets
-// (plus O(children) for Child and O(depth) for ancestor walks).
+// Unlike the Horn-SAT reduction it never materializes axis relations:
+// every support test is a bit test or a first-alive-bit scan over the
+// domain's order bitsets (plus O(children) for Child and O(depth) for
+// ancestor walks).
 func FastAC(t *tree.Tree, q *cq.Query) (*Prevaluation, bool) {
 	if q.NumVars() == 0 {
 		return &Prevaluation{}, true

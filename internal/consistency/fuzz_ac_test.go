@@ -111,7 +111,7 @@ func sameAC(p *consistency.Prevaluation, ok bool, want *consistency.Prevaluation
 //     prevaluation under every kernel policy (run one after another: the
 //     policy is process-wide);
 //   - every PinRun.Push(x, v) over that result agrees, verdict and
-//     domains, with PinnedAC(EngineHorn, ...);
+//     domains, with HornACPinned;
 //   - the MAC backtracking engine returns exactly the brute-force
 //     reference answers (when the reference search stays small).
 func FuzzArcConsistency(f *testing.F) {
@@ -135,7 +135,7 @@ func FuzzArcConsistency(f *testing.F) {
 			for x := range pins {
 				pins[x] = make([]pinned, n)
 				for v := range pins[x] {
-					p, ok := consistency.PinnedAC(consistency.EngineHorn, c.t, c.qd, []cq.Var{cq.Var(x)}, []tree.NodeID{tree.NodeID(v)})
+					p, ok := consistency.HornACPinned(c.t, c.qd, []cq.Var{cq.Var(x)}, []tree.NodeID{tree.NodeID(v)})
 					pins[x][v] = pinned{p, ok}
 				}
 			}

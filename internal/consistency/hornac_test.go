@@ -1,6 +1,15 @@
 package consistency
 
+// The paper-exact Horn-SAT arc consistency of Proposition 3.1, kept as the
+// test oracle of FastAC and of incremental pinning (PinRun). It is
+// exported from this _test.go file so that the external fuzz tests can
+// call it, while no binary links internal/hornsat.
+
 import (
+	"fmt"
+	"math/rand"
+	"testing"
+
 	"repro/internal/axis"
 	"repro/internal/cq"
 	"repro/internal/hornsat"
@@ -113,4 +122,83 @@ func HornACPinned(t *tree.Tree, q *cq.Query, vars []cq.Var, nodes []tree.NodeID)
 		p.Sets[x] = s
 	}
 	return p, true
+}
+
+// TestFastACMatchesHornACExhaustive: on every tree with <= 4 nodes over
+// {A, B}, FastAC and HornAC agree — verdict and prevaluation — on a fixed
+// battery of queries over X-property signatures.
+func TestFastACMatchesHornACExhaustive(t *testing.T) {
+	queries := []string{
+		"Q() <- A(x), Child+(x, y), B(y)",
+		"Q() <- Child*(x, y), Child+(y, z)",
+		"Q() <- A(x), Child+(x, y), Child+(x, z), B(y), B(z)",
+		"Q() <- Following(x, y), A(x), B(y)",
+		"Q() <- Following(x, y), Following(y, z)",
+		"Q() <- Child(x, y), NextSibling(y, z)",
+		"Q() <- NextSibling+(x, y), NextSibling*(y, z), Child(w, x)",
+		"Q() <- Child+(x, y), Child+(x, y)", // duplicate atom
+		"Q() <- Child*(x, x)",               // reflexive self-loop, always true
+	}
+	for _, src := range queries {
+		q := cq.MustParse(src)
+		tree.EnumerateAll(4, []string{"A", "B"}, func(tr *tree.Tree) bool {
+			checkFastAgainstHorn(t, tr, q)
+			return true
+		})
+	}
+}
+
+// TestFastACMatchesHornACExample45: Example 4.5's extension of τ1 =
+// {Child+, Child*} by Self, <pre (DocOrder) and Succ<pre (DocOrderSucc)
+// keeps both engines in agreement on random queries and trees (HornAC
+// enumerates the order extensions' predecessors directly, as they have no
+// inverse axis).
+func TestFastACMatchesHornACExample45(t *testing.T) {
+	sig := []axis.Axis{
+		axis.ChildPlus, axis.ChildStar, axis.Self,
+		axis.DocOrder, axis.DocOrderSucc,
+	}
+	rng := rand.New(rand.NewSource(45))
+	alphabet := []string{"A", "B"}
+	for trial := 0; trial < 150; trial++ {
+		tr := tree.Random(rng, tree.RandomConfig{
+			Nodes: 1 + rng.Intn(9), MaxChildren: 3, Alphabet: alphabet,
+		})
+		q := randomQuery(rng, sig, alphabet, 1+rng.Intn(3), rng.Intn(4), rng.Intn(2))
+		checkFastAgainstHorn(t, tr, q)
+	}
+}
+
+func checkFastAgainstHorn(t *testing.T, tr *tree.Tree, q *cq.Query) {
+	t.Helper()
+	pf, okF := FastAC(tr, q)
+	ph, okH := HornAC(tr, q)
+	if okF != okH {
+		t.Fatalf("fast %v, horn %v\nquery %s\ntree %s", okF, okH, q, tr)
+	}
+	if okF && !pf.Equal(ph) {
+		t.Fatalf("prevaluations differ\nquery %s\ntree %s", q, tr)
+	}
+}
+
+// BenchmarkACEngines (ablation): paper-exact Horn-SAT arc consistency
+// versus the bitset-domain worklist engine, across tree sizes. HornAC
+// materializes transitive relations (Θ(n²) program size); FastAC stays
+// near-linear.
+func BenchmarkACEngines(b *testing.B) {
+	q := cq.MustParse("Q() <- A(x), Child+(x, y), B(y), Child*(y, z), Child+(x, z)")
+	for _, n := range []int{200, 400, 800} {
+		rng := rand.New(rand.NewSource(3))
+		t := tree.Random(rng, tree.DefaultRandomConfig(n))
+		b.Run(fmt.Sprintf("fast/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				FastAC(t, q)
+			}
+		})
+		b.Run(fmt.Sprintf("horn/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				HornAC(t, q)
+			}
+		})
+	}
 }

@@ -9,19 +9,16 @@
 // Horn-SAT; Lemma 3.4 extracts a consistent valuation by taking minima
 // with respect to an order for which the structure has the X-property.
 //
-// Two engines are provided and cross-checked by tests:
-//
-//   - HornAC: the paper-exact reduction to Horn-SAT (Prop. 3.1), solved by
-//     linear-time unit resolution. It materializes axis relations and is
-//     linear in ‖A‖ — but ‖A‖ itself is Θ(n²) for transitive axes.
-//   - FastAC: an AC-3-style worklist that never materializes relations.
-//     Each domain is a set of bitsets over the pre-order, sibling-order
-//     and (preEnd, pre) numberings, loaded from the initial sets in
-//     O(|dom| + n/64); a revision either probes each alive candidate
-//     (a bit test, a child or ancestor walk, or a first-alive-bit scan of
-//     an interval) or intersects with a whole-domain axis image
-//     (kernels.go). The same worklist runs the incremental pinned
-//     propagation of enumeration and MAC search (enumerate.go).
+// The engine is FastAC, an AC-3-style worklist that never materializes
+// relations. Each domain is a set of bitsets over the pre-order,
+// sibling-order and (preEnd, pre) numberings, loaded from the initial
+// sets in O(|dom| + n/64); a revision either probes each alive candidate
+// (a bit test, a child or ancestor walk, or a first-alive-bit scan of an
+// interval) or intersects with a whole-domain axis image (kernels.go).
+// The same worklist runs the incremental pinned propagation of
+// enumeration and MAC search (enumerate.go). The paper-exact Horn-SAT
+// reduction of Prop. 3.1, solved by package hornsat, is its test oracle
+// and lives in this package's tests only.
 package consistency
 
 import (

@@ -87,9 +87,12 @@ func (sc *Scratch) FastACIx(ix *TreeIndex, q *cq.Query) (*Prevaluation, bool) {
 	return sc.FastACFromIx(ix, q, sc.InitialPrevaluationIx(ix, q))
 }
 
-// PinnedFastACIx is PinnedAC(EngineFast, ...) with sc's buffers against a
-// borrowed document index: arc consistency with vars[i] pinned to
-// {nodes[i]}. The result aliases Scratch-owned sets (see type doc).
+// PinnedFastACIx computes the maximal arc-consistent prevaluation of q
+// with vars[i] pinned to {nodes[i]}, with sc's buffers against a borrowed
+// document index. This realizes the tuple-membership construction below
+// Theorem 3.5: adding the singleton unary relations X_i = {a_i}, applied
+// as initial-domain restrictions. The result aliases Scratch-owned sets
+// (see type doc).
 func (sc *Scratch) PinnedFastACIx(ix *TreeIndex, q *cq.Query, vars []cq.Var, nodes []tree.NodeID) (*Prevaluation, bool) {
 	n := ix.t.Len()
 	if n == 0 && q.NumVars() > 0 {

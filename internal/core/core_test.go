@@ -115,7 +115,9 @@ func TestEngineMatchesOracleAnswers(t *testing.T) {
 
 func TestPolyEngineExhaustiveSmallTrees(t *testing.T) {
 	// Exhaustive check of the X-property engine on every tree with <= 4
-	// nodes over {A, B} for a fixed battery of tractable queries.
+	// nodes over {A, B} for a fixed battery of tractable queries (the
+	// FastAC-vs-HornAC leg is TestFastACMatchesHornACExhaustive in
+	// internal/consistency).
 	queries := []string{
 		"Q() <- A(x), Child+(x, y), B(y)",
 		"Q() <- Child*(x, y), Child+(y, z)",
@@ -129,58 +131,56 @@ func TestPolyEngineExhaustiveSmallTrees(t *testing.T) {
 	}
 	for _, src := range queries {
 		q := cq.MustParse(src)
-		pe, err := NewPolyEngineFor(q)
-		if err != nil {
-			t.Fatalf("query %s should be tractable: %v", src, err)
-		}
+		p := prepareXProperty(t, q)
 		tree.EnumerateAll(4, []string{"A", "B"}, func(tr *tree.Tree) bool {
 			want := ReferenceEvalBoolean(tr, q)
-			d := NewDocument(tr)
-			if got := pe.EvalBoolean(d, q); got != want {
+			if got, _ := p.BoolDoc(NewDocument(tr), EnumOptions{}); got != want {
 				t.Fatalf("%s on %s: poly %v, want %v", src, tr, got, want)
 			}
-			// Horn engine must agree too.
-			pe.SetAlgorithm(HornAC)
-			if got := pe.EvalBoolean(d, q); got != want {
-				t.Fatalf("%s on %s: horn %v, want %v", src, tr, got, want)
-			}
-			pe.SetAlgorithm(FastAC)
 			return true
 		})
 	}
 }
 
 func TestPolyEngineRejectsIntractableSignature(t *testing.T) {
-	q := cq.MustParse("Q() <- Child(x, y), Following(y, z)")
-	if _, err := NewPolyEngineFor(q); err == nil {
-		t.Errorf("expected error for {Child, Following}")
+	// {Child, Following} has no common X-property order (Theorem 1.1), so
+	// Prepare never routes a cyclic query over it to the X-property
+	// strategy.
+	q := cq.MustParse("Q() <- Child(x, y), Following(y, z), Child(x, z)")
+	if _, ok := axis.CommonXOrder(q.Signature()); ok {
+		t.Errorf("expected no common X-property order for {Child, Following}")
+	}
+	if got := MustPrepare(q).Plan().Strategy; got != StrategyBacktrack {
+		t.Errorf("strategy %v, want backtracking", got)
 	}
 }
 
 func TestPolyEngineCheckTuple(t *testing.T) {
+	// Tuple membership by the singleton-restriction argument below
+	// Theorem 3.5: pin each head variable to the tuple's node and test
+	// arc consistency.
 	tr := tree.MustParseTerm("A(B,C(B))")
 	q := cq.MustParse("Q(y) <- A(x), Child+(x, y), B(y)")
-	pe, err := NewPolyEngineFor(q)
-	if err != nil {
-		t.Fatal(err)
+	ix := consistency.NewTreeIndex(tr)
+	member := func(v tree.NodeID) bool {
+		_, ok := consistency.NewScratch().PinnedFastACIx(ix, q, q.Head, []tree.NodeID{v})
+		return ok
 	}
-	d := NewDocument(tr)
 	bs := tr.NodesWithLabel("B")
 	if len(bs) != 2 {
 		t.Fatal("expected 2 B nodes")
 	}
 	for _, b := range bs {
-		if !pe.CheckTuple(d, q, []tree.NodeID{b}) {
-			t.Errorf("CheckTuple(%d) should hold", b)
+		if !member(b) {
+			t.Errorf("tuple (%d) should be an answer", b)
 		}
 	}
 	c := tr.NodesWithLabel("C")[0]
-	if pe.CheckTuple(d, q, []tree.NodeID{c}) {
-		t.Errorf("CheckTuple(C) should fail (label)")
+	if member(c) {
+		t.Errorf("tuple (C) should not be an answer (label)")
 	}
-	root := tr.Root()
-	if pe.CheckTuple(d, q, []tree.NodeID{root}) {
-		t.Errorf("CheckTuple(root) should fail")
+	if member(tr.Root()) {
+		t.Errorf("tuple (root) should not be an answer")
 	}
 }
 

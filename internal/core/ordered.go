@@ -42,7 +42,7 @@ func (p *Prepared) orderedForEachTuple(d *Document, s *evalScratch, o EnumOption
 		p.orderedBacktrack(d, s, o, stop, fn)
 		return
 	}
-	pre, ok := runAC(p.alg, d, q, s.ac)
+	pre, ok := s.ac.FastACIx(d.ix, q)
 	if !ok {
 		return
 	}

@@ -88,7 +88,7 @@ func (p *Prepared) polyAllParallel(d *Document, workers int, stop func() bool) [
 	// no concurrent evaluation can rebind it.
 	s := p.scratch()
 	defer p.release(s)
-	pre, ok := runAC(p.alg, d, p.q, s.ac)
+	pre, ok := s.ac.FastACIx(d.ix, p.q)
 	if !ok {
 		return nil
 	}
@@ -99,20 +99,29 @@ func (p *Prepared) polyAllParallel(d *Document, workers int, stop func() bool) [
 		return nil
 	}
 	results := make([][][]tree.NodeID, len(cands))
+	asc := make([]OrderDir, len(head))
 	p.shard(workers, len(cands), stop, func(s *evalScratch) func(i int) {
-		run := s.ac.PinRunFor(base)
-		tuple := make([]tree.NodeID, len(head))
-		return func(i int) {
-			tuple[0] = cands[i]
-			if !run.Push(head[0], cands[i]) {
-				return
-			}
-			var local [][]tree.NodeID
-			polyEnumRec(run, head, 1, tuple, nil, func(tp []tree.NodeID) bool {
+		var local [][]tree.NodeID
+		// Levels >= 1 run the sequential stream's descent; the shard
+		// already checks stop between outer candidates.
+		e := orderedEnum{
+			run:  s.ac.PinRunFor(base),
+			head: head,
+			dirs: asc,
+			fn: func(tp []tree.NodeID) bool {
 				local = append(local, copyTuple(tp))
 				return true
-			})
-			run.Pop()
+			},
+			tuple: make([]tree.NodeID, len(head)),
+		}
+		return func(i int) {
+			e.tuple[0] = cands[i]
+			if !e.run.Push(head[0], cands[i]) {
+				return
+			}
+			local = nil
+			e.rec(1, false)
+			e.run.Pop()
 			results[i] = local
 		}
 	})
@@ -128,7 +137,7 @@ func (p *Prepared) polyMonadicParallel(d *Document, workers int, stop func() boo
 	out := []tree.NodeID{}
 	s := p.scratch()
 	defer p.release(s) // held across the shard; see polyAllParallel
-	pre, ok := runAC(p.alg, d, p.q, s.ac)
+	pre, ok := s.ac.FastACIx(d.ix, p.q)
 	if !ok {
 		return out
 	}

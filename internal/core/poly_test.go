@@ -10,21 +10,34 @@ import (
 	"repro/internal/tree"
 )
 
+// prepareXProperty prepares q and forces the X-property strategy onto it,
+// with the common X-property order of q's signature as the witnessing
+// order. Prepare routes acyclic queries to the acyclic strategy; the
+// tests of the X-property engine use this to run it on them too.
+func prepareXProperty(tb testing.TB, q *cq.Query) *Prepared {
+	tb.Helper()
+	order, ok := axis.CommonXOrder(q.Signature())
+	if !ok {
+		tb.Fatalf("no common X-property order for %s", q)
+	}
+	p := MustPrepare(q)
+	p.plan.Strategy = StrategyXProperty
+	p.order = order
+	return p
+}
+
 func TestPolyEngineBinaryAnswers(t *testing.T) {
 	// Binary (2-ary) answer enumeration on a tractable signature against
 	// the brute-force oracle.
 	rng := rand.New(rand.NewSource(88))
-	pe, err := NewPolyEngine([]axis.Axis{axis.ChildPlus, axis.ChildStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := cq.MustParse("Q(x, y) <- A(x), Child+(x, y), B(y)")
+	p := prepareXProperty(t, q)
 	for trial := 0; trial < 40; trial++ {
 		tr := tree.Random(rng, tree.RandomConfig{
 			Nodes: 1 + rng.Intn(8), MaxChildren: 3, Alphabet: []string{"A", "B"},
 		})
-		q := cq.MustParse("Q(x, y) <- A(x), Child+(x, y), B(y)")
 		want := ReferenceEvalAll(tr, q)
-		got := pe.EvalAll(NewDocument(tr), q)
+		got, _ := p.AllDoc(NewDocument(tr), EnumOptions{})
 		if len(want) != len(got) {
 			t.Fatalf("trial %d: %d answers, want %d on %s", trial, len(got), len(want), tr)
 		}
@@ -38,16 +51,12 @@ func TestPolyEngineBinaryAnswers(t *testing.T) {
 
 func TestPolyEngineBooleanAnswerShape(t *testing.T) {
 	d := NewDocument(tree.MustParseTerm("A(B)"))
-	pe, err := NewPolyEngine([]axis.Axis{axis.ChildPlus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sat := cq.MustParse("Q() <- A(x), Child+(x, y), B(y)")
-	if got := pe.EvalAll(d, sat); len(got) != 1 || len(got[0]) != 0 {
+	sat := prepareXProperty(t, cq.MustParse("Q() <- A(x), Child+(x, y), B(y)"))
+	if got, _ := sat.AllDoc(d, EnumOptions{}); len(got) != 1 || len(got[0]) != 0 {
 		t.Errorf("satisfiable Boolean query should yield one empty tuple: %v", got)
 	}
-	unsat := cq.MustParse("Q() <- B(x), Child+(x, y), A(y)")
-	if got := pe.EvalAll(d, unsat); got != nil {
+	unsat := prepareXProperty(t, cq.MustParse("Q() <- B(x), Child+(x, y), A(y)"))
+	if got, _ := unsat.AllDoc(d, EnumOptions{}); got != nil {
 		t.Errorf("unsatisfiable Boolean query should yield nil: %v", got)
 	}
 }
@@ -57,15 +66,12 @@ func TestPolyEngineSatisfactionUsesWitnessOrder(t *testing.T) {
 	// with respect to the witnessing order. For {Following} with <post,
 	// the returned nodes are the <post-minimal arc-consistent choices.
 	tr := tree.MustParseTerm("R(A,B,A,B)")
-	pe, err := NewPolyEngine([]axis.Axis{axis.Following})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pe.Order() != axis.PostOrder {
-		t.Fatalf("order = %v, want <post", pe.Order())
-	}
 	q := cq.MustParse("Q() <- A(x), Following(x, y), B(y)")
-	theta := pe.Satisfaction(NewDocument(tr), q)
+	p := prepareXProperty(t, q)
+	if p.order != axis.PostOrder {
+		t.Fatalf("order = %v, want <post", p.order)
+	}
+	theta := p.SatisfactionDoc(NewDocument(tr), EnumOptions{})
 	if theta == nil {
 		t.Fatal("satisfiable")
 	}
@@ -81,29 +87,12 @@ func TestPolyEngineSatisfactionUsesWitnessOrder(t *testing.T) {
 
 func TestPolyEngineEmptyTree(t *testing.T) {
 	empty := NewDocument(tree.NewBuilder(0).Build())
-	pe, err := NewPolyEngine([]axis.Axis{axis.ChildPlus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := cq.MustParse("Q() <- A(x)")
-	if pe.EvalBoolean(empty, q) {
+	if sat, _ := prepareXProperty(t, cq.MustParse("Q() <- A(x)")).BoolDoc(empty, EnumOptions{}); sat {
 		t.Errorf("query with variables cannot hold on the empty tree")
 	}
-	trivial := cq.MustParse("Q() <- true")
-	if !pe.EvalBoolean(empty, trivial) {
+	if sat, _ := prepareXProperty(t, cq.MustParse("Q() <- true")).BoolDoc(empty, EnumOptions{}); !sat {
 		t.Errorf("the empty conjunction holds vacuously")
 	}
-}
-
-func TestCheckTupleArityPanics(t *testing.T) {
-	pe, _ := NewPolyEngine([]axis.Axis{axis.ChildPlus})
-	q := cq.MustParse("Q(x) <- A(x)")
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic on arity mismatch")
-		}
-	}()
-	pe.CheckTuple(NewDocument(tree.MustParseTerm("A")), q, []tree.NodeID{0, 0})
 }
 
 func TestEngineStepsMetricMonotone(t *testing.T) {

@@ -66,7 +66,6 @@ type Prepared struct {
 
 	forest *shadowForest // StrategyAcyclic
 	order  axis.Order    // StrategyXProperty
-	alg    ACAlgorithm
 
 	pool sync.Pool // of *evalScratch
 }
@@ -90,7 +89,6 @@ func Prepare(q *cq.Query) (*Prepared, error) {
 		p.forest = f
 	case StrategyXProperty:
 		p.order = p.plan.Classification.Order
-		p.alg = FastAC
 	}
 	return p, nil
 }
@@ -192,21 +190,21 @@ func (o EnumOptions) validateOrdered(arity int) {
 	}
 }
 
-// limitWrap applies Offset/Limit to a tuple stream by wrapping its sink:
-// the first Offset answers are dropped, delivery stops the moment the
-// Limit-th answer has been passed to fn.
-func (o EnumOptions) limitWrap(fn func([]tree.NodeID) bool) func([]tree.NodeID) bool {
+// limitWrap applies o's Offset/Limit to a stream of answers (tuples or
+// nodes) by wrapping its sink: the first Offset answers are dropped,
+// delivery stops the moment the Limit-th answer has been passed to fn.
+func limitWrap[T any](o EnumOptions, fn func(T) bool) func(T) bool {
 	if o.Limit <= 0 && o.Offset <= 0 {
 		return fn
 	}
 	skip, taken := o.Offset, 0
-	return func(tuple []tree.NodeID) bool {
+	return func(answer T) bool {
 		if skip > 0 {
 			skip--
 			return true
 		}
 		taken++
-		if !fn(tuple) {
+		if !fn(answer) {
 			return false
 		}
 		return o.Limit <= 0 || taken < o.Limit
@@ -245,7 +243,7 @@ func (p *Prepared) BoolDoc(d *Document, o EnumOptions) (bool, error) {
 	case StrategyAcyclic:
 		sat = acyclicBool(d, p.q, p.forest, s)
 	case StrategyXProperty:
-		sat = polyBool(d, p.q, p.alg, s.ac)
+		_, sat = s.ac.FastACIx(d.ix, p.q) // Theorem 3.5
 	case StrategyBacktrack:
 		sat = s.backtracker().evalBoolean(d, p.q, o.stop())
 	default:
@@ -269,7 +267,7 @@ func (p *Prepared) SatisfactionDoc(d *Document, o EnumOptions) consistency.Valua
 	case StrategyAcyclic:
 		return acyclicSatisfaction(d, p.q, p.forest, s)
 	case StrategyXProperty:
-		return polySatisfaction(d, p.q, p.order, p.alg, s.ac)
+		return polySatisfaction(d, p.q, p.order, s.ac)
 	case StrategyBacktrack:
 		return s.backtracker().satisfaction(d, p.q, o.stop())
 	default:
@@ -282,7 +280,8 @@ func (p *Prepared) SatisfactionDoc(d *Document, o EnumOptions) consistency.Valua
 // returns false, so prefix-limited and existence queries cost only the
 // answers actually consumed. Nothing is materialized; the tuple slice is
 // reused between calls — copy it to retain. Tuples arrive in a
-// strategy-dependent order (not necessarily lexicographic); AllDoc sorts.
+// strategy-dependent order (not necessarily lexicographic; document order
+// under the X-property strategy); AllDoc sorts.
 // For Boolean queries fn is called once with an empty tuple if the query
 // is satisfiable. The returned error is the context's cancellation error,
 // if any (the stream just stops at the cancel point).
@@ -293,9 +292,10 @@ func (p *Prepared) ForEachTupleDoc(d *Document, o EnumOptions, fn func(tuple []t
 	s := p.scratch()
 	defer p.release(s)
 	stop := o.stop()
-	fn = o.limitWrap(fn)
-	if o.ordered(len(p.q.Head)) {
-		o.validateOrdered(len(p.q.Head))
+	fn = limitWrap(o, fn)
+	arity := len(p.q.Head)
+	if o.ordered(arity) {
+		o.validateOrdered(arity)
 		p.orderedForEachTuple(d, s, o, stop, fn)
 		return o.err()
 	}
@@ -303,7 +303,12 @@ func (p *Prepared) ForEachTupleDoc(d *Document, o EnumOptions, fn func(tuple []t
 	case StrategyAcyclic:
 		acyclicForEachTuple(d, p.q, p.forest, s, stop, fn)
 	case StrategyXProperty:
-		polyForEachTuple(d, p.q, p.alg, s.ac, stop, fn)
+		if arity > 0 {
+			// Unordered streams run the ordered descent in document order.
+			p.orderedForEachTuple(d, s, EnumOptions{Order: make([]OrderDir, arity)}, stop, fn)
+		} else if _, sat := s.ac.FastACIx(d.ix, p.q); sat {
+			fn(nil)
+		}
 	case StrategyBacktrack:
 		s.backtracker().forEachTuple(d, p.q, stop, fn)
 	default:
@@ -328,32 +333,17 @@ func (p *Prepared) ForEachNodeDoc(d *Document, o EnumOptions, fn func(v tree.Nod
 	s := p.scratch()
 	defer p.release(s)
 	stop := o.stop()
+	fn = limitWrap(o, fn)
 	if o.ordered(1) {
 		o.validateOrdered(1)
-		p.orderedForEachTuple(d, s, o, stop,
-			o.limitWrap(func(tuple []tree.NodeID) bool { return fn(tuple[0]) }))
+		p.orderedForEachTuple(d, s, o, stop, func(tuple []tree.NodeID) bool { return fn(tuple[0]) })
 		return o.err()
-	}
-	if o.Limit > 0 || o.Offset > 0 {
-		inner := fn
-		skip, taken := o.Offset, 0
-		fn = func(v tree.NodeID) bool {
-			if skip > 0 {
-				skip--
-				return true
-			}
-			taken++
-			if !inner(v) {
-				return false
-			}
-			return o.Limit <= 0 || taken < o.Limit
-		}
 	}
 	switch p.plan.Strategy {
 	case StrategyAcyclic:
 		acyclicForEachNode(d, p.q, p.forest, s, stop, fn)
 	case StrategyXProperty:
-		polyForEachNode(d, p.q, p.alg, s.ac, stop, fn)
+		polyForEachNode(d, p.q, s.ac, stop, fn)
 	case StrategyBacktrack:
 		tuple1 := func(tuple []tree.NodeID) bool { return fn(tuple[0]) }
 		s.backtracker().forEachTuple(d, p.q, stop, tuple1)

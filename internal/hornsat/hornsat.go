@@ -1,7 +1,9 @@
 // Package hornsat implements propositional Horn-SAT with a linear-time
 // unit-resolution solver in the style of Minoux's LTUR algorithm
 // [Minoux 1988], the engine behind the arc-consistency computation of
-// Proposition 3.1 in "Conjunctive Queries over Trees".
+// Proposition 3.1 in "Conjunctive Queries over Trees". That computation
+// is the test oracle of package consistency's FastAC; no binary links
+// this package.
 //
 // A Horn program is a set of definite clauses head ← body (body a possibly
 // empty conjunction of propositional atoms). Solve computes the unique

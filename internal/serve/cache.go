@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 
 	cqtrees "repro"
 )
@@ -26,9 +27,27 @@ import (
 // relation, with complete=false when enumeration stopped early because
 // the relation outgrew the per-entry cache budget (such values are never
 // stored — see computeDoc — but are still served to the waiting callers).
+//
+// A capped row is the first cap tuples of the engine's stream, sorted,
+// whether or not a cache is configured. pos[i] is tuples[i]'s position in
+// that stream, so one value can serve any cap (renderCached keeps the
+// tuples whose position is below it). A cache-off server records no
+// positions: its values are never shared, and computeDoc already stops
+// at the requesting cap.
 type cachedRelation struct {
 	tuples   [][]cqtrees.NodeID
+	pos      []int32
 	complete bool
+}
+
+// Len, Less and Swap sort the tuples together with their stream positions.
+func (r cachedRelation) Len() int { return len(r.tuples) }
+func (r cachedRelation) Less(i, j int) bool {
+	return slices.Compare(r.tuples[i], r.tuples[j]) < 0
+}
+func (r cachedRelation) Swap(i, j int) {
+	r.tuples[i], r.tuples[j] = r.tuples[j], r.tuples[i]
+	r.pos[i], r.pos[j] = r.pos[j], r.pos[i]
 }
 
 // missingDocErr is the error Corpus.GetErr reports for a document the
@@ -51,7 +70,9 @@ func missingDocErr(name string) error {
 // least cap tuples are in hand, and one more arrives, it stops: that
 // tuple only witnesses the truncation and is not kept, and the remaining
 // work could benefit no one. Under the nil cache (budget 0) the value is
-// therefore the first cap tuples of the engine's stream, sorted.
+// therefore the first cap tuples of the engine's stream, sorted; under a
+// real cache it also records every tuple's stream position (4 bytes a
+// tuple, counted in the size) for renderCached.
 func (s *Server) computeDoc(ctx context.Context, pq *cqtrees.PreparedQuery, mode, name string, capN int) (any, int64, error) {
 	doc, err := s.corpus.GetErr(name)
 	if err != nil {
@@ -80,19 +101,28 @@ func (s *Server) computeDoc(ctx context.Context, pq *cqtrees.PreparedQuery, mode
 				break
 			}
 			out = append(out, t)
-			bytes += 32 + 4*int64(len(t))
+			bytes += 36 + 4*int64(len(t)) // slice header, position, nodes
 		}
 		// The tuple iterator goes silent on cancellation; surface it as the
 		// row error unless we stopped on purpose first.
 		if err := ctx.Err(); err != nil && !stopped {
 			return nil, 0, err
 		}
-		slices.SortFunc(out, slices.Compare[[]cqtrees.NodeID]) // the batch iterators' order
+		rel := cachedRelation{tuples: out, complete: !stopped}
+		if budget > 0 {
+			rel.pos = make([]int32, len(out))
+			for i := range rel.pos {
+				rel.pos[i] = int32(i)
+			}
+			sort.Sort(rel) // the batch iterators' order
+		} else {
+			slices.SortFunc(out, slices.Compare[[]cqtrees.NodeID])
+		}
 		size := bytes
 		if stopped {
 			size = budget + 1 // incomplete relations must never cache
 		}
-		return cachedRelation{tuples: out, complete: !stopped}, size, nil
+		return rel, size, nil
 	}
 }
 
@@ -100,7 +130,8 @@ func (s *Server) computeDoc(ctx context.Context, pq *cqtrees.PreparedQuery, mode
 // response row under the request's answer cap. Cached tuple relations are
 // complete, so re-capping at render time serves any cap from one entry;
 // an incomplete relation (never cached, but shared with singleflight
-// followers) is truncated by construction.
+// followers) is truncated by construction. A capped row keeps the tuples
+// among the stream's first capN, in sorted order (see cachedRelation).
 func renderCached(row *evalResult, mode string, v any, capN int) {
 	switch mode {
 	case "bool":
@@ -113,10 +144,16 @@ func renderCached(row *evalResult, mode string, v any, capN int) {
 		tuples := rel.tuples
 		truncated := !rel.complete
 		if capN > 0 && len(tuples) > capN {
-			tuples = tuples[:capN]
+			// Only a cache-on value (with positions) can exceed the cap.
+			tuples = make([][]cqtrees.NodeID, 0, capN)
+			for i, p := range rel.pos {
+				if int(p) < capN {
+					tuples = append(tuples, rel.tuples[i])
+				}
+			}
 			truncated = true
 		}
-		// The slice aliases the cached value; rows are only ever encoded,
+		// The tuples alias the cached value; rows are only ever encoded,
 		// never mutated (the cache package's immutability contract).
 		row.Tuples = tuples
 		row.Truncated = truncated

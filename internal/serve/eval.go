@@ -51,8 +51,9 @@ type evalRequest struct {
 // Nodes or Tuples) is set unless Error is non-empty; empty node and
 // tuple sets are omitted from the JSON (a row with neither field nor
 // error is a successful empty result). Truncated marks a tuples row cut
-// at the answer cap — the tuples present are a genuine prefix-by-count of
-// the answer relation, not the whole of it.
+// at the answer cap — the tuples present are the first cap tuples of the
+// engine's answer stream, sorted, not the whole relation; the same
+// request returns the same row with the result cache on or off.
 type evalResult struct {
 	Doc       string             `json:"doc"`
 	Sat       *bool              `json:"sat,omitempty"`

@@ -431,12 +431,11 @@ func TestEvalNDJSONTruncation(t *testing.T) {
 
 // TestMaxAnswersServerCap: the operator's -max-answers is a ceiling the
 // request may tighten but never extend. A capped row holds the first cap
-// tuples of the engine's stream, sorted, when the result cache is off,
-// and the sorted relation's cap-prefix when a cached complete relation
-// is re-capped.
+// tuples of the engine's stream, sorted, whether the result cache is off
+// or a cached complete relation is re-capped.
 func TestMaxAnswersServerCap(t *testing.T) {
 	// Backtracking emits this relation out of lexicographic order, so the
-	// two capped renderings differ.
+	// stream's cap-prefix differs from the sorted relation's.
 	const term, src, capN = "A(B(C),C,B,C(C))", "Q(z, y) <- A(x), Child(x, y), B(y), Child+(x, z), C(z), Following(y, z)", 3
 	pq := cqtrees.MustCompile(src)
 	doc := cqtrees.Index(cqtrees.MustParseTree(term))
@@ -474,13 +473,13 @@ func TestMaxAnswersServerCap(t *testing.T) {
 				Truncated bool               `json:"truncated"`
 			} `json:"results"`
 		}
-		wantStatus(t, do(t, h, "POST", "/eval", fmt.Sprintf(`{"source": %q, "docs": ["mixed"]}`, src), &capped), http.StatusOK)
-		want := streamed
-		if cfg.CacheBytes > 0 {
-			want = full[:capN]
-		}
-		if len(capped.Results) != 1 || !capped.Results[0].Truncated || !reflect.DeepEqual(capped.Results[0].Tuples, want) {
-			t.Fatalf("cache bytes %d: capped row %+v, want truncated %v", cfg.CacheBytes, capped.Results, want)
+		// The second request is a cache hit when the cache is on.
+		for pass := 0; pass < 2; pass++ {
+			capped.Results = nil
+			wantStatus(t, do(t, h, "POST", "/eval", fmt.Sprintf(`{"source": %q, "docs": ["mixed"]}`, src), &capped), http.StatusOK)
+			if len(capped.Results) != 1 || !capped.Results[0].Truncated || !reflect.DeepEqual(capped.Results[0].Tuples, streamed) {
+				t.Fatalf("cache bytes %d pass %d: capped row %+v, want truncated %v", cfg.CacheBytes, pass, capped.Results, streamed)
+			}
 		}
 	}
 }

@@ -32,10 +32,6 @@ import (
 //   - Pagination: Paginate returns one ordered page and a resume cursor.
 type PreparedQuery struct {
 	p *core.Prepared
-	// parallel is the worker count for materialized enumeration (AllErr,
-	// NodesErr); 0 or 1 means sequential. Set via
-	// WithParallelism, overridable per call with WithWorkers.
-	parallel int
 }
 
 // Prepare compiles q for repeated evaluation. The query is cloned
@@ -83,29 +79,6 @@ func MustCompile(src string) *PreparedQuery {
 	return pq
 }
 
-// WithParallelism returns a handle on the same compiled query whose
-// materialized enumeration calls (AllErr and NodesErr) shard the
-// outer candidate loop across the given number of worker goroutines (each
-// worker borrows its own pooled evaluation scratch). The receiver is not
-// modified; both handles share the compiled plan and scratch pool and
-// remain safe for concurrent use.
-//
-// workers <= 1 restores sequential evaluation: 0 and 1 are equivalent,
-// and negative counts are rejected by clamping to 0 (they are never
-// stored). Parallelism applies to AllErr under the acyclic and X-property
-// strategies and to NodesErr under the X-property strategy; backtracking
-// evaluation is inherently sequential and ignores it, and NodesErr on an
-// acyclic query is always sequential (its fast path returns the
-// semijoin-reduced head set directly, already O(answer) — there is no
-// outer loop to shard). Streaming (Tuples, NodeSeq) is always
-// sequential — the callback contract is single-goroutine.
-func (pq *PreparedQuery) WithParallelism(workers int) *PreparedQuery {
-	if workers < 0 {
-		workers = 0
-	}
-	return &PreparedQuery{p: pq.p, parallel: workers}
-}
-
 // EvalOption tunes one evaluation call of the Document-based tiers
 // (Tuples, NodeSeq, BoolErr, AllErr, NodesErr, Paginate).
 type EvalOption func(*evalConfig)
@@ -135,9 +108,17 @@ func WithContext(ctx context.Context) EvalOption {
 	return func(c *evalConfig) { c.ctx = ctx }
 }
 
-// WithWorkers overrides the handle's parallelism (see WithParallelism)
-// for one call. As there, 0 and 1 both mean sequential and negative
-// counts clamp to 0.
+// WithWorkers makes one materialized enumeration call (AllErr, NodesErr)
+// shard the outer candidate loop across the given number of worker
+// goroutines, each borrowing its own pooled evaluation scratch. 0 and 1
+// both mean sequential (the default), and negative counts clamp to 0.
+// Parallelism applies to AllErr under the acyclic and X-property
+// strategies and to NodesErr under the X-property strategy; backtracking
+// evaluation is inherently sequential and ignores it, and NodesErr on an
+// acyclic query is always sequential (its fast path returns the
+// semijoin-reduced head set directly, already O(answer) — there is no
+// outer loop to shard). Streaming (Tuples, NodeSeq) and ordered calls are
+// always sequential.
 func WithWorkers(workers int) EvalOption {
 	return func(c *evalConfig) {
 		if workers < 0 {
@@ -209,7 +190,7 @@ func WithDocVersion(v uint64) EvalOption {
 // query. The returned config carries the fully padded direction spec and
 // document version for cursor minting.
 func (pq *PreparedQuery) resolve(opts []EvalOption) (evalConfig, core.EnumOptions, error) {
-	c := evalConfig{workers: pq.parallel}
+	var c evalConfig
 	for _, o := range opts {
 		o(&c)
 	}
@@ -285,8 +266,9 @@ func (pq *PreparedQuery) arity() int { return len(pq.p.Query().Head) }
 //	}
 //
 // Each yielded tuple is freshly allocated and owned by the consumer (safe
-// for slices.Collect and for retaining without a copy). Tuples arrive in a strategy-dependent order (AllErr sorts; this
-// does not). For Boolean queries one empty tuple is yielded if the query is
+// for slices.Collect and for retaining without a copy). Tuples arrive in
+// a strategy-dependent order (document order under the X-property
+// strategy; AllErr sorts, this does not). For Boolean queries one empty tuple is yielded if the query is
 // satisfiable. If a WithContext context is cancelled mid-iteration the
 // sequence just stops — use AllErr to observe the cancellation error.
 // Invalid order/cursor options likewise end the sequence before the first

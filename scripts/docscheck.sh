@@ -22,8 +22,9 @@
 #
 #  4. The serving binaries stay lean. `go list -deps` of cmd/cqserve,
 #     cmd/cqload and cmd/cqeval must not reach internal/xprop, onethree,
-#     succinct or treebank — the paper-experiment packages the layer map
-#     says the serving binaries never link.
+#     succinct, treebank or dominance — the paper-experiment packages the
+#     layer map says the serving binaries never link — nor internal/hornsat,
+#     the test oracle of internal/consistency.
 #
 # Exit status: 0 clean, 1 lint failure, 2 usage/IO error.
 
@@ -120,7 +121,7 @@ done <<<"$mapped"
 # ---- 4. serving binaries never link the experiment packages -------------
 module="$(go list -m)"
 deps="$(go list -deps ./cmd/cqserve ./cmd/cqload ./cmd/cqeval)"
-for pkg in xprop onethree succinct treebank; do
+for pkg in xprop onethree succinct treebank dominance hornsat; do
 	if grep -qx "$module/internal/$pkg" <<<"$deps"; then
 		echo "FAIL serving binaries (cqserve, cqload, cqeval) link internal/$pkg" >&2
 		fail=1
