@@ -8,7 +8,7 @@ package cqtrees
 // mismatch), so the CI smoke run also guards the reuse guarantee.
 //
 // The kernel rank tables (parent/first-child/sibling pre-rank arrays and
-// the internal-node words behind consistency.Image/Preimage) are part of
+// the internal-node words behind the consistency image kernels) are part of
 // the same TreeIndex construction, so these assertions also prove the
 // bulk-revise kernels add zero extra index builds: the counts below are
 // unchanged from before the tables existed.

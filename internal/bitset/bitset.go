@@ -9,8 +9,9 @@
 // The helpers come in two families: point operations (Test/Set/Clear) and
 // word-parallel sweeps (AnyIn, FillRange, AndInto, the shifts) that touch 64
 // elements per machine word. The sweeps are what make the bulk semijoin
-// revise of consistency.Image profitable: a whole domain's axis image is a
-// handful of fills and gathers instead of a per-node probe loop.
+// revise of the consistency package's image kernels profitable: a whole
+// domain's axis image is a handful of fills and gathers instead of a
+// per-node probe loop.
 package bitset
 
 import "math/bits"

@@ -3,6 +3,7 @@ package consistency
 import (
 	"fmt"
 
+	"repro/internal/axis"
 	"repro/internal/bitset"
 	"repro/internal/cq"
 	"repro/internal/tree"
@@ -40,22 +41,26 @@ import (
 
 // --- PinBase --------------------------------------------------------------
 
-// domWords is one variable's alive set stored three ways: as a bitset over
-// pre-order ranks, over sibling-order ranks, and over positions in the
-// (preEnd, pre) order. It is the package's only domain representation:
-// the axis support tests probe it through pinDom (fastac.go), and the bulk
-// image kernels (kernels.go) read its pre-rank words.
+// domWords is one variable's alive set stored up to three ways: as a
+// bitset over pre-order ranks, over sibling-order ranks, and over
+// positions in the (preEnd, pre) order. It is the package's only domain
+// representation: the axis support tests probe it through pinDom
+// (fastac.go), and the bulk image kernels (kernels.go) read its pre-rank
+// words. The sibling-order and preEnd words are kept only when some atom
+// of the bound query has an axis whose probe reads them (PinBase.bind);
+// otherwise they are empty and every update skips them.
 type domWords struct {
 	pre    []uint64
 	sib    []uint64
 	preEnd []uint64
 }
 
-// reset makes w the empty set over nw words, reusing its backing arrays.
-func (w *domWords) reset(nw int) {
-	w.pre = bitset.Grow(w.pre, nw)
-	w.sib = bitset.Grow(w.sib, nw)
-	w.preEnd = bitset.Grow(w.preEnd, nw)
+// reset makes w the empty set over b's universe, with the orderings b's
+// query reads, reusing w's backing arrays.
+func (w *domWords) reset(b *PinBase) {
+	w.pre = bitset.Grow(w.pre, b.nw)
+	w.sib = bitset.Grow(w.sib, b.sibNW)
+	w.preEnd = bitset.Grow(w.preEnd, b.preEndNW)
 }
 
 // copyFrom makes w a private copy of o, reusing w's backing arrays.
@@ -67,30 +72,53 @@ func (w *domWords) copyFrom(o domWords) {
 
 func (w *domWords) add(ix *TreeIndex, v tree.NodeID) {
 	bitset.Set(w.pre, ix.t.Pre(v))
-	bitset.Set(w.sib, ix.sibRank[v])
-	bitset.Set(w.preEnd, ix.preEndPos[v])
+	if len(w.sib) > 0 {
+		bitset.Set(w.sib, ix.sibRank[v])
+	}
+	if len(w.preEnd) > 0 {
+		bitset.Set(w.preEnd, ix.preEndPos[v])
+	}
 }
 
-func (w *domWords) remove(ix *TreeIndex, v tree.NodeID) {
-	bitset.Clear(w.pre, ix.t.Pre(v))
-	bitset.Clear(w.sib, ix.sibRank[v])
-	bitset.Clear(w.preEnd, ix.preEndPos[v])
+// removeAll deletes the nodes of the given pre ranks.
+func (w *domWords) removeAll(ix *TreeIndex, prs []int32) {
+	for _, pr := range prs {
+		bitset.Clear(w.pre, pr)
+	}
+	if len(w.sib) > 0 {
+		for _, pr := range prs {
+			bitset.Clear(w.sib, ix.sibRank[ix.t.ByPre(pr)])
+		}
+	}
+	if len(w.preEnd) > 0 {
+		for _, pr := range prs {
+			bitset.Clear(w.preEnd, ix.preEndPos[ix.t.ByPre(pr)])
+		}
+	}
 }
 
 // load makes w the bitsets of s's members in O(|s| + n/64).
-func (w *domWords) load(ix *TreeIndex, s *NodeSet) {
-	n := ix.t.Len()
-	w.reset(bitset.Words(n))
-	if n > 0 && s.Len() == n {
-		bitset.FillRange(w.pre, 0, int32(n)-1)
-		bitset.FillRange(w.sib, 0, int32(n)-1)
-		bitset.FillRange(w.preEnd, 0, int32(n)-1)
+func (w *domWords) load(b *PinBase, s *NodeSet) {
+	w.reset(b)
+	if b.n > 0 && s.Len() == b.n {
+		for _, words := range [3][]uint64{w.pre, w.sib, w.preEnd} {
+			bitset.FillRange(words, 0, int32(b.n)-1) // no-op on an unkept ordering
+		}
 		return
 	}
+	// The common case keeps only the pre-rank words: scatter them alone,
+	// without add's ordering tests.
+	pre, t := w.pre, b.t
 	s.ForEach(func(v tree.NodeID) bool {
-		w.add(ix, v)
+		bitset.Set(pre, t.Pre(v))
 		return true
 	})
+	if len(w.sib) > 0 || len(w.preEnd) > 0 {
+		s.ForEach(func(v tree.NodeID) bool {
+			w.add(b.ix, v)
+			return true
+		})
+	}
 }
 
 // PinBase is an immutable snapshot of the subset-maximal arc-consistent
@@ -106,6 +134,11 @@ type PinBase struct {
 	n  int // number of tree nodes
 	nw int // words per bitset
 	nv int // number of query variables
+
+	// sibNW and preEndNW are the word counts of a domain's sibling-order
+	// and preEnd-order bitsets: nw when some atom's axis probes them, 0
+	// otherwise.
+	sibNW, preEndNW int
 
 	ix      *TreeIndex // borrowed document index (orderings, preEnd values)
 	sctx    supportCtx
@@ -148,6 +181,16 @@ func (b *PinBase) bind(ix *TreeIndex, q *cq.Query) {
 	b.ix = ix
 	b.sctx = supportCtx{t: t, n: int32(n), sibRank: ix.sibRank, sibStart: ix.sibStart}
 
+	b.sibNW, b.preEndNW = 0, 0
+	for _, at := range q.Atoms {
+		switch at.Axis {
+		case axis.NextSiblingPlus, axis.NextSiblingStar, axis.PrevSiblingPlus, axis.PrevSiblingStar:
+			b.sibNW = b.nw // anySibIn, either direction
+		case axis.Following, axis.Preceding:
+			b.preEndNW = b.nw // minPreEnd, either direction
+		}
+	}
+
 	for len(b.atomsStore) < nv {
 		b.atomsStore = append(b.atomsStore, nil)
 	}
@@ -177,7 +220,7 @@ func (b *PinBase) init(ix *TreeIndex, q *cq.Query, p *Prevaluation) {
 	for x := 0; x < nv; x++ {
 		b.setStore[x].copyFrom(p.Sets[x])
 		b.sets[x] = &b.setStore[x]
-		b.words[x].load(ix, b.sets[x])
+		b.words[x].load(b, b.sets[x])
 	}
 }
 
@@ -241,8 +284,8 @@ func (lv *pinLevel) ensure(nv int) {
 }
 
 // load makes x's domain at this level a private copy of s.
-func (lv *pinLevel) load(ix *TreeIndex, x cq.Var, s *NodeSet) {
-	lv.own[x].load(ix, s)
+func (lv *pinLevel) load(b *PinBase, x cq.Var, s *NodeSet) {
+	lv.own[x].load(b, s)
 	lv.cur[x], lv.owned[x], lv.count[x] = lv.own[x], true, int32(s.Len())
 }
 
@@ -334,7 +377,7 @@ func (r *PinRun) Push(x cq.Var, v tree.NodeID) bool {
 		return false // v already pruned from x's domain
 	}
 	// Pin: x's bitsets become the singleton {v}.
-	lv.own[x].reset(b.nw)
+	lv.own[x].reset(b)
 	lv.own[x].add(b.ix, v)
 	lv.cur[x], lv.owned[x], lv.count[x] = lv.own[x], true, 1
 	if _, ok := r.propagate(lv, b.atomsOf[x]); !ok {
@@ -419,9 +462,11 @@ func (r *PinRun) propagate(lv *pinLevel, seed []int32) (Stats, bool) {
 // revise prunes the candidates of one side of atom at — x when fwd, y
 // otherwise — that lack support in the other side's current domain, and
 // returns the number removed. Dense domains revise through the bulk kernel
-// (support = Preimage/Image of the other side's alive set, one pass over
+// (support = preimage/image of the other side's alive set, one pass over
 // the words); sparse ones probe per alive candidate. Both paths compute
-// the identical removal set; ReviseWithKernel documents the break-even.
+// the identical removal set; reviseWithKernel documents the break-even.
+// The removed pre ranks stay in r.removeBuf, ascending, until the next
+// revise.
 func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
 	b := r.b
 	tgt, sup := at.X, at.Y
@@ -431,12 +476,12 @@ func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
 	r.viewT.b, r.viewT.domWords = b, lv.cur[tgt]
 	r.viewS.b, r.viewS.domWords = b, lv.cur[sup]
 	r.removeBuf = r.removeBuf[:0]
-	if ReviseWithKernel(int(lv.count[tgt]), b.n) {
+	if reviseWithKernel(int(lv.count[tgt]), b.n) {
 		r.imgBuf = bitset.Resize(r.imgBuf, b.nw)
 		if fwd {
-			Preimage(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
+			preimage(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
 		} else {
-			Image(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
+			image(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
 		}
 		r.removeBuf = appendUnsupported(r.removeBuf, r.viewT.pre, r.imgBuf)
 	} else {
@@ -456,9 +501,7 @@ func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
 	}
 	if len(r.removeBuf) > 0 {
 		lv.ownVar(tgt)
-		for _, pr := range r.removeBuf {
-			lv.cur[tgt].remove(b.ix, b.t.ByPre(pr))
-		}
+		lv.cur[tgt].removeAll(b.ix, r.removeBuf)
 		lv.count[tgt] -= int32(len(r.removeBuf))
 	}
 	return len(r.removeBuf)

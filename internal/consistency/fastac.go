@@ -201,50 +201,104 @@ func (sc *Scratch) FastACFromStats(t *tree.Tree, q *cq.Query, init *Prevaluation
 }
 
 // fastACFromStatsIx is the worklist body against a borrowed document
-// index: it loads init's sets into the Scratch's bitset domains in
-// O(|dom| + n/64) per variable, runs the shared worklist seeded with every
-// atom, and writes the survivors back. The returned prevaluation's sets
-// are init's sets.
+// index: it loads init's sets into the Scratch's bitset domains, runs the
+// shared worklist seeded with every atom, and writes the survivors back.
+// The returned prevaluation's sets are init's sets.
 func (sc *Scratch) fastACFromStatsIx(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*Prevaluation, Stats, bool) {
-	t := ix.t
-	n := t.Len()
-	nv := q.NumVars()
-	if nv == 0 {
-		return &Prevaluation{}, Stats{}, true
-	}
-	if n == 0 {
+	lv, ok := sc.loadLevel(ix, q, init)
+	if !ok {
 		return nil, Stats{}, false
 	}
+	sc.allAtoms = sc.allAtoms[:0]
+	for i := range q.Atoms {
+		sc.allAtoms = append(sc.allAtoms, int32(i))
+	}
+	stats, ok := sc.acRun.propagate(lv, sc.allAtoms)
+	if !ok {
+		return nil, stats, false
+	}
+	p := &Prevaluation{Sets: make([]*NodeSet, len(init.Sets))}
+	for x, s := range init.Sets {
+		if int(lv.count[x]) < s.Len() {
+			storePre(ix.t, s, lv.cur[x].pre)
+		}
+		p.Sets[x] = s
+	}
+	return p, stats, true
+}
+
+// Semijoin is one step of a fixed revise schedule: it prunes the
+// candidates of atom Atom's left-hand variable that lack a support in the
+// right-hand variable's domain (Fwd), or those of the right-hand variable
+// against the left-hand one (!Fwd).
+type Semijoin struct {
+	Atom int32
+	Fwd  bool
+}
+
+// SemijoinIx runs a fixed schedule of revise steps — the FastAC
+// worklist's revise, kernel or probe — once each and in order, over the
+// label-filtered initial prevaluation against a borrowed document index.
+// It stops with (nil, false) as soon as a domain empties. Yannakakis' two
+// passes over a forest-shaped query (postorder up, then preorder down) are
+// such a schedule, and they reach the maximal arc-consistent prevaluation
+// without a worklist. The result aliases Scratch-owned sets (see type doc).
+func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin) (*Prevaluation, bool) {
+	init := sc.InitialPrevaluationIx(ix, q)
+	lv, ok := sc.loadLevel(ix, q, init)
+	if !ok {
+		return nil, false
+	}
+	r := &sc.acRun
+	for _, st := range steps {
+		at := q.Atoms[st.Atom]
+		tgt := at.X
+		if !st.Fwd {
+			tgt = at.Y
+		}
+		if r.revise(lv, at, st.Fwd) == 0 {
+			continue
+		}
+		if lv.count[tgt] == 0 {
+			return nil, false
+		}
+		// Mirror the step into init's set by the removals or by a rebuild
+		// from the survivors, whichever is smaller.
+		if s := init.Sets[tgt]; len(r.removeBuf) <= int(lv.count[tgt]) {
+			for _, pr := range r.removeBuf {
+				s.Remove(ix.t.ByPre(pr))
+			}
+		} else {
+			storePre(ix.t, s, lv.cur[tgt].pre)
+		}
+	}
+	return init, true
+}
+
+// loadLevel binds the Scratch's AC run to ix and q and loads init's sets
+// into its level 0 in O(|dom| + n/64) per variable. It reports false if
+// some set is empty.
+func (sc *Scratch) loadLevel(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*pinLevel, bool) {
 	b, r := &sc.acBase, &sc.acRun
 	b.bind(ix, q)
 	r.b, r.depth = b, 0
 	lv := r.level(0)
 	for x, s := range init.Sets {
 		if s.Empty() {
-			return nil, Stats{}, false
+			return nil, false
 		}
-		lv.load(ix, cq.Var(x), s)
+		lv.load(b, cq.Var(x), s)
 	}
-	sc.allAtoms = sc.allAtoms[:0]
-	for i := range q.Atoms {
-		sc.allAtoms = append(sc.allAtoms, int32(i))
-	}
-	stats, ok := r.propagate(lv, sc.allAtoms)
-	if !ok {
-		return nil, stats, false
-	}
-	p := &Prevaluation{Sets: make([]*NodeSet, nv)}
-	for x, s := range init.Sets {
-		if int(lv.count[x]) < s.Len() {
-			s.Reset(n)
-			bitset.ForEach(lv.cur[x].pre, func(pr int32) bool {
-				s.Add(t.ByPre(pr))
-				return true
-			})
-		}
-		p.Sets[x] = s
-	}
-	return p, stats, true
+	return lv, true
+}
+
+// storePre makes s the set of the nodes whose pre ranks pre holds.
+func storePre(t *tree.Tree, s *NodeSet, pre []uint64) {
+	s.Reset(t.Len())
+	bitset.ForEach(pre, func(pr int32) bool {
+		s.Add(t.ByPre(pr))
+		return true
+	})
 }
 
 // sortByKey sorts idx by ascending key[idx[i]] (bottom-up merge sort into

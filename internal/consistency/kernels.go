@@ -27,10 +27,14 @@ package consistency
 //     TreeIndex; NextSibling+/* and PrevSibling+/* are segment prefix-OR
 //     sweeps over the sibling-consecutive numbering.
 //
-// A revise step then becomes "dom &= Image(...)": the per-axis work is a
+// A revise step then becomes "dom &= image(...)": the per-axis work is a
 // few linear passes instead of |dom| successor probes, which is the
-// winning trade on dense domains (see ReviseWithKernel for the density
-// heuristic and KernelPolicy for the test override).
+// winning trade on dense domains (see reviseWithKernel for the density
+// heuristic and KernelPolicy for the test override). The package has one
+// revise step, PinRun.revise, and both tractable cases run it: the FastAC
+// worklist and the pinned propagation for X-property signatures, and a
+// fixed Yannakakis schedule of steps (Scratch.SemijoinIx) for acyclic
+// queries.
 
 import (
 	"fmt"
@@ -41,7 +45,7 @@ import (
 	"repro/internal/bitset"
 )
 
-// Image computes the forward axis image of src under a:
+// image computes the forward axis image of src under a:
 //
 //	dst = {u : ∃w ∈ src, a(w, u)}
 //
@@ -50,9 +54,9 @@ import (
 // clear in src). dst is overwritten entirely and must not alias src.
 //
 // The backward revise of atom R(x, y) keeps w ∈ dom(y) iff w ∈
-// Image(a, dom(x)); the forward revise keeps v ∈ dom(x) iff v ∈
-// Preimage(a, dom(y)).
-func Image(a axis.Axis, ix *TreeIndex, src, dst []uint64) {
+// image(a, dom(x)); the forward revise keeps v ∈ dom(x) iff v ∈
+// preimage(a, dom(y)).
+func image(a axis.Axis, ix *TreeIndex, src, dst []uint64) {
 	bitset.ZeroAll(dst)
 	n := int32(len(ix.subtreeEnd))
 	if n == 0 {
@@ -260,21 +264,21 @@ func Image(a axis.Axis, ix *TreeIndex, src, dst []uint64) {
 		clearTail(dst, n)
 
 	default:
-		panic(fmt.Sprintf("consistency: Image of invalid axis %d", int(a)))
+		panic(fmt.Sprintf("consistency: image of invalid axis %d", int(a)))
 	}
 }
 
-// Preimage computes the backward axis image of src under a:
+// preimage computes the backward axis image of src under a:
 //
 //	dst = {v : ∃w ∈ src, a(v, w)}
 //
-// i.e. the support set of a forward revise. Same bitset contract as Image.
-// For invertible axes this is Image under the inverse axis; the order
+// i.e. the support set of a forward revise. Same bitset contract as image.
+// For invertible axes this is image under the inverse axis; the order
 // extensions DocOrder and DocOrderSucc (no named inverse) are computed
 // directly.
-func Preimage(a axis.Axis, ix *TreeIndex, src, dst []uint64) {
+func preimage(a axis.Axis, ix *TreeIndex, src, dst []uint64) {
 	if inv, ok := a.TryInverse(); ok {
-		Image(inv, ix, src, dst)
+		image(inv, ix, src, dst)
 		return
 	}
 	bitset.ZeroAll(dst)
@@ -291,7 +295,7 @@ func Preimage(a axis.Axis, ix *TreeIndex, src, dst []uint64) {
 	case axis.DocOrderSucc:
 		bitset.ShiftDownOne(dst, src)
 	default:
-		panic(fmt.Sprintf("consistency: Preimage of invalid axis %d", int(a)))
+		panic(fmt.Sprintf("consistency: preimage of invalid axis %d", int(a)))
 	}
 }
 
@@ -357,20 +361,15 @@ var kernelPolicy atomic.Int32
 // with evaluation: in-flight revises pick whichever policy they observe.
 func SetKernelPolicy(p KernelPolicy) { kernelPolicy.Store(int32(p)) }
 
-// CurrentKernelPolicy returns the active policy.
-func CurrentKernelPolicy() KernelPolicy { return KernelPolicy(kernelPolicy.Load()) }
-
-// ReviseWithKernel is the density heuristic of the revise step: use the
+// reviseWithKernel is the density heuristic of the revise step: use the
 // bulk kernel when the domain being revised holds at least one alive
 // candidate per machine word of the universe (alive*64 >= n). Below that,
 // the kernel's fixed cost — touching every word of the universe, O(n/64)
 // word ops plus the per-axis sweep — exceeds the probe loop's support
 // probes, one per alive candidate (a bit test or walk, or a
-// first-alive-bit scan that stops at the nearest supporter). Exported for
-// the core strategies, which apply the same policy to their semijoin
-// passes.
-func ReviseWithKernel(alive, n int) bool {
-	switch CurrentKernelPolicy() {
+// first-alive-bit scan that stops at the nearest supporter).
+func reviseWithKernel(alive, n int) bool {
+	switch KernelPolicy(kernelPolicy.Load()) {
 	case KernelAlways:
 		return true
 	case KernelNever:

@@ -4,7 +4,7 @@ package consistency
 // w ∈ dom(y) with Axis(v, w)" — through the per-node probe loop (one
 // supportedFwd per alive candidate against the support side's bitset
 // domain, as the worklist runs it on sparse domains) versus the bulk
-// image kernel (Preimage + word diff), across tree sizes and support-side
+// image kernel (preimage + word diff), across tree sizes and support-side
 // domain densities. Before any timing, every configuration cross-checks
 // the two paths' support counts and fails the benchmark on mismatch — so
 // the CI `-benchtime=1x` smoke run doubles as a kernel-vs-oracle check.
@@ -52,18 +52,25 @@ func BenchmarkRevise(b *testing.B) {
 			if dySet.Empty() {
 				dySet.Add(tree.NodeID(rng.Intn(n)))
 			}
+			// Bind a query over every benchmarked axis, so the domains
+			// keep each ordering some probe below reads.
+			bq := cq.New()
+			bx, by := bq.AddVar("x"), bq.AddVar("y")
+			for _, a := range reviseAxes {
+				bq.AddAtom(a, bx, by)
+			}
 			base := &PinBase{}
-			base.bind(ix, cq.New())
+			base.bind(ix, bq)
 			dx, dy := &pinDom{b: base}, &pinDom{b: base}
-			dx.load(ix, FullNodeSet(n))
-			dy.load(ix, dySet)
+			dx.load(base, FullNodeSet(n))
+			dy.load(base, dySet)
 			sctx := &base.sctx
 			img := make([]uint64, bitset.Words(n))
 
 			for _, a := range reviseAxes {
 				// Self-check: the kernel support set must match the probe
 				// loop node for node.
-				Preimage(a, ix, dy.pre, img)
+				preimage(a, ix, dy.pre, img)
 				probeSupported := 0
 				for v := 0; v < n; v++ {
 					if supportedFwd(sctx, a, tree.NodeID(v), dy) {
@@ -90,7 +97,7 @@ func BenchmarkRevise(b *testing.B) {
 				})
 				b.Run(name+"/kernel", func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						Preimage(a, ix, dy.pre, img)
+						preimage(a, ix, dy.pre, img)
 						removals := 0
 						for wi := range img {
 							removals += bits.OnesCount64(dx.pre[wi] &^ img[wi])

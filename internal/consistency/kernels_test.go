@@ -75,7 +75,7 @@ func wordsEqual(a, b []uint64) bool {
 
 // TestKernelsMatchOracle: for every axis, random trees (up to ~500 nodes)
 // and random domains including the empty/full/singleton shapes, the bulk
-// Image and Preimage kernels must equal the per-node
+// image and preimage kernels must equal the per-node
 // ForEachSuccessor/Holds brute force, bit for bit in both directions.
 func TestKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -89,14 +89,14 @@ func TestKernelsMatchOracle(t *testing.T) {
 			for kind := 0; kind < 8; kind++ {
 				src := randomPreDomain(rng, n, kind)
 				for _, a := range axis.All() {
-					Image(a, ix, src, dst)
+					image(a, ix, src, dst)
 					if want := oracleImage(tr, a, src); !wordsEqual(dst, want) {
-						t.Fatalf("trial %d (n=%d kids<=%d kind=%d): Image(%v) mismatch\nsrc  %v\ngot  %v\nwant %v\ntree %s",
+						t.Fatalf("trial %d (n=%d kids<=%d kind=%d): image(%v) mismatch\nsrc  %v\ngot  %v\nwant %v\ntree %s",
 							trial, n, maxKids, kind, a, ranks(src), ranks(dst), ranks(want), tr)
 					}
-					Preimage(a, ix, src, dst)
+					preimage(a, ix, src, dst)
 					if want := oraclePreimage(tr, a, src); !wordsEqual(dst, want) {
-						t.Fatalf("trial %d (n=%d kids<=%d kind=%d): Preimage(%v) mismatch\nsrc  %v\ngot  %v\nwant %v\ntree %s",
+						t.Fatalf("trial %d (n=%d kids<=%d kind=%d): preimage(%v) mismatch\nsrc  %v\ngot  %v\nwant %v\ntree %s",
 							trial, n, maxKids, kind, a, ranks(src), ranks(dst), ranks(want), tr)
 					}
 				}

@@ -6,11 +6,12 @@ import (
 )
 
 // Scratch holds the per-call mutable buffers of arc-consistency runs: the
-// per-variable bitset domains and worklist of FastAC, the NodeSets of the
-// initial prevaluation, and the pin base/run storage of incremental
-// enumeration and MAC search. A Scratch amortizes all per-call allocations
-// of repeated evaluation; it is NOT safe for concurrent use — pool
-// Scratches (one per goroutine) instead.
+// per-variable bitset domains of FastAC and of the semijoin schedule
+// (SemijoinIx), FastAC's worklist, the NodeSets of the initial
+// prevaluation, and the pin base/run storage of incremental enumeration
+// and MAC search. A Scratch amortizes all per-call allocations of repeated
+// evaluation; it is NOT safe for concurrent use — pool Scratches (one per
+// goroutine) instead.
 //
 // Tree-derived structures are not owned here: every *Ix entry point
 // borrows an immutable TreeIndex (shared document-wide; see core.Document).
@@ -19,8 +20,8 @@ import (
 // initial prevaluation alias Scratch-owned sets: they are valid only until
 // the next call on the same Scratch.
 type Scratch struct {
-	acBase     PinBase // FastAC: the query binding (no snapshot sets)
-	acRun      PinRun  // FastAC: level 0 holds the domains being revised
+	acBase     PinBase // FastAC, SemijoinIx: the query binding (no snapshot sets)
+	acRun      PinRun  // FastAC, SemijoinIx: level 0 holds the domains being revised
 	allAtoms   []int32 // FastAC: the worklist seed, every atom
 	initSets   []*NodeSet
 	labeledBuf []int32

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/axis"
-	"repro/internal/bitset"
 	"repro/internal/consistency"
 	"repro/internal/cq"
 	"repro/internal/tree"
@@ -17,7 +16,9 @@ import (
 // the candidate sets globally consistent, after which answers enumerate
 // backtrack-free. It works on every tree structure and every acyclic query
 // regardless of signature — acyclicity, not the X-property, supplies
-// tractability here.
+// tractability here. The two passes are a fixed schedule of revise steps,
+// built once at Prepare and run by the consistency package's one revise
+// (the same kernel-or-probe step as the FastAC worklist).
 
 // shadowForest is a rooted-forest view of an acyclic query graph.
 type shadowForest struct {
@@ -34,6 +35,11 @@ type shadowForest struct {
 	// variables in parent-before-child order — the variables enumeration
 	// assigns. Derived once at build time; see computeHeadOrder.
 	headOrder []cq.Var
+	// schedule is Yannakakis' semijoin program over the linking atoms:
+	// postorder up (prune each parent against its child), then preorder
+	// down (prune each child against its parent). Derived once at build
+	// time and run by acyclicReduce.
+	schedule []consistency.Semijoin
 }
 
 // buildShadowForest roots each component of the shadow; returns an error
@@ -105,6 +111,20 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 		dfs(r)
 	}
 	f.headOrder = computeHeadOrder(q, f)
+	// The linking atom is R(parent, child) when linkDown: the parent is
+	// then the atom's left-hand side (a forward revise going up) and the
+	// child its right-hand side (a backward revise going down).
+	f.schedule = make([]consistency.Semijoin, 0, 2*(n-len(f.roots)))
+	for _, x := range f.postorder {
+		if f.parent[x] != cq.NilVar {
+			f.schedule = append(f.schedule, consistency.Semijoin{Atom: int32(f.linkAtom[x]), Fwd: f.linkDown[x]})
+		}
+	}
+	for i := len(f.postorder) - 1; i >= 0; i-- {
+		if x := f.postorder[i]; f.parent[x] != cq.NilVar {
+			f.schedule = append(f.schedule, consistency.Semijoin{Atom: int32(f.linkAtom[x]), Fwd: !f.linkDown[x]})
+		}
+	}
 	return f, nil
 }
 
@@ -150,145 +170,28 @@ func (f *shadowForest) atomHolds(t *tree.Tree, c cq.Var, vp, vc tree.NodeID) boo
 	return axis.Holds(t, at.Axis, vc, vp)
 }
 
-// semijoinPrune removes from keep every node without an atom-support in
-// against: with forward=true it keeps v iff ∃w ∈ against: a(v, w) (v on
-// the atom's left-hand side), with forward=false it keeps w iff ∃v ∈
-// against: a(v, w). Large semijoins run through the bulk axis image
-// kernels — scatter `against` to pre-rank words, one whole-set kernel
-// pass, then an O(|keep|) membership filter — turning the nested
-// O(|keep|·|against|) probe loop into a few linear sweeps; small ones keep
-// the nested loop (the kernel's fixed O(n) cost would dominate). The two
-// paths compute the identical surviving set.
-func semijoinPrune(d *Document, s *evalScratch, a axis.Axis, keep, against *consistency.NodeSet, forward bool) {
-	t := d.t
-	doomed := s.doomed[:0]
-	defer func() { s.doomed = doomed[:0] }()
-	if useSemijoinKernel(keep.Len(), against.Len(), t.Len()) {
-		nw := bitset.Words(t.Len())
-		s.srcWords = bitset.Grow(s.srcWords, nw)
-		s.imgWords = bitset.Resize(s.imgWords, nw)
-		against.ForEach(func(w tree.NodeID) bool {
-			bitset.Set(s.srcWords, t.Pre(w))
-			return true
-		})
-		if forward {
-			consistency.Preimage(a, d.ix, s.srcWords, s.imgWords)
-		} else {
-			consistency.Image(a, d.ix, s.srcWords, s.imgWords)
-		}
-		keep.ForEach(func(v tree.NodeID) bool {
-			if !bitset.Test(s.imgWords, t.Pre(v)) {
-				doomed = append(doomed, v)
-			}
-			return true
-		})
-		for _, v := range doomed {
-			keep.Remove(v)
-		}
-		return
-	}
-	keep.ForEach(func(v tree.NodeID) bool {
-		found := false
-		against.ForEach(func(w tree.NodeID) bool {
-			u1, u2 := v, w
-			if !forward {
-				u1, u2 = w, v
-			}
-			if axis.Holds(t, a, u1, u2) {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
-			doomed = append(doomed, v)
-		}
-		return true
-	})
-	for _, v := range doomed {
-		keep.Remove(v)
-	}
-}
-
-// useSemijoinKernel is the acyclic engine's density heuristic: the nested
-// probe loop costs ~|keep|·|against| axis tests, the kernel path
-// O(|against| + n + |keep|) — break-even near |keep|·|against| = n. The
-// consistency package's KernelPolicy override applies here too, so the
-// parity tests can pin either path.
-func useSemijoinKernel(keep, against, n int) bool {
-	switch consistency.CurrentKernelPolicy() {
-	case consistency.KernelAlways:
-		return true
-	case consistency.KernelNever:
-		return false
-	}
-	return keep*against >= n
-}
-
 // acyclicReduce runs the two semijoin passes and returns the globally
 // consistent candidate sets, or ok=false if some set empties. The returned
 // sets are scratch-owned: valid until the scratch's next use.
 func acyclicReduce(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) ([]*consistency.NodeSet, bool) {
-	init := s.ac.InitialPrevaluationIx(d.ix, q)
-	sets := init.Sets
-	// Bottom-up: prune parent candidates lacking a consistent child value.
-	// The linking atom is R(parent, child) when linkDown — the parent is
-	// then the atom's left-hand side (forward semijoin) — and
-	// R(child, parent) otherwise.
-	for _, x := range f.postorder {
-		p := f.parent[x]
-		if p == cq.NilVar {
-			continue
-		}
-		if sets[x].Empty() {
-			return nil, false
-		}
-		at := q.Atoms[f.linkAtom[x]]
-		semijoinPrune(d, s, at.Axis, sets[p], sets[x], f.linkDown[x])
+	p, ok := s.ac.SemijoinIx(d.ix, q, f.schedule)
+	if !ok {
+		return nil, false
 	}
-	// Top-down: prune child candidates lacking a consistent parent value
-	// (the child is the atom's right-hand side when linkDown).
-	for i := len(f.postorder) - 1; i >= 0; i-- {
-		x := f.postorder[i]
-		p := f.parent[x]
-		if p == cq.NilVar {
-			if sets[x].Empty() {
-				return nil, false
-			}
-			continue
-		}
-		at := q.Atoms[f.linkAtom[x]]
-		semijoinPrune(d, s, at.Axis, sets[x], sets[p], !f.linkDown[x])
-		if sets[x].Empty() {
-			return nil, false
-		}
-	}
-	return sets, true
+	return p.Sets, true
 }
 
 // acyclicBool decides an acyclic query against a prebuilt shadow forest:
 // satisfiable iff the semijoin reduction leaves every candidate set
-// nonempty.
+// nonempty (an empty conjunction always is, an empty tree never).
 func acyclicBool(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) bool {
-	if q.NumVars() == 0 {
-		return true // empty conjunction
-	}
-	if d.t.Len() == 0 {
-		return false
-	}
 	_, ok := acyclicReduce(d, q, f, s)
 	return ok
 }
 
 // acyclicSatisfaction returns one consistent valuation, or nil.
 func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) consistency.Valuation {
-	if q.NumVars() == 0 {
-		return consistency.Valuation{}
-	}
 	t := d.t
-	if t.Len() == 0 {
-		return nil
-	}
 	sets, ok := acyclicReduce(d, q, f, s)
 	if !ok {
 		return nil
@@ -364,14 +267,11 @@ func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 		}
 		return
 	}
-	t := d.t
-	if t.Len() == 0 {
-		return
-	}
 	sets, ok := acyclicReduce(d, q, f, s)
 	if !ok {
 		return
 	}
+	t := d.t
 	theta := make(consistency.Valuation, q.NumVars())
 	tuple := make([]tree.NodeID, len(q.Head))
 	// headOrder always contains every head variable (head components are
@@ -392,9 +292,6 @@ func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 // (Yannakakis), so every surviving candidate of the head variable extends
 // to a full solution and the reduced set IS the answer.
 func acyclicForEachNode(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, stop func() bool, fn func(v tree.NodeID) bool) {
-	if d.t.Len() == 0 {
-		return
-	}
 	sets, ok := acyclicReduce(d, q, f, s)
 	if !ok {
 		return

@@ -13,7 +13,8 @@ import (
 
 // TestStrategiesKernelPathParity: all three strategies (Yannakakis/acyclic,
 // X-property, backtracking) must produce byte-identical answer sets whether
-// their revise/semijoin steps run through the per-node probe loops
+// their revise steps — the acyclic semijoin schedule and the FastAC/pinned
+// worklists run the same one — go through the per-node probe loops
 // (KernelNever), the bulk image kernels (KernelAlways), or the production
 // density heuristic (KernelAuto) — and, on small inputs, match the
 // brute-force reference enumeration.
@@ -76,7 +77,7 @@ func TestStrategiesKernelPathParity(t *testing.T) {
 
 // TestEachStrategyKernelParity pins one query per strategy and checks
 // probe-vs-kernel parity on a larger tree, where the density heuristic
-// genuinely mixes paths: the acyclic semijoins, the X-property pinned
+// genuinely mixes paths: the acyclic semijoin schedule, the X-property pinned
 // enumeration, and the MAC backtracking search must each return identical
 // answers under every kernel policy.
 func TestEachStrategyKernelParity(t *testing.T) {

@@ -19,19 +19,13 @@ import (
 var ErrNotMonadic = errors.New("query is not monadic")
 
 // evalScratch bundles the per-call mutable state of one evaluation: the
-// arc-consistency buffers, the semijoin doom-list of the acyclic engine,
-// and a private backtracking engine (which carries search counters). One
-// evalScratch serves one evaluation at a time; Prepared pools them so
-// concurrent calls each borrow their own.
+// arc-consistency buffers (which also run the acyclic engine's semijoin
+// schedule) and a private backtracking engine (which carries search
+// counters). One evalScratch serves one evaluation at a time; Prepared
+// pools them so concurrent calls each borrow their own.
 type evalScratch struct {
-	ac     *consistency.Scratch
-	doomed []tree.NodeID
-	// srcWords/imgWords are the pre-rank word buffers of the kernel-based
-	// semijoin passes (acyclic.go): the candidate set scattered to pre
-	// ranks, and its whole-set axis image.
-	srcWords []uint64
-	imgWords []uint64
-	bt       *BacktrackEngine
+	ac *consistency.Scratch
+	bt *BacktrackEngine
 }
 
 func newEvalScratch() *evalScratch {
@@ -52,8 +46,7 @@ func (s *evalScratch) backtracker() *BacktrackEngine {
 // work (acyclicity analysis, the shadow-forest decomposition, the common
 // X-property order search) happens in Prepare; evaluating the Prepared
 // against a Document only pays the per-call cost, reusing pooled scratch
-// buffers so repeated evaluation stops re-allocating domain tables and
-// semijoin buffers.
+// buffers so repeated evaluation stops re-allocating domain tables.
 //
 // Evaluation is Document-centric: every method takes a shared *Document
 // (tree indexes built once, by NewDocument).
