@@ -88,11 +88,12 @@ func WithEvictionHook(fn func(name string, doc *Document)) CorpusOption {
 // WithInvalidationHook registers a callback invoked (outside the corpus
 // lock) whenever cached results derived from the named document can no
 // longer be trusted or retained: Swap replacement, Remove, budget
-// eviction, and dehydration to a disk stub. It is the corpus-side feed
-// for result caches — on every departure or replacement the hook fires
-// with the document's name, regardless of whether the document's bytes
-// were still resident. Hydration does NOT fire it: bringing a stub back
-// into memory restores the same content under the same version.
+// eviction of a memory-only document, and quarantine of a bad snapshot.
+// It is the corpus-side feed for result caches — on every departure or
+// replacement the hook fires with the document's name, regardless of
+// whether the document's bytes were still resident. Dehydration to a
+// disk stub and hydration do NOT fire it: they change residency, not
+// content, and the document keeps its version across them.
 func WithInvalidationHook(fn func(name string)) CorpusOption {
 	return func(c *corpusConfig) { c.onInvalidate = fn }
 }

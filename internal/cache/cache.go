@@ -231,7 +231,8 @@ func (c *Cache) Put(k Key, v any, size int64) {
 
 // InvalidateDoc drops every entry for the named document — all queries,
 // versions, and modes — and returns how many were dropped. Called by the
-// corpus invalidation hook on Swap, Remove, eviction, and dehydration.
+// corpus invalidation hook on Swap, Remove, memory-only eviction and
+// quarantine; dehydration keeps a document's entries.
 func (c *Cache) InvalidateDoc(doc string) int {
 	if c == nil {
 		return 0

@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -328,14 +329,30 @@ func TestFastACStats(t *testing.T) {
 	}
 }
 
-func TestSortByKey(t *testing.T) {
-	idx := []int32{0, 1, 2, 3, 4}
-	key := []int64{50, 10, 40, 10, 0}
-	sortByKey(idx, key, make([]int32, len(idx)))
-	want := []int32{4, 1, 3, 2, 0}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("sortByKey = %v, want %v", idx, want)
+// TestPreEndOrder: the index's (preEnd, pre) order — preEndPos and its
+// value table preEndVal — is the nodes sorted by preEnd, ties by pre.
+func TestPreEndOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		tr := tree.Random(rng, tree.DefaultRandomConfig(1+rng.Intn(300)))
+		ix := NewTreeIndex(tr)
+		n := tr.Len()
+		want := make([]tree.NodeID, n)
+		for v := range want {
+			want[v] = tree.NodeID(v)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if tr.PreEnd(a) != tr.PreEnd(b) {
+				return tr.PreEnd(a) < tr.PreEnd(b)
+			}
+			return tr.Pre(a) < tr.Pre(b)
+		})
+		for pos, v := range want {
+			if ix.preEndPos[v] != int32(pos) || ix.preEndVal[pos] != tr.PreEnd(v) {
+				t.Fatalf("trial %d: node %d at position %d (value %d), want %d (value %d)",
+					trial, v, ix.preEndPos[v], ix.preEndVal[pos], pos, tr.PreEnd(v))
+			}
 		}
 	}
 }

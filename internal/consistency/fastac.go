@@ -243,7 +243,13 @@ type Semijoin struct {
 // passes over a forest-shaped query (postorder up, then preorder down) are
 // such a schedule, and they reach the maximal arc-consistent prevaluation
 // without a worklist. The result aliases Scratch-owned sets (see type doc).
-func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin) (*Prevaluation, bool) {
+//
+// The reduction runs on pre-rank words; mirror[x] says whether variable
+// x's NodeID-indexed set in the result is kept in step with it. Only
+// mirrored sets hold the reduced domains — the others keep the
+// label-filtered initial candidates — so a caller mirrors just the
+// variables it reads, and a nil mirror (a Boolean query) writes none.
+func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin, mirror []bool) (*Prevaluation, bool) {
 	init := sc.InitialPrevaluationIx(ix, q)
 	lv, ok := sc.loadLevel(ix, q, init)
 	if !ok {
@@ -261,6 +267,9 @@ func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin) (*Pr
 		}
 		if lv.count[tgt] == 0 {
 			return nil, false
+		}
+		if mirror == nil || !mirror[tgt] {
+			continue
 		}
 		// Mirror the step into init's set by the removals or by a rebuild
 		// from the survivors, whichever is smaller.
@@ -299,45 +308,4 @@ func storePre(t *tree.Tree, s *NodeSet, pre []uint64) {
 		s.Add(t.ByPre(pr))
 		return true
 	})
-}
-
-// sortByKey sorts idx by ascending key[idx[i]] (bottom-up merge sort into
-// the caller-provided buffer to stay allocation-free on reuse; n is a tree
-// size).
-func sortByKey(idx []int32, key []int64, buf []int32) {
-	n := len(idx)
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if key[idx[i]] <= key[idx[j]] {
-					buf[k] = idx[i]
-					i++
-				} else {
-					buf[k] = idx[j]
-					j++
-				}
-				k++
-			}
-			for i < mid {
-				buf[k] = idx[i]
-				i++
-				k++
-			}
-			for j < hi {
-				buf[k] = idx[j]
-				j++
-				k++
-			}
-		}
-		copy(idx, buf)
-	}
 }

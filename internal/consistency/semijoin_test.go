@@ -87,9 +87,11 @@ func forestSchedule(t *testing.T, q *cq.Query) []Semijoin {
 // TestSemijoinScheduleMatchesFastAC: on forest-shaped queries the two
 // Yannakakis passes reach the maximal arc-consistent prevaluation
 // (Freuder), so SemijoinIx over the schedule must return FastACIx's
-// verdict and, when satisfiable, its sets exactly — under every kernel
-// policy, on trees small enough for the probe path and large enough for
-// the kernel path.
+// verdict and, when satisfiable, its sets exactly for every mirrored
+// variable — under every kernel policy, on trees small enough for the
+// probe path and large enough for the kernel path. Each trial mirrors all
+// variables or a random subset; unmirrored sets keep the label-filtered
+// initial candidates.
 func TestSemijoinScheduleMatchesFastAC(t *testing.T) {
 	defer SetKernelPolicy(KernelAuto)
 	rng := rand.New(rand.NewSource(26))
@@ -103,10 +105,15 @@ func TestSemijoinScheduleMatchesFastAC(t *testing.T) {
 		ix := NewTreeIndex(tr)
 		q := randomForestQuery(rng, alphabet, 1+rng.Intn(6), rng.Intn(4))
 		steps := forestSchedule(t, q)
+		mirror := make([]bool, q.NumVars())
+		subset := trial%2 == 1
+		for x := range mirror {
+			mirror[x] = !subset || rng.Intn(2) == 0
+		}
 		for _, pol := range []KernelPolicy{KernelNever, KernelAlways, KernelAuto} {
 			SetKernelPolicy(pol)
 			want, wantOK := NewScratch().FastACIx(ix, q)
-			got, ok := NewScratch().SemijoinIx(ix, q, steps)
+			got, ok := NewScratch().SemijoinIx(ix, q, steps, mirror)
 			if ok != wantOK {
 				t.Fatalf("trial %d policy %d: SemijoinIx ok = %v, FastACIx %v\nquery %s\ntree %s",
 					trial, pol, ok, wantOK, q, tr)
@@ -115,9 +122,16 @@ func TestSemijoinScheduleMatchesFastAC(t *testing.T) {
 				continue
 			}
 			sat++
-			if !got.Equal(want) {
-				t.Fatalf("trial %d policy %d: SemijoinIx differs from FastACIx\nquery %s\ntree %s",
-					trial, pol, q, tr)
+			initial := NewScratch().InitialPrevaluationIx(ix, q)
+			for x, m := range mirror {
+				exp := want.Sets[x]
+				if !m {
+					exp = initial.Sets[x]
+				}
+				if !got.Sets[x].Equal(exp) {
+					t.Fatalf("trial %d policy %d: SemijoinIx set of %d (mirrored %v) is wrong\nquery %s\ntree %s",
+						trial, pol, x, m, q, tr)
+				}
 			}
 		}
 	}
@@ -131,11 +145,11 @@ func TestSemijoinScheduleMatchesFastAC(t *testing.T) {
 func TestSemijoinIxDegenerate(t *testing.T) {
 	tr := tree.MustParseTerm("A(B,C)")
 	ix := NewTreeIndex(tr)
-	if p, ok := NewScratch().SemijoinIx(ix, cq.New(), nil); !ok || len(p.Sets) != 0 {
+	if p, ok := NewScratch().SemijoinIx(ix, cq.New(), nil, nil); !ok || len(p.Sets) != 0 {
 		t.Fatalf("empty query: ok = %v, %d sets; want true, 0", ok, len(p.Sets))
 	}
 	q := cq.MustParse("Q() <- A(x), Child(x, y), D(y)")
-	if _, ok := NewScratch().SemijoinIx(ix, q, forestSchedule(t, q)); ok {
+	if _, ok := NewScratch().SemijoinIx(ix, q, forestSchedule(t, q), nil); ok {
 		t.Fatal("query over an absent label: ok = true")
 	}
 }

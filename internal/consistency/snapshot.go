@@ -3,7 +3,6 @@ package consistency
 import (
 	"fmt"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/snapshot"
@@ -25,30 +24,19 @@ var indexLoads atomic.Int64
 // this process (test/benchmark instrumentation).
 func IndexLoadCount() int64 { return indexLoads.Load() }
 
-// nodeIDsView reinterprets []int32 as []tree.NodeID (identical layout)
-// so the preEndNode table can adopt a zero-copy snapshot view.
-func nodeIDsView(v []int32) []tree.NodeID {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*tree.NodeID)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
-}
-
-// int32sView is the inverse reinterpretation, for encoding.
-func int32sView(v []tree.NodeID) []int32 {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
-}
-
 // AppendBinary writes the index's sections into w. Label bitsets are not
 // serialized — they are rebuilt (lazily, or eagerly via
-// MaterializeLabels) from the tree's label index after loading.
+// MaterializeLabels) from the tree's label index after loading. The v1
+// format also stores the (preEnd, pre) order as nodes by position; the
+// index keeps only its inverse, preEndPos, so that section is derived here.
 func (ix *TreeIndex) AppendBinary(w *snapshot.Writer) {
+	preEndNode := make([]int32, len(ix.preEndPos))
+	for v, pos := range ix.preEndPos {
+		preEndNode[pos] = int32(v)
+	}
 	w.Int32s(snapshot.TagIxSibRank, ix.sibRank)
 	w.Int32s(snapshot.TagIxSibStart, ix.sibStart)
-	w.Int32s(snapshot.TagIxPreEndNode, int32sView(ix.preEndNode))
+	w.Int32s(snapshot.TagIxPreEndNode, preEndNode)
 	w.Int32s(snapshot.TagIxPreEndPos, ix.preEndPos)
 	w.Int32s(snapshot.TagIxPreEndVal, ix.preEndVal)
 	w.Int32s(snapshot.TagIxParentPre, ix.parentPre)
@@ -57,23 +45,6 @@ func (ix *TreeIndex) AppendBinary(w *snapshot.Writer) {
 	w.Int32s(snapshot.TagIxPrevSib, ix.prevSibPre)
 	w.Int32s(snapshot.TagIxSubtreeEnd, ix.subtreeEnd)
 	w.Uint64s(snapshot.TagIxInternal, ix.internalPre)
-}
-
-// ixSection reads tag enforcing the element count and value range.
-func ixSection(r *snapshot.Reader, tag uint32, n int, lo, hi int32) ([]int32, error) {
-	v, err := r.Int32s(tag)
-	if err != nil {
-		return nil, err
-	}
-	if len(v) != n {
-		return nil, fmt.Errorf("%w: section %#x has %d elements, want %d", snapshot.ErrCorrupt, tag, len(v), n)
-	}
-	for _, x := range v {
-		if x < lo || x > hi {
-			return nil, fmt.Errorf("%w: section %#x value %d outside [%d, %d]", snapshot.ErrCorrupt, tag, x, lo, hi)
-		}
-	}
-	return v, nil
 }
 
 // LoadBinary reconstructs the TreeIndex for t from r, bypassing build():
@@ -87,12 +58,8 @@ func LoadBinary(r *snapshot.Reader, t *tree.Tree) (*TreeIndex, error) {
 	ix := &TreeIndex{}
 	var err error
 	load := func(dst *[]int32, tag uint32, lo int32) {
-		if err != nil {
-			return
-		}
-		var v []int32
-		if v, err = ixSection(r, tag, n, lo, hi); err == nil {
-			*dst = v
+		if err == nil {
+			*dst, err = r.Int32sIn(tag, n, lo, hi)
 		}
 	}
 	load(&ix.sibRank, snapshot.TagIxSibRank, 0)
@@ -107,11 +74,11 @@ func LoadBinary(r *snapshot.Reader, t *tree.Tree) (*TreeIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	preEndNode, err := ixSection(r, snapshot.TagIxPreEndNode, n, 0, hi)
-	if err != nil {
+	// The v1 (preEnd, pre)-order-by-position section is checked and
+	// dropped: preEndPos is its inverse and the only one read.
+	if _, err := r.Int32sIn(snapshot.TagIxPreEndNode, n, 0, hi); err != nil {
 		return nil, err
 	}
-	ix.preEndNode = nodeIDsView(preEndNode)
 	internal, err := r.Uint64s(snapshot.TagIxInternal)
 	if err != nil {
 		return nil, err

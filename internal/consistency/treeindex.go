@@ -20,13 +20,12 @@ import (
 // materialized lazily, once per distinct label, behind a mutex — callers
 // observe a logically immutable object that is safe for concurrent use.
 type TreeIndex struct {
-	t          *tree.Tree
-	sibRank    []int32 // node -> sibling-order rank
-	sibStart   []int32 // parent node -> first child rank
-	preEndNode []tree.NodeID
-	preEndPos  []int32 // node -> position in (preEnd, pre) order
-	preEndVal  []int32 // position in (preEnd, pre) order -> preEnd value
-	full       NodeSet // the set of all nodes, word-filled
+	t         *tree.Tree
+	sibRank   []int32 // node -> sibling-order rank
+	sibStart  []int32 // parent node -> first child rank
+	preEndPos []int32 // node -> position in (preEnd, pre) order
+	preEndVal []int32 // position in (preEnd, pre) order -> preEnd value
+	full      NodeSet // the set of all nodes, word-filled
 
 	// Rank tables for the bulk axis image kernels (kernels.go), all
 	// indexed by pre rank so the kernels never touch node IDs — a whole
@@ -87,21 +86,24 @@ func NewTreeIndex(t *tree.Tree) *TreeIndex {
 		}
 	}
 
-	ix.preEndNode = make([]tree.NodeID, n)
+	// The (preEnd, pre) order by a counting sort on preEnd: visiting the
+	// nodes in pre-order fills each preEnd bucket in ascending pre.
 	ix.preEndPos = make([]int32, n)
 	ix.preEndVal = make([]int32, n)
-	sortKey := make([]int64, n)
-	sortIdx := make([]int32, n)
-	sortBuf := make([]int32, n)
+	start := make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		sortKey[v] = int64(t.PreEnd(tree.NodeID(v)))<<32 | int64(t.Pre(tree.NodeID(v)))
-		sortIdx[v] = int32(v)
+		start[t.PreEnd(tree.NodeID(v))+1]++
 	}
-	sortByKey(sortIdx, sortKey, sortBuf)
-	for pos, v := range sortIdx {
-		ix.preEndNode[pos] = tree.NodeID(v)
-		ix.preEndPos[v] = int32(pos)
-		ix.preEndVal[pos] = t.PreEnd(tree.NodeID(v))
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	for pr := int32(0); pr < int32(n); pr++ {
+		v := t.ByPre(pr)
+		e := t.PreEnd(v)
+		pos := start[e]
+		start[e]++
+		ix.preEndPos[v] = pos
+		ix.preEndVal[pos] = e
 	}
 	ix.parentPre = make([]int32, n)
 	ix.firstChildPre = make([]int32, n)
@@ -190,7 +192,6 @@ func (ix *TreeIndex) MaterializeLabels() {
 // query mix has been seen once.
 func (ix *TreeIndex) SizeBytes() int64 {
 	b := int64(len(ix.sibRank)+len(ix.sibStart)+len(ix.preEndPos)+len(ix.preEndVal)) * 4
-	b += int64(len(ix.preEndNode)) * 4
 	b += int64(len(ix.parentPre)+len(ix.firstChildPre)+len(ix.nextSibPre)+
 		len(ix.prevSibPre)+len(ix.subtreeEnd)) * 4
 	b += int64(len(ix.internalPre)) * 8

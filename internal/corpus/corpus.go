@@ -193,19 +193,27 @@ func (c *Corpus) SetBudget(maxBytes int64, onEvict func(name string, doc *core.D
 // SetInvalidationHook installs the invalidation hook: it fires — outside
 // the corpus lock — with the document's name for every event after which
 // externally cached state about that name should be dropped: Swap
-// replacement, Remove, budget eviction, and dehydration. It fires at
-// most once per event per name and carries no document (the subscriber
-// keys on the name). The result cache subscribes here.
+// replacement, Remove, budget eviction of a memory-only document, and
+// quarantine. Dehydration does not fire it: a snapshot-backed budget
+// victim keeps its name and version and hydrates back to the same
+// content, so results cached against that version stay valid (the
+// eviction hook still sees the dehydration). It fires at most once per
+// event per name and carries no document (the subscriber keys on the
+// name). The result cache subscribes here.
 func (c *Corpus) SetInvalidationHook(fn func(name string)) {
 	c.mu.Lock()
 	c.onInvalidate = fn
 	c.mu.Unlock()
 }
 
-// victim is an evicted (name, document) pair, reported to the hook.
+// victim is an evicted (name, document) pair, reported to the hooks.
+// A dehydrated victim keeps its content (the name, the version and the
+// snapshot file stay), so it goes to the eviction hook only; every other
+// victim left the corpus and is invalidated as well.
 type victim struct {
-	name string
-	doc  *core.Document
+	name       string
+	doc        *core.Document
+	dehydrated bool
 }
 
 // evictLocked drops least-recently-used resident entries until the total
@@ -235,7 +243,7 @@ func (c *Corpus) evictLocked(spare string) []victim {
 			break // only the spared entry (and stubs) remain
 		}
 		e := c.entries[oldest]
-		victims = append(victims, victim{oldest, e.doc})
+		victims = append(victims, victim{oldest, e.doc, e.path != ""})
 		c.total -= e.bytes
 		if e.path != "" {
 			e.doc, e.bytes = nil, 0 // dehydrate, keep the name
@@ -249,15 +257,16 @@ func (c *Corpus) evictLocked(spare string) []victim {
 // notify reports evictions and invalidations to the hooks, outside the
 // lock. The hooks are snapshotted under the lock by the caller — reading
 // c.onEvict / c.onInvalidate here would race with a concurrent setter.
-// Every victim is both an eviction (when a document was resident) and an
-// invalidation; invalidated carries names whose cached state went stale
-// without an eviction (Swap replacements, Remove of a stub).
+// Every victim is an eviction (when a document was resident); it is an
+// invalidation too unless it was dehydrated, since dehydration changes
+// residency, not content. invalidated carries names whose cached state
+// went stale without an eviction (Swap replacements, Remove of a stub).
 func notify(evictHook func(string, *core.Document), invHook func(string), victims []victim, invalidated []string) {
 	for _, v := range victims {
 		if evictHook != nil && v.doc != nil {
 			evictHook(v.name, v.doc)
 		}
-		if invHook != nil {
+		if invHook != nil && !v.dehydrated {
 			invHook(v.name)
 		}
 	}
@@ -348,7 +357,7 @@ func (c *Corpus) Remove(name string) *core.Document {
 	c.verClock++
 	evictHook, invHook := c.onEvict, c.onInvalidate
 	c.mu.Unlock()
-	notify(evictHook, invHook, []victim{{name, e.doc}}, nil)
+	notify(evictHook, invHook, []victim{{name: name, doc: e.doc}}, nil)
 	return e.doc
 }
 

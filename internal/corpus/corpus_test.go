@@ -432,8 +432,8 @@ func TestVersionStableAcrossHydration(t *testing.T) {
 }
 
 // TestInvalidationHook: the hook fires once per name on Swap replacement,
-// Remove, budget eviction, and dehydration — and does NOT fire on fresh
-// Add, fresh-name Swap, or hydration.
+// Remove, and budget eviction of a memory-only document — and does NOT
+// fire on fresh Add, fresh-name Swap, dehydration, or hydration.
 func TestInvalidationHook(t *testing.T) {
 	dir := t.TempDir()
 	c := New()
@@ -477,18 +477,39 @@ func TestInvalidationHook(t *testing.T) {
 	}
 	evicted = nil
 
-	// Dehydration (snapshot-backed budget victim) fires both hooks too:
-	// the cached results stay correct in principle, but the cache entry's
-	// backing document left memory, so subscribers are told.
+	// Dehydration (snapshot-backed budget victim) fires the eviction hook
+	// only: the name keeps its version and hydrates back to the same
+	// content, so results cached against it stay valid.
 	if err := c.PersistDoc(dir, "b"); err != nil {
 		t.Fatalf("PersistDoc: %v", err)
 	}
+	verB, _ := c.Version("b")
 	c.SetBudget(1, func(name string, d *core.Document) { evicted = append(evicted, name) })
-	if got := take(); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Fatalf("dehydration fired %v, want [b]", got)
+	if got := take(); len(got) != 0 {
+		t.Fatalf("dehydration fired invalidation %v", got)
 	}
 	if !reflect.DeepEqual(evicted, []string{"b"}) {
 		t.Fatalf("dehydration eviction hook saw %v, want [b]", evicted)
+	}
+	if d, _, _ := c.Peek("b"); d != nil {
+		t.Fatal("budget victim b still resident")
+	}
+	if v, _ := c.Version("b"); v != verB {
+		t.Fatalf("dehydration changed b's version %d -> %d", verB, v)
+	}
+
+	// A memory-only budget victim leaves the corpus: both hooks fire.
+	evicted = nil
+	c.SetBudget(0, nil)
+	if err := c.Add("m", doc("A(B)")); err != nil {
+		t.Fatalf("Add m: %v", err)
+	}
+	c.SetBudget(1, func(name string, d *core.Document) { evicted = append(evicted, name) })
+	if got := take(); !reflect.DeepEqual(got, []string{"m"}) {
+		t.Fatalf("memory-only eviction fired %v, want [m]", got)
+	}
+	if !reflect.DeepEqual(evicted, []string{"m"}) {
+		t.Fatalf("memory-only eviction hook saw %v, want [m]", evicted)
 	}
 
 	// Hydration is silent: residency returns, content never changed.

@@ -127,10 +127,11 @@ func New(cfg Config) (*Server, error) {
 		opts = append(opts, cqtrees.WithNoFsync())
 	}
 	// The cache exists before the corpus so the corpus's invalidation
-	// hook can close over it: every Swap, Remove, eviction, and
-	// dehydration drops that document's cached results eagerly (the
+	// hook can close over it: every Swap, Remove, memory-only eviction
+	// and quarantine drops that document's cached results eagerly (the
 	// version in the key already makes them unservable; the hook just
-	// reclaims the bytes).
+	// reclaims the bytes). Dehydration keeps them: the document hydrates
+	// back under the same version, so its cached results stay servable.
 	resultCache := cache.New(cfg.CacheBytes, cfg.CacheMaxEntry)
 	if resultCache != nil {
 		opts = append(opts, cqtrees.WithInvalidationHook(func(name string) {

@@ -102,73 +102,85 @@ func pad8(n int) int { return (n + 7) &^ 7 }
 
 // ---- writer ---------------------------------------------------------------
 
-// Writer builds a snapshot by appending tagged sections. The zero value
-// is not ready; use NewWriter. Writers are single-use: Finish seals the
+// Writer builds a snapshot from tagged sections. The zero value is not
+// ready; use NewWriter. Writers are single-use: Finish seals the
 // container and returns the bytes.
+//
+// A Writer records each section by reference and copies nothing until
+// Finish, which allocates the output once at its exact size and copies
+// every payload into it. Slices passed to Bytes, Int32s and Uint64s must
+// therefore stay unchanged until Finish returns; the engine passes the
+// immutable arrays of a built tree and index.
 type Writer struct {
-	buf      []byte
-	sections int
+	parts []part
+	size  int // header plus every section so far, in bytes
 }
 
-// NewWriter returns a Writer with the header reserved.
+// part is one recorded section: its tag and its little-endian payload.
+type part struct {
+	tag     uint32
+	payload []byte
+}
+
+// NewWriter returns an empty Writer.
 func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, headerSize, 4096)}
-	copy(w.buf, magic[:])
-	putLE32(w.buf[4:], Version)
-	return w
+	return &Writer{parts: make([]part, 0, 32), size: headerSize}
 }
 
-// section appends a section header for tag with a payload of size bytes
-// and returns the zeroed, 8-aligned payload slice to fill in.
-func (w *Writer) section(tag uint32, size int) []byte {
-	hdr := len(w.buf)
-	w.buf = append(w.buf, make([]byte, sectionHdrSize+pad8(size))...)
-	putLE32(w.buf[hdr:], tag)
-	putLE64(w.buf[hdr+8:], uint64(size))
-	w.sections++
-	return w.buf[hdr+sectionHdrSize : hdr+sectionHdrSize+size]
+// add records a section with the given little-endian payload.
+func (w *Writer) add(tag uint32, payload []byte) {
+	w.parts = append(w.parts, part{tag, payload})
+	w.size += sectionHdrSize + pad8(len(payload))
 }
 
 // Bytes appends a raw byte section.
-func (w *Writer) Bytes(tag uint32, b []byte) {
-	copy(w.section(tag, len(b)), b)
-}
+func (w *Writer) Bytes(tag uint32, b []byte) { w.add(tag, b) }
 
 // Int32s appends a []int32 section (little-endian elements).
 func (w *Writer) Int32s(tag uint32, v []int32) {
-	dst := w.section(tag, len(v)*4)
-	if hostLittle && len(v) > 0 {
-		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*4))
+	if hostLittle || len(v) == 0 {
+		w.add(tag, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*4))
 		return
 	}
+	b := make([]byte, len(v)*4)
 	for i, x := range v {
-		putLE32(dst[i*4:], uint32(x))
+		putLE32(b[i*4:], uint32(x))
 	}
+	w.add(tag, b)
 }
 
 // Uint64s appends a []uint64 section (little-endian elements).
 func (w *Writer) Uint64s(tag uint32, v []uint64) {
-	dst := w.section(tag, len(v)*8)
-	if hostLittle && len(v) > 0 {
-		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8))
+	if hostLittle || len(v) == 0 {
+		w.add(tag, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*8))
 		return
 	}
+	b := make([]byte, len(v)*8)
 	for i, x := range v {
-		putLE64(dst[i*8:], x)
+		putLE64(b[i*8:], x)
 	}
+	w.add(tag, b)
 }
 
-// Finish seals the container: section count and checksum are written and
-// the complete snapshot returned. The Writer must not be used afterwards.
+// Finish seals the container: it writes the header, every section and
+// the checksum into one buffer of the exact size and returns it. The
+// Writer must not be used afterwards.
 func (w *Writer) Finish() []byte {
-	putLE32(w.buf[8:], uint32(w.sections))
-	sum := crc32.Checksum(w.buf, castagnoli)
-	trailer := len(w.buf)
-	w.buf = append(w.buf, make([]byte, trailerSize)...)
-	putLE32(w.buf[trailer:], sum)
-	out := w.buf
-	w.buf = nil
-	return out
+	buf := make([]byte, w.size+trailerSize)
+	copy(buf, magic[:])
+	putLE32(buf[4:], Version)
+	putLE32(buf[8:], uint32(len(w.parts)))
+	off := headerSize
+	for _, p := range w.parts {
+		putLE32(buf[off:], p.tag)
+		putLE64(buf[off+8:], uint64(len(p.payload)))
+		off += sectionHdrSize
+		copy(buf[off:], p.payload)
+		off += pad8(len(p.payload))
+	}
+	putLE32(buf[off:], crc32.Checksum(buf[:off], castagnoli))
+	w.parts = nil
+	return buf
 }
 
 // ---- reader ---------------------------------------------------------------
@@ -278,6 +290,31 @@ func (r *Reader) Int32s(tag uint32) ([]int32, error) {
 		out[i] = int32(le32(b[i*4:]))
 	}
 	return out, nil
+}
+
+// Int32sIn is Int32s for a bounded table: it fails with ErrCorrupt
+// unless the section has exactly n elements (any number when n < 0), each
+// in [lo, hi].
+func (r *Reader) Int32sIn(tag uint32, n int, lo, hi int32) ([]int32, error) {
+	v, err := r.Int32s(tag)
+	if err != nil {
+		return nil, err
+	}
+	if n >= 0 && len(v) != n {
+		return nil, fmt.Errorf("%w: section %#x has %d elements, want %d", ErrCorrupt, tag, len(v), n)
+	}
+	// One unsigned comparison per element: for lo <= hi, x is in [lo, hi]
+	// iff x-lo, taken mod 2^32, is at most hi-lo.
+	if hi < lo && len(v) > 0 {
+		return nil, fmt.Errorf("%w: section %#x value %d outside empty [%d, %d]", ErrCorrupt, tag, v[0], lo, hi)
+	}
+	span := uint32(hi) - uint32(lo)
+	for _, x := range v {
+		if uint32(x)-uint32(lo) > span {
+			return nil, fmt.Errorf("%w: section %#x value %d outside [%d, %d]", ErrCorrupt, tag, x, lo, hi)
+		}
+	}
+	return v, nil
 }
 
 // Uint64s returns the payload of tag as []uint64 — zero-copy when
@@ -395,7 +432,8 @@ const metaSize = 16
 // WriteMeta appends the document meta section. It must be the first
 // section written (PeekMeta relies on its position).
 func (w *Writer) WriteMeta(m Meta) {
-	b := w.section(TagDocMeta, metaSize)
+	b := make([]byte, metaSize)
+	w.add(TagDocMeta, b)
 	putLE32(b, uint32(m.Nodes))
 	putLE32(b[4:], uint32(m.Labels))
 	putLE64(b[8:], uint64(m.Structure))

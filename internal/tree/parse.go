@@ -1,10 +1,15 @@
 package tree
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"unicode"
 )
+
+// ErrSyntax is wrapped by every error ParseTerm returns; match it with
+// errors.Is.
+var ErrSyntax = errors.New("tree: syntax error")
 
 // ParseTerm parses the compact term syntax for trees:
 //
@@ -20,20 +25,23 @@ import (
 //	_(A,_)             an unlabeled root with children A and an unlabeled leaf
 //
 // Whitespace between tokens is ignored. ParseTerm is the inverse of
-// (*Tree).String.
+// (*Tree).String. Malformed input yields an error wrapping ErrSyntax.
 func ParseTerm(s string) (*Tree, error) {
 	p := &termParser{src: s}
 	p.skipSpace()
 	if p.eof() {
-		return nil, fmt.Errorf("tree: empty input")
+		return nil, fmt.Errorf("%w: empty input", ErrSyntax)
 	}
-	b := NewBuilder(16)
+	// Every node but the root follows a '(' or a ',', and every label but
+	// a node's first follows a '|': exact capacities for valid input.
+	nodes := 1 + strings.Count(s, "(") + strings.Count(s, ",")
+	b := newBuilder(nodes, nodes+strings.Count(s, "|"))
 	if err := p.parseNode(b, NilNode); err != nil {
 		return nil, err
 	}
 	p.skipSpace()
 	if !p.eof() {
-		return nil, fmt.Errorf("tree: trailing input at offset %d: %q", p.pos, p.rest())
+		return nil, fmt.Errorf("%w: trailing input at offset %d: %q", ErrSyntax, p.pos, p.rest())
 	}
 	return b.Build(), nil
 }
@@ -68,19 +76,19 @@ func isLabelByte(c byte) bool {
 		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
-func (p *termParser) parseLabelSet() ([]string, error) {
-	var labels []string
+// parseLabels reads the label set of node id straight into b: each label
+// is a substring of the source, so no per-node slice is built.
+func (p *termParser) parseLabels(b *Builder, id NodeID) error {
 	for {
 		start := p.pos
 		for !p.eof() && isLabelByte(p.peek()) {
 			p.pos++
 		}
 		if p.pos == start {
-			return nil, fmt.Errorf("tree: expected label at offset %d: %q", p.pos, p.rest())
+			return fmt.Errorf("%w: expected label at offset %d: %q", ErrSyntax, p.pos, p.rest())
 		}
-		lab := p.src[start:p.pos]
-		if lab != "_" {
-			labels = append(labels, lab)
+		if lab := p.src[start:p.pos]; lab != "_" {
+			b.addLabel(id, lab)
 		}
 		p.skipSpace()
 		if !p.eof() && p.peek() == '|' {
@@ -88,17 +96,16 @@ func (p *termParser) parseLabelSet() ([]string, error) {
 			p.skipSpace()
 			continue
 		}
-		return labels, nil
+		return nil
 	}
 }
 
 func (p *termParser) parseNode(b *Builder, parent NodeID) error {
 	p.skipSpace()
-	labels, err := p.parseLabelSet()
-	if err != nil {
+	id := b.AddNode(parent)
+	if err := p.parseLabels(b, id); err != nil {
 		return err
 	}
-	id := b.AddNode(parent, labels...)
 	p.skipSpace()
 	if p.eof() || p.peek() != '(' {
 		return nil
@@ -110,7 +117,7 @@ func (p *termParser) parseNode(b *Builder, parent NodeID) error {
 		}
 		p.skipSpace()
 		if p.eof() {
-			return fmt.Errorf("tree: unexpected end of input, expected ',' or ')'")
+			return fmt.Errorf("%w: unexpected end of input, expected ',' or ')'", ErrSyntax)
 		}
 		switch p.advance() {
 		case ',':
@@ -118,7 +125,7 @@ func (p *termParser) parseNode(b *Builder, parent NodeID) error {
 		case ')':
 			return nil
 		default:
-			return fmt.Errorf("tree: expected ',' or ')' at offset %d: %q", p.pos-1, p.src[p.pos-1:])
+			return fmt.Errorf("%w: expected ',' or ')' at offset %d: %q", ErrSyntax, p.pos-1, p.src[p.pos-1:])
 		}
 	}
 }
@@ -134,12 +141,4 @@ func RoundTrip(t *Tree) bool {
 		return false
 	}
 	return t.Equal(u)
-}
-
-// quoteIfNeeded is a helper for diagnostics.
-func quoteIfNeeded(s string) string {
-	if strings.ContainsAny(s, " \t\n(),|") {
-		return fmt.Sprintf("%q", s)
-	}
-	return s
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the Tree half of the document snapshot format: every
-// precomputed order of the tree is written as a flat little-endian
-// section, so loading a document skips both the parse and finish().
+// array of the tree's flat layout is written as a little-endian section,
+// so loading a document skips both the parse and finish().
 // The container (magic, version, checksum, zero-copy views) lives in
 // internal/snapshot; the index half in internal/consistency.
 
@@ -32,30 +32,18 @@ func int32s(v []NodeID) []int32 {
 
 // SnapshotMeta returns the document meta header for t.
 func (t *Tree) SnapshotMeta() snapshot.Meta {
-	return snapshot.Meta{Nodes: t.size, Labels: len(t.labelIdx), Structure: t.structure}
+	return snapshot.Meta{Nodes: t.size, Labels: t.numLabels(), Structure: t.structure}
 }
 
-// AppendSections writes t's sections into w. The encoding is fully
-// deterministic (label names in alphabet order), which the golden-fixture
-// compatibility test relies on: same tree, same bytes.
+// AppendSections writes t's sections into w. They are the tree's own
+// flat arrays, passed by reference: nothing is copied or re-derived until
+// the writer's Finish. The encoding is fully deterministic (label names in
+// alphabet order), which the golden-fixture compatibility test relies on:
+// same tree, same bytes.
 func (t *Tree) AppendSections(w *snapshot.Writer) {
-	n := t.size
 	w.Int32s(snapshot.TagTreeParent, int32s(t.parent))
-
-	// Child lists, flattened parent-major: kids[v] = flat[off[v]:off[v+1]].
-	kidsOff := make([]int32, n+1)
-	var flat []NodeID
-	if n > 0 {
-		flat = make([]NodeID, 0, n-1)
-	}
-	for v := 0; v < n; v++ {
-		kidsOff[v] = int32(len(flat))
-		flat = append(flat, t.kids[v]...)
-	}
-	kidsOff[n] = int32(len(flat))
-	w.Int32s(snapshot.TagTreeKidsOff, kidsOff)
-	w.Int32s(snapshot.TagTreeKidsFlat, int32s(flat))
-
+	w.Int32s(snapshot.TagTreeKidsOff, t.kidsOff)
+	w.Int32s(snapshot.TagTreeKidsFlat, int32s(t.kidsFlat))
 	w.Int32s(snapshot.TagTreeSibIndex, t.sibIndex)
 	w.Int32s(snapshot.TagTreePre, t.pre)
 	w.Int32s(snapshot.TagTreePost, t.post)
@@ -65,77 +53,39 @@ func (t *Tree) AppendSections(w *snapshot.Writer) {
 	w.Int32s(snapshot.TagTreeByPre, int32s(t.byPre))
 	w.Int32s(snapshot.TagTreeByPost, int32s(t.byPost))
 	w.Int32s(snapshot.TagTreeByBFLR, int32s(t.byBFLR))
-
-	// Label table: distinct names in alphabet (sorted) order, then each
-	// node's labels as ids into that table. Node label sets are sorted, so
-	// the id lists are sorted too and HasLabel's binary search survives.
-	names := t.Alphabet()
-	id := make(map[string]int32, len(names))
-	nameOff := make([]int32, len(names)+1)
-	var nameBytes []byte
-	for i, a := range names {
-		id[a] = int32(i)
-		nameOff[i] = int32(len(nameBytes))
-		nameBytes = append(nameBytes, a...)
-	}
-	nameOff[len(names)] = int32(len(nameBytes))
-	labelOff := make([]int32, n+1)
-	var labelIDs []int32
-	for v := 0; v < n; v++ {
-		labelOff[v] = int32(len(labelIDs))
-		for _, a := range t.labels[v] {
-			labelIDs = append(labelIDs, id[a])
-		}
-	}
-	labelOff[n] = int32(len(labelIDs))
-	w.Bytes(snapshot.TagTreeNames, nameBytes)
-	w.Int32s(snapshot.TagTreeNameOff, nameOff)
-	w.Int32s(snapshot.TagTreeLabelOff, labelOff)
-	w.Int32s(snapshot.TagTreeLabelIDs, labelIDs)
+	w.Bytes(snapshot.TagTreeNames, unsafe.Slice(unsafe.StringData(t.nameStr), len(t.nameStr)))
+	w.Int32s(snapshot.TagTreeNameOff, t.nameOff)
+	w.Int32s(snapshot.TagTreeLabelOff, t.labelOff)
+	w.Int32s(snapshot.TagTreeLabelIDs, t.labelIDs)
 }
 
-// sectionInt32s reads tag and enforces its expected element count.
-func sectionInt32s(r *snapshot.Reader, tag uint32, want int) ([]int32, error) {
+// offsets reads the offset table tag and verifies it has count entries
+// (count >= 1) rising monotonically from 0 to end.
+func offsets(r *snapshot.Reader, tag uint32, count int, end int32) ([]int32, error) {
 	v, err := r.Int32s(tag)
 	if err != nil {
 		return nil, err
 	}
-	if len(v) != want {
-		return nil, fmt.Errorf("%w: section %#x has %d elements, want %d", snapshot.ErrCorrupt, tag, len(v), want)
+	if len(v) != count || v[0] != 0 || v[len(v)-1] != end {
+		return nil, fmt.Errorf("%w: section %#x is not %d offsets spanning [0, %d]", snapshot.ErrCorrupt, tag, count, end)
+	}
+	for i := 1; i < len(v); i++ {
+		if v[i] < v[i-1] {
+			return nil, fmt.Errorf("%w: section %#x offsets decrease at %d", snapshot.ErrCorrupt, tag, i)
+		}
 	}
 	return v, nil
 }
 
-// checkRange verifies every element of v lies in [lo, hi].
-func checkRange(tag uint32, v []int32, lo, hi int32) error {
-	for _, x := range v {
-		if x < lo || x > hi {
-			return fmt.Errorf("%w: section %#x value %d outside [%d, %d]", snapshot.ErrCorrupt, tag, x, lo, hi)
-		}
-	}
-	return nil
-}
-
-// checkOffsets verifies v is a monotone offset table from 0 to end.
-func checkOffsets(tag uint32, v []int32, end int32) error {
-	if len(v) == 0 || v[0] != 0 || v[len(v)-1] != end {
-		return fmt.Errorf("%w: section %#x offsets do not span [0, %d]", snapshot.ErrCorrupt, tag, end)
-	}
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[i-1] {
-			return fmt.Errorf("%w: section %#x offsets decrease at %d", snapshot.ErrCorrupt, tag, i)
-		}
-	}
-	return nil
-}
-
 // FromSnapshot reconstructs a Tree from r without re-running finish():
-// every order array is adopted from the snapshot (zero-copy when the
-// reader allows), and only the per-node slice headers, the label strings,
-// and the label index are rebuilt. Validation is bounds-level — offsets
-// monotone, ids in range — so a corrupt-but-checksummed file yields an
-// error, never a panic; semantic integrity (the orders being genuine
-// permutations of a real tree) is the producer's contract.
+// every array of the tree's layout — the orders, the CSR child lists and
+// the CSR label ids — is adopted from the snapshot (zero-copy when the
+// reader allows). Only the label names (one string), the per-occurrence
+// label strings and the label index are rebuilt, none of them per node.
+// Validation is bounds-level — offsets monotone, ids in range, byPre the
+// inverse of pre — so a corrupt-but-checksummed file yields an error,
+// never a panic; semantic integrity (the orders being genuine permutations
+// of a real tree) is the producer's contract.
 func FromSnapshot(r *snapshot.Reader) (*Tree, error) {
 	meta, err := r.Meta()
 	if err != nil {
@@ -143,82 +93,56 @@ func FromSnapshot(r *snapshot.Reader) (*Tree, error) {
 	}
 	n := meta.Nodes
 	t := &Tree{size: n, structure: meta.Structure}
+	hi := int32(n) - 1
 
 	load := func(dst *[]int32, tag uint32, lo, hi int32) {
-		if err != nil {
-			return
+		if err == nil {
+			*dst, err = r.Int32sIn(tag, n, lo, hi)
 		}
-		var v []int32
-		if v, err = sectionInt32s(r, tag, n); err != nil {
-			return
-		}
-		if err = checkRange(tag, v, lo, hi); err != nil {
-			return
-		}
-		*dst = v
 	}
 	var parent, byPre, byPost, byBFLR []int32
-	load(&parent, snapshot.TagTreeParent, -1, int32(n)-1)
-	load(&t.sibIndex, snapshot.TagTreeSibIndex, 0, int32(n)-1)
-	load(&t.pre, snapshot.TagTreePre, 0, int32(n)-1)
-	load(&t.post, snapshot.TagTreePost, 0, int32(n)-1)
-	load(&t.bflr, snapshot.TagTreeBFLR, 0, int32(n)-1)
-	load(&t.depth, snapshot.TagTreeDepth, 0, int32(n)-1)
-	load(&t.preEnd, snapshot.TagTreePreEnd, 0, int32(n)-1)
-	load(&byPre, snapshot.TagTreeByPre, 0, int32(n)-1)
-	load(&byPost, snapshot.TagTreeByPost, 0, int32(n)-1)
-	load(&byBFLR, snapshot.TagTreeByBFLR, 0, int32(n)-1)
+	load(&parent, snapshot.TagTreeParent, -1, hi)
+	load(&t.sibIndex, snapshot.TagTreeSibIndex, 0, hi)
+	load(&t.pre, snapshot.TagTreePre, 0, hi)
+	load(&t.post, snapshot.TagTreePost, 0, hi)
+	load(&t.bflr, snapshot.TagTreeBFLR, 0, hi)
+	load(&t.depth, snapshot.TagTreeDepth, 0, hi)
+	load(&t.preEnd, snapshot.TagTreePreEnd, 0, hi)
+	load(&byPre, snapshot.TagTreeByPre, 0, hi)
+	load(&byPost, snapshot.TagTreeByPost, 0, hi)
+	load(&byBFLR, snapshot.TagTreeByBFLR, 0, hi)
 	if err != nil {
 		return nil, err
 	}
 	if n > 0 && parent[0] != -1 {
 		return nil, fmt.Errorf("%w: node 0 is not the root", snapshot.ErrCorrupt)
 	}
-	// byPre drives the label-index rebuild below; a duplicate entry would
-	// overflow the per-label buckets, so it must be a real permutation.
-	seen := make([]bool, n)
-	for _, v := range byPre {
-		if seen[v] {
-			return nil, fmt.Errorf("%w: byPre is not a permutation", snapshot.ErrCorrupt)
+	// byPre drives the label-index walk below; a duplicate entry would
+	// overflow the per-label buckets. Being pre's inverse makes it a
+	// permutation, checked without allocating.
+	for v, r := range t.pre {
+		if byPre[r] != int32(v) {
+			return nil, fmt.Errorf("%w: byPre is not the inverse of pre", snapshot.ErrCorrupt)
 		}
-		seen[v] = true
 	}
 	t.parent = nodeIDs(parent)
 	t.byPre = nodeIDs(byPre)
 	t.byPost = nodeIDs(byPost)
 	t.byBFLR = nodeIDs(byBFLR)
 
-	// Child lists: adopt the flat array, rebuild the n slice headers.
-	kidsOff, err := sectionInt32s(r, snapshot.TagTreeKidsOff, n+1)
+	// Child lists: adopt the CSR offsets and the flat array.
+	edges := max(n-1, 0)
+	if t.kidsOff, err = offsets(r, snapshot.TagTreeKidsOff, n+1, int32(edges)); err != nil {
+		return nil, err
+	}
+	kidsFlat, err := r.Int32sIn(snapshot.TagTreeKidsFlat, edges, 0, hi)
 	if err != nil {
 		return nil, err
 	}
-	kidsFlat, err := r.Int32s(snapshot.TagTreeKidsFlat)
-	if err != nil {
-		return nil, err
-	}
-	wantEdges := 0
-	if n > 0 {
-		wantEdges = n - 1
-	}
-	if len(kidsFlat) != wantEdges {
-		return nil, fmt.Errorf("%w: %d child entries for %d nodes", snapshot.ErrCorrupt, len(kidsFlat), n)
-	}
-	if err := checkOffsets(snapshot.TagTreeKidsOff, kidsOff, int32(wantEdges)); err != nil {
-		return nil, err
-	}
-	if err := checkRange(snapshot.TagTreeKidsFlat, kidsFlat, 0, int32(n)-1); err != nil {
-		return nil, err
-	}
-	flat := nodeIDs(kidsFlat)
-	t.kids = make([][]NodeID, n)
-	for v := 0; v < n; v++ {
-		t.kids[v] = flat[kidsOff[v]:kidsOff[v+1]:kidsOff[v+1]]
-	}
+	t.kidsFlat = nodeIDs(kidsFlat)
 
-	// Label table: L strings (allocated once each), one flat []string of
-	// label occurrences shared by all per-node slices, and the label index
-	// rebuilt in pre-order so its per-label lists come out sorted by pre.
+	// Label table: the names become one string; the offsets and the
+	// per-node ids are adopted.
 	nameBytes, err := r.Bytes(snapshot.TagTreeNames)
 	if err != nil {
 		return nil, err
@@ -226,62 +150,16 @@ func FromSnapshot(r *snapshot.Reader) (*Tree, error) {
 	// The L+1 length check runs before any L-sized allocation, so a huge
 	// meta label count cannot force an over-allocation: the offsets section
 	// really present in the input bounds it.
-	nameOff, err := sectionInt32s(r, snapshot.TagTreeNameOff, meta.Labels+1)
-	if err != nil {
+	if t.nameOff, err = offsets(r, snapshot.TagTreeNameOff, meta.Labels+1, int32(len(nameBytes))); err != nil {
 		return nil, err
 	}
-	if err := checkOffsets(snapshot.TagTreeNameOff, nameOff, int32(len(nameBytes))); err != nil {
+	t.nameStr = string(nameBytes)
+	if t.labelIDs, err = r.Int32sIn(snapshot.TagTreeLabelIDs, -1, 0, int32(meta.Labels)-1); err != nil {
 		return nil, err
 	}
-	names := make([]string, meta.Labels)
-	for i := range names {
-		names[i] = string(nameBytes[nameOff[i]:nameOff[i+1]])
-	}
-	labelOff, err := sectionInt32s(r, snapshot.TagTreeLabelOff, n+1)
-	if err != nil {
+	if t.labelOff, err = offsets(r, snapshot.TagTreeLabelOff, n+1, int32(len(t.labelIDs))); err != nil {
 		return nil, err
 	}
-	labelIDs, err := r.Int32s(snapshot.TagTreeLabelIDs)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkOffsets(snapshot.TagTreeLabelOff, labelOff, int32(len(labelIDs))); err != nil {
-		return nil, err
-	}
-	if err := checkRange(snapshot.TagTreeLabelIDs, labelIDs, 0, int32(meta.Labels)-1); err != nil {
-		return nil, err
-	}
-	occurrences := make([]string, len(labelIDs))
-	for i, id := range labelIDs {
-		occurrences[i] = names[id]
-	}
-	t.labels = make([][]string, n)
-	for v := 0; v < n; v++ {
-		t.labels[v] = occurrences[labelOff[v]:labelOff[v+1]:labelOff[v+1]]
-	}
-	// Per-label node lists: count, then fill subslices of one flat array.
-	counts := make([]int32, meta.Labels)
-	for _, id := range labelIDs {
-		counts[id]++
-	}
-	idxFlat := make([]NodeID, len(labelIDs))
-	starts := make([]int32, meta.Labels)
-	var acc int32
-	for i, c := range counts {
-		starts[i] = acc
-		acc += c
-	}
-	fill := append([]int32(nil), starts...)
-	for r := 0; r < n; r++ {
-		v := t.byPre[r]
-		for _, id := range labelIDs[labelOff[v]:labelOff[v+1]] {
-			idxFlat[fill[id]] = v
-			fill[id]++
-		}
-	}
-	t.labelIdx = make(map[string][]NodeID, meta.Labels)
-	for i, name := range names {
-		t.labelIdx[name] = idxFlat[starts[i] : starts[i]+counts[i] : starts[i]+counts[i]]
-	}
+	t.deriveLabels()
 	return t, nil
 }

@@ -33,21 +33,37 @@ const NilNode NodeID = -1
 // or a generator (see random.go). After construction a Tree must not be
 // mutated; all query-evaluation code in this module relies on the
 // precomputed orders staying consistent.
+//
+// Every field is a flat array, the same layout the document snapshot
+// stores (see snapshot.go): child lists and label sets are CSR — an
+// offsets array of n+1 entries into one flat array — and labels are
+// interned to ids in alphabet order. Persisting writes these arrays as
+// they are and hydration adopts them, so neither builds per-node objects.
 type Tree struct {
-	parent   []NodeID   // parent[v] or NilNode for the root
-	kids     [][]NodeID // children in left-to-right order
-	sibIndex []int32    // position of v among its siblings (root: 0)
+	parent   []NodeID // parent[v] or NilNode for the root
+	kidsOff  []int32  // n+1 offsets: v's children are kidsFlat[kidsOff[v]:kidsOff[v+1]]
+	kidsFlat []NodeID // children, parent-major, left to right
+	sibIndex []int32  // position of v among its siblings (root: 0)
 
-	labels    [][]string          // sorted label set per node
-	labelIdx  map[string][]NodeID // label -> nodes carrying it, sorted by pre
-	pre       []int32             // pre-order rank (document order), 0-based
-	post      []int32             // post-order rank, 0-based
-	bflr      []int32             // breadth-first left-to-right rank, 0-based
-	depth     []int32             // root depth 0
-	preEnd    []int32             // max pre-order rank within v's subtree
-	byPre     []NodeID            // byPre[r] = node with pre rank r
-	byPost    []NodeID            // byPost[r] = node with post rank r
-	byBFLR    []NodeID            // byBFLR[r] = node with bflr rank r
+	pre    []int32  // pre-order rank (document order), 0-based
+	post   []int32  // post-order rank, 0-based
+	bflr   []int32  // breadth-first left-to-right rank, 0-based
+	depth  []int32  // root depth 0
+	preEnd []int32  // max pre-order rank within v's subtree
+	byPre  []NodeID // byPre[r] = node with pre rank r
+	byPost []NodeID // byPost[r] = node with post rank r
+	byBFLR []NodeID // byBFLR[r] = node with bflr rank r
+
+	// Labels. Label id i, in alphabet order, names
+	// nameStr[nameOff[i]:nameOff[i+1]]; every label occurs on some node.
+	nameStr  string
+	nameOff  []int32  // L+1 offsets into nameStr
+	labelOff []int32  // n+1 offsets: v's labels are labelIDs/labelOcc[labelOff[v]:labelOff[v+1]]
+	labelIDs []int32  // label ids per node, node-major, ascending per node
+	labelOcc []string // labelOcc[i] is the name of labelIDs[i]
+	idxOff   []int32  // L+1 offsets: label i's nodes are idxFlat[idxOff[i]:idxOff[i+1]]
+	idxFlat  []NodeID // label index, each label's nodes in pre-order
+
 	size      int
 	structure int // cached encoding size ‖A‖ proxy; see StructureSize
 }
@@ -68,10 +84,13 @@ func (t *Tree) Parent(v NodeID) NodeID { return t.parent[v] }
 
 // Children returns the children of v in left-to-right order.
 // The returned slice is owned by the tree and must not be modified.
-func (t *Tree) Children(v NodeID) []NodeID { return t.kids[v] }
+func (t *Tree) Children(v NodeID) []NodeID {
+	lo, hi := t.kidsOff[v], t.kidsOff[v+1]
+	return t.kidsFlat[lo:hi:hi]
+}
 
 // NumChildren returns the number of children of v.
-func (t *Tree) NumChildren(v NodeID) int { return len(t.kids[v]) }
+func (t *Tree) NumChildren(v NodeID) int { return int(t.kidsOff[v+1] - t.kidsOff[v]) }
 
 // SiblingIndex returns v's position among its siblings (leftmost = 0).
 // The root has sibling index 0.
@@ -83,11 +102,11 @@ func (t *Tree) NextSibling(v NodeID) NodeID {
 	if p == NilNode {
 		return NilNode
 	}
-	i := int(t.sibIndex[v]) + 1
-	if i >= len(t.kids[p]) {
+	i := t.kidsOff[p] + t.sibIndex[v] + 1
+	if i >= t.kidsOff[p+1] {
 		return NilNode
 	}
-	return t.kids[p][i]
+	return t.kidsFlat[i]
 }
 
 // PrevSibling returns the left neighboring sibling of v, or NilNode.
@@ -96,36 +115,57 @@ func (t *Tree) PrevSibling(v NodeID) NodeID {
 	if p == NilNode {
 		return NilNode
 	}
-	i := int(t.sibIndex[v]) - 1
-	if i < 0 {
+	if t.sibIndex[v] == 0 {
 		return NilNode
 	}
-	return t.kids[p][i]
+	return t.kidsFlat[t.kidsOff[p]+t.sibIndex[v]-1]
 }
 
 // Labels returns the sorted label set of v (possibly empty).
 // The returned slice is owned by the tree and must not be modified.
-func (t *Tree) Labels(v NodeID) []string { return t.labels[v] }
+func (t *Tree) Labels(v NodeID) []string {
+	lo, hi := t.labelOff[v], t.labelOff[v+1]
+	return t.labelOcc[lo:hi:hi]
+}
 
 // HasLabel reports whether v carries label a.
 func (t *Tree) HasLabel(v NodeID, a string) bool {
-	ls := t.labels[v]
+	ls := t.Labels(v)
 	i := sort.SearchStrings(ls, a)
 	return i < len(ls) && ls[i] == a
 }
 
 // NodesWithLabel returns all nodes carrying label a, sorted by pre-order.
 // The returned slice is owned by the tree and must not be modified.
-func (t *Tree) NodesWithLabel(a string) []NodeID { return t.labelIdx[a] }
+func (t *Tree) NodesWithLabel(a string) []NodeID {
+	i, ok := t.labelID(a)
+	if !ok {
+		return nil
+	}
+	lo, hi := t.idxOff[i], t.idxOff[i+1]
+	return t.idxFlat[lo:hi:hi]
+}
 
 // Alphabet returns the sorted set of labels occurring in the tree.
 func (t *Tree) Alphabet() []string {
-	out := make([]string, 0, len(t.labelIdx))
-	for a := range t.labelIdx {
-		out = append(out, a)
+	out := make([]string, t.numLabels())
+	for i := range out {
+		out[i] = t.labelName(i)
 	}
-	sort.Strings(out)
 	return out
+}
+
+// numLabels returns the number of distinct labels.
+func (t *Tree) numLabels() int { return len(t.nameOff) - 1 }
+
+// labelName returns the name of label id i.
+func (t *Tree) labelName(i int) string { return t.nameStr[t.nameOff[i]:t.nameOff[i+1]] }
+
+// labelID returns the id of label a by binary search over the alphabet.
+func (t *Tree) labelID(a string) (int, bool) {
+	L := t.numLabels()
+	i := sort.Search(L, func(i int) bool { return t.labelName(i) >= a })
+	return i, i < L && t.labelName(i) == a
 }
 
 // Pre returns the pre-order (document order) rank of v, 0-based.
@@ -188,32 +228,25 @@ func (t *Tree) Height() int {
 func (t *Tree) StructureSize() int { return t.structure }
 
 // SizeBytes returns the approximate heap footprint of the tree in bytes:
-// the backing arrays of the precomputed orders, the child lists, and the
-// label storage (including the label index). It is an accounting figure —
-// map-slot and allocator overheads are estimated, not measured — intended
-// for corpus-level memory budgeting, and is stable after construction.
+// the flat arrays of the precomputed orders, the CSR child lists, and the
+// label storage (interned names, per-node label ids and strings, and the
+// label index). It is an accounting figure — it counts the arrays' lengths,
+// not allocator rounding — intended for corpus-level memory budgeting, and
+// is stable after construction.
 func (t *Tree) SizeBytes() int64 {
 	n := int64(t.size)
 	// Ten int32/NodeID arrays of length n: parent, sibIndex, pre, post,
-	// bflr, depth, preEnd, byPre, byPost, byBFLR.
-	b := 10 * 4 * n
-	// Child lists: one slice header per node plus one NodeID per edge.
-	b += 24 * n
+	// bflr, depth, preEnd, byPre, byPost, byBFLR; the two n+1 offset
+	// arrays kidsOff and labelOff; one NodeID per edge in kidsFlat.
+	b := 4 * (10*n + 2*(n+1))
 	if n > 0 {
 		b += 4 * (n - 1)
 	}
-	// Labels: a slice header per node, a string header plus the bytes per
-	// label occurrence, and one label-index entry per occurrence.
-	b += 24 * n
-	for _, ls := range t.labels {
-		for _, l := range ls {
-			b += 16 + int64(len(l)) + 4
-		}
-	}
-	// Label-index keys: key bytes plus an approximate map-slot overhead.
-	for l := range t.labelIdx {
-		b += int64(len(l)) + 48
-	}
+	// Per label occurrence: its id (4), its string header (16) and its
+	// label-index entry (4). Per distinct label: its name bytes and the
+	// two L+1 offset arrays nameOff and idxOff.
+	b += 24 * int64(len(t.labelIDs))
+	b += int64(len(t.nameStr)) + 8*int64(t.numLabels()+1)
 	return b
 }
 
@@ -248,7 +281,7 @@ func (t *Tree) Walk(fn func(v NodeID) bool) {
 		if !fn(f.v) {
 			continue
 		}
-		ks := t.kids[f.v]
+		ks := t.Children(f.v)
 		for i := len(ks) - 1; i >= 0; i-- {
 			stack = append(stack, frame{ks[i]})
 		}
@@ -268,27 +301,41 @@ func (t *Tree) AncestorAtDepth(v NodeID, d int32) NodeID {
 }
 
 // Validate checks internal invariants: orders are permutations, subtree
-// intervals nest, sibling indexes match child lists, label index agrees
-// with node label sets. It is used by property-based tests.
+// intervals nest, sibling indexes match child lists, label sets are sorted
+// and name the alphabet, and the label index agrees with the label sets.
+// It is used by property-based tests.
 func (t *Tree) Validate() error {
 	n := t.size
-	if len(t.parent) != n || len(t.kids) != n || len(t.pre) != n || len(t.post) != n || len(t.bflr) != n {
+	if len(t.parent) != n || len(t.sibIndex) != n || len(t.pre) != n || len(t.post) != n ||
+		len(t.bflr) != n || len(t.depth) != n || len(t.preEnd) != n ||
+		len(t.byPre) != n || len(t.byPost) != n || len(t.byBFLR) != n ||
+		len(t.kidsOff) != n+1 || len(t.labelOff) != n+1 {
 		return fmt.Errorf("tree: inconsistent slice lengths for %d nodes", n)
 	}
-	seenPre := make([]bool, n)
-	for v := 0; v < n; v++ {
-		r := t.pre[v]
-		if r < 0 || int(r) >= n || seenPre[r] {
-			return fmt.Errorf("tree: pre rank %d of node %d invalid or duplicated", r, v)
+	if n > 0 && len(t.kidsFlat) != n-1 {
+		return fmt.Errorf("tree: %d child entries for %d nodes", len(t.kidsFlat), n)
+	}
+	for _, o := range []struct {
+		name    string
+		rank    []int32
+		inverse []NodeID
+	}{{"pre", t.pre, t.byPre}, {"post", t.post, t.byPost}, {"bflr", t.bflr, t.byBFLR}} {
+		for v := 0; v < n; v++ {
+			r := o.rank[v]
+			if r < 0 || int(r) >= n || o.inverse[r] != NodeID(v) {
+				return fmt.Errorf("tree: %s rank %d of node %d invalid or not inverted", o.name, r, v)
+			}
 		}
-		seenPre[r] = true
-		if t.byPre[r] != NodeID(v) {
-			return fmt.Errorf("tree: byPre[%d] = %d, want %d", r, t.byPre[r], v)
-		}
+	}
+	if t.kidsOff[0] != 0 || int(t.kidsOff[n]) != len(t.kidsFlat) {
+		return fmt.Errorf("tree: child offsets do not span the child array")
 	}
 	for v := 0; v < n; v++ {
 		id := NodeID(v)
-		for i, c := range t.kids[v] {
+		if t.kidsOff[v+1] < t.kidsOff[v] {
+			return fmt.Errorf("tree: child offsets decrease at node %d", v)
+		}
+		for i, c := range t.Children(id) {
 			if t.parent[c] != id {
 				return fmt.Errorf("tree: child %d of %d has parent %d", c, v, t.parent[c])
 			}
@@ -306,28 +353,55 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("tree: non-root node %d has no parent", v)
 		}
 	}
-	for a, nodes := range t.labelIdx {
-		for _, v := range nodes {
+	L := t.numLabels()
+	if L < 0 || len(t.idxOff) != L+1 || t.nameOff[0] != 0 || int(t.nameOff[L]) != len(t.nameStr) {
+		return fmt.Errorf("tree: label tables inconsistent with %d labels", L)
+	}
+	if t.idxOff[0] != 0 || int(t.idxOff[L]) != len(t.idxFlat) {
+		return fmt.Errorf("tree: label index offsets do not span the index")
+	}
+	for i := 0; i < L; i++ {
+		if t.nameOff[i] > t.nameOff[i+1] || t.idxOff[i] > t.idxOff[i+1] {
+			return fmt.Errorf("tree: label offsets decrease at label %d", i)
+		}
+	}
+	for i := 1; i < L; i++ {
+		if t.labelName(i-1) >= t.labelName(i) {
+			return fmt.Errorf("tree: alphabet not strictly sorted at label %d", i)
+		}
+	}
+	if t.labelOff[0] != 0 || int(t.labelOff[n]) != len(t.labelIDs) || len(t.labelOcc) != len(t.labelIDs) {
+		return fmt.Errorf("tree: label offsets do not span the label arrays")
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := t.labelOff[v], t.labelOff[v+1]
+		if hi < lo {
+			return fmt.Errorf("tree: label offsets decrease at node %d", v)
+		}
+		for i := lo; i < hi; i++ {
+			id := t.labelIDs[i]
+			if id < 0 || int(id) >= L || (i > lo && t.labelIDs[i-1] >= id) || t.labelOcc[i] != t.labelName(int(id)) {
+				return fmt.Errorf("tree: label set of node %d unsorted or out of the alphabet", v)
+			}
+		}
+	}
+	for i := 0; i < L; i++ {
+		a := t.labelName(i)
+		nodes := t.NodesWithLabel(a)
+		if len(nodes) == 0 {
+			return fmt.Errorf("tree: alphabet label %q occurs on no node", a)
+		}
+		for j, v := range nodes {
 			if !t.HasLabel(v, a) {
 				return fmt.Errorf("tree: label index lists %q on node %d which lacks it", a, v)
 			}
-		}
-		for i := 1; i < len(nodes); i++ {
-			if t.pre[nodes[i-1]] >= t.pre[nodes[i]] {
+			if j > 0 && t.pre[nodes[j-1]] >= t.pre[v] {
 				return fmt.Errorf("tree: label index for %q not sorted by pre", a)
 			}
 		}
 	}
-	var count int
-	for v := 0; v < n; v++ {
-		count += len(t.labels[v])
-	}
-	var idxCount int
-	for _, nodes := range t.labelIdx {
-		idxCount += len(nodes)
-	}
-	if count != idxCount {
-		return fmt.Errorf("tree: label index holds %d entries, nodes carry %d labels", idxCount, count)
+	if len(t.idxFlat) != len(t.labelIDs) {
+		return fmt.Errorf("tree: label index holds %d entries, nodes carry %d labels", len(t.idxFlat), len(t.labelIDs))
 	}
 	return nil
 }
@@ -343,15 +417,19 @@ func (t *Tree) String() string {
 }
 
 func (t *Tree) writeTerm(sb *strings.Builder, v NodeID) {
-	ls := t.labels[v]
+	ls := t.Labels(v)
 	if len(ls) == 0 {
 		sb.WriteString("_")
-	} else {
-		sb.WriteString(strings.Join(ls, "|"))
 	}
-	if len(t.kids[v]) > 0 {
+	for i, l := range ls {
+		if i > 0 {
+			sb.WriteByte('|')
+		}
+		sb.WriteString(l)
+	}
+	if kids := t.Children(v); len(kids) > 0 {
 		sb.WriteByte('(')
-		for i, c := range t.kids[v] {
+		for i, c := range kids {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -370,10 +448,10 @@ func (t *Tree) Equal(u *Tree) bool {
 	for v := 0; v < t.size; v++ {
 		// Compare in pre-order alignment: node with pre rank r in each.
 		a, b := t.byPre[v], u.byPre[v]
-		if len(t.kids[a]) != len(u.kids[b]) {
+		if t.NumChildren(a) != u.NumChildren(b) {
 			return false
 		}
-		la, lb := t.labels[a], u.labels[b]
+		la, lb := t.Labels(a), u.Labels(b)
 		if len(la) != len(lb) {
 			return false
 		}
@@ -384,101 +462,4 @@ func (t *Tree) Equal(u *Tree) bool {
 		}
 	}
 	return true
-}
-
-// finish computes all derived data after the shape and labels are fixed.
-// parent/kids/labels must be fully populated with node 0 the root.
-func (t *Tree) finish() {
-	n := len(t.parent)
-	t.size = n
-	t.pre = make([]int32, n)
-	t.post = make([]int32, n)
-	t.bflr = make([]int32, n)
-	t.depth = make([]int32, n)
-	t.preEnd = make([]int32, n)
-	t.sibIndex = make([]int32, n)
-	t.byPre = make([]NodeID, n)
-	t.byPost = make([]NodeID, n)
-	t.byBFLR = make([]NodeID, n)
-	if n == 0 {
-		t.labelIdx = map[string][]NodeID{}
-		return
-	}
-	for v := 0; v < n; v++ {
-		for i, c := range t.kids[v] {
-			t.sibIndex[c] = int32(i)
-		}
-	}
-	// Iterative pre/post computation.
-	var preCtr, postCtr int32
-	type frame struct {
-		v    NodeID
-		next int // next child index to visit
-	}
-	stack := make([]frame, 0, 64)
-	stack = append(stack, frame{0, 0})
-	t.pre[0] = 0
-	t.byPre[0] = 0
-	preCtr = 1
-	t.depth[0] = 0
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(t.kids[f.v]) {
-			c := t.kids[f.v][f.next]
-			f.next++
-			t.pre[c] = preCtr
-			t.byPre[preCtr] = c
-			preCtr++
-			t.depth[c] = t.depth[f.v] + 1
-			stack = append(stack, frame{c, 0})
-			continue
-		}
-		t.post[f.v] = postCtr
-		t.byPost[postCtr] = f.v
-		postCtr++
-		stack = stack[:len(stack)-1]
-	}
-	// preEnd via reverse pre-order: preEnd[v] = max(pre of subtree).
-	for r := int32(n) - 1; r >= 0; r-- {
-		v := t.byPre[r]
-		end := t.pre[v]
-		for _, c := range t.kids[v] {
-			if t.preEnd[c] > end {
-				end = t.preEnd[c]
-			}
-		}
-		t.preEnd[v] = end
-	}
-	// BFLR order.
-	queue := make([]NodeID, 0, n)
-	queue = append(queue, 0)
-	var r int32
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		t.bflr[v] = r
-		t.byBFLR[r] = v
-		r++
-		queue = append(queue, t.kids[v]...)
-	}
-	// Label index.
-	t.labelIdx = map[string][]NodeID{}
-	for rr := int32(0); rr < int32(n); rr++ {
-		v := t.byPre[rr]
-		for _, a := range t.labels[v] {
-			t.labelIdx[a] = append(t.labelIdx[a], v)
-		}
-	}
-	// Structure size: nodes + labels + |Child| + |NextSibling|.
-	labelAtoms := 0
-	for v := 0; v < n; v++ {
-		labelAtoms += len(t.labels[v])
-	}
-	nsPairs := 0
-	for v := 0; v < n; v++ {
-		if len(t.kids[v]) > 0 {
-			nsPairs += len(t.kids[v]) - 1
-		}
-	}
-	t.structure = n + labelAtoms + (n - 1) + nsPairs
 }
