@@ -40,27 +40,11 @@ type shadowForest struct {
 	// down (prune each child against its parent). Derived once at build
 	// time and run by acyclicReduce.
 	schedule []consistency.Semijoin
-	// mirrors holds one n-variable set per mirrorSet, in order: the
-	// variables whose reduced sets a caller of acyclicReduce reads (see
-	// mirror). A Boolean query reads none and passes nil.
-	mirrors []bool
-}
-
-// mirrorSet names the variables a caller of acyclicReduce reads: all of
-// them (a satisfaction), those of headOrder (tuple enumeration), or the
-// head (a monadic answer).
-type mirrorSet int
-
-const (
-	mirrorAll mirrorSet = iota
-	mirrorEnum
-	mirrorHead
-)
-
-// mirror returns the variable set k as a mask over the query's variables.
-func (f *shadowForest) mirror(k mirrorSet) []bool {
-	n := len(f.parent)
-	return f.mirrors[int(k)*n : int(k+1)*n : int(k+1)*n]
+	// The variables whose reduced sets a caller of acyclicReduce reads, as
+	// masks over the query's variables: all of them (a satisfaction),
+	// those of headOrder (tuple enumeration) and the head (a monadic
+	// answer). A Boolean query reads none and passes nil.
+	allMirror, enumMirror, headMirror []bool
 }
 
 // buildShadowForest roots each component of the shadow; returns an error
@@ -77,7 +61,6 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 		linkAtom: make([]int, n),
 		linkDown: make([]bool, n),
 		children: make([][]cq.Var, n),
-		mirrors:  make([]bool, 3*n),
 	}
 	for i := range f.parent {
 		f.parent[i] = cq.NilVar
@@ -147,15 +130,15 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 			f.schedule = append(f.schedule, consistency.Semijoin{Atom: int32(f.linkAtom[x]), Fwd: !f.linkDown[x]})
 		}
 	}
-	all, enum, head := f.mirror(mirrorAll), f.mirror(mirrorEnum), f.mirror(mirrorHead)
-	for x := range all {
-		all[x] = true
+	f.allMirror, f.enumMirror, f.headMirror = make([]bool, n), make([]bool, n), make([]bool, n)
+	for x := range f.allMirror {
+		f.allMirror[x] = true
 	}
 	for _, x := range f.headOrder {
-		enum[x] = true
+		f.enumMirror[x] = true
 	}
 	for _, x := range q.Head {
-		head[x] = true
+		f.headMirror[x] = true
 	}
 	return f, nil
 }
@@ -204,8 +187,10 @@ func (f *shadowForest) atomHolds(t *tree.Tree, c cq.Var, vp, vc tree.NodeID) boo
 
 // acyclicReduce runs the two semijoin passes and returns the globally
 // consistent candidate sets, or ok=false if some set empties. Only the
-// sets of the variables mirror marks are reduced (see SemijoinIx). The
-// returned sets are scratch-owned: valid until the scratch's next use.
+// sets of the variables mirror marks are reduced (see SemijoinIx); the
+// others keep their label-filtered candidates, so a caller reads only the
+// variables of the mask it passed. The returned sets are scratch-owned:
+// valid until the scratch's next use.
 func acyclicReduce(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, mirror []bool) ([]*consistency.NodeSet, bool) {
 	p, ok := s.ac.SemijoinIx(d.ix, q, f.schedule, mirror)
 	if !ok {
@@ -225,7 +210,7 @@ func acyclicBool(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) bool
 // acyclicSatisfaction returns one consistent valuation, or nil.
 func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) consistency.Valuation {
 	t := d.t
-	sets, ok := acyclicReduce(d, q, f, s, f.mirror(mirrorAll))
+	sets, ok := acyclicReduce(d, q, f, s, f.allMirror)
 	if !ok {
 		return nil
 	}
@@ -300,7 +285,7 @@ func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 		}
 		return
 	}
-	sets, ok := acyclicReduce(d, q, f, s, f.mirror(mirrorEnum))
+	sets, ok := acyclicReduce(d, q, f, s, f.enumMirror)
 	if !ok {
 		return
 	}
@@ -325,7 +310,7 @@ func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 // (Yannakakis), so every surviving candidate of the head variable extends
 // to a full solution and the reduced set IS the answer.
 func acyclicForEachNode(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, stop func() bool, fn func(v tree.NodeID) bool) {
-	sets, ok := acyclicReduce(d, q, f, s, f.mirror(mirrorHead))
+	sets, ok := acyclicReduce(d, q, f, s, f.headMirror)
 	if !ok {
 		return
 	}

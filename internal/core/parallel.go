@@ -171,7 +171,7 @@ func (p *Prepared) acyclicAllParallel(d *Document, workers int, stop func() bool
 	// Reduce once, then clone the scratch-owned sets so workers (and the
 	// merge below) read them without holding the scratch.
 	s := p.scratch()
-	sets0, ok := acyclicReduce(d, p.q, p.forest, s, p.forest.mirror(mirrorEnum))
+	sets0, ok := acyclicReduce(d, p.q, p.forest, s, p.forest.enumMirror)
 	if !ok {
 		p.release(s)
 		return nil

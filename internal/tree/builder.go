@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -236,11 +237,7 @@ func (t *Tree) setLabels(occNode []NodeID, occLabel []int32, names []string) {
 	for v := 0; v < n; v++ {
 		lo, hi := off[v], off[v+1]
 		seg := ids[lo:hi]
-		for i := 1; i < len(seg); i++ { // insertion sort: label sets are tiny
-			for j := i; j > 0 && seg[j] < seg[j-1]; j-- {
-				seg[j], seg[j-1] = seg[j-1], seg[j]
-			}
-		}
+		slices.Sort(seg)
 		off[v] = w
 		for _, id := range seg {
 			if w == off[v] || ids[w-1] != id {

@@ -2,9 +2,12 @@ package tree
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/snapshot"
 )
@@ -155,5 +158,36 @@ func TestParseTermAllocsFlat(t *testing.T) {
 	// allocation per node would be 9,900 more.
 	if small, large := allocs(100), allocs(10000); large > small+2 {
 		t.Fatalf("ParseTerm allocations grow with the tree: %v at 100 nodes, %v at 10000", small, large)
+	}
+}
+
+// TestParseTermManyLabelsOneNode parses one node carrying 200,000 distinct
+// labels in descending order, the worst case for sorting a node's label
+// set. A term body is client input, so the sort must stay O(k log k): a
+// quadratic sort needs about 2·10¹⁰ swaps here and misses the deadline.
+func TestParseTermManyLabelsOneNode(t *testing.T) {
+	const k = 200000
+	var sb strings.Builder
+	for i := k - 1; i >= 0; i-- {
+		fmt.Fprintf(&sb, "L%06d", i)
+		if i > 0 {
+			sb.WriteByte('|')
+		}
+	}
+	term := sb.String()
+	done := make(chan *Tree, 1)
+	go func() { done <- MustParseTerm(term) }()
+	var tr *Tree
+	select {
+	case tr = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("ParseTerm of one node with %d labels took over 10s", k)
+	}
+	labels := tr.Labels(0)
+	if len(labels) != k || labels[0] != "L000000" || labels[k-1] != fmt.Sprintf("L%06d", k-1) {
+		t.Fatalf("got %d labels from %q to %q", len(labels), labels[0], labels[len(labels)-1])
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
