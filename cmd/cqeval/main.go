@@ -3,7 +3,7 @@
 // Usage:
 //
 //	cqeval -tree 'A(B,C(B))' -query 'Q(y) <- A(x), Child+(x, y), B(y)'
-//	cqeval -treefile doc.xml -query '...' -query '...' [-parallel 4] [-explain] [-apq] [-xpath]
+//	cqeval -treefile doc.xml -query '...' -query '...' [-explain] [-apq] [-xpath]
 //	cqeval -treefile doc.xml -save-index doc.cqs            # dump a snapshot
 //	cqeval -load-index doc.cqs -query '...'                 # reuse it: no parse, no index build
 //
@@ -12,10 +12,9 @@
 // adopted from a binary index snapshot (-load-index; write one with
 // -save-index).
 // -query may repeat: the document is indexed once (cqtrees.Index) and every
-// query evaluates against the shared Document through the iterator API;
-// -parallel shards the outer candidate loop of each enumeration across the
-// given number of workers. Per-phase timings (index / prepare / execute)
-// are reported at the end.
+// query evaluates against the shared Document through the iterator API,
+// and its answers are sorted for deterministic output. Per-phase timings
+// (index / prepare / execute) are reported at the end.
 package main
 
 import (
@@ -68,7 +67,6 @@ func run(args []string, stdout io.Writer) error {
 	treeFile := fs.String("treefile", "", "file holding the tree (.xml or term syntax)")
 	var querySrcs multiFlag
 	fs.Var(&querySrcs, "query", "conjunctive query, e.g. Q(y) <- A(x), Child(x, y); may repeat")
-	parallel := fs.Int("parallel", 0, "worker count for enumeration (<= 1 means sequential)")
 	explain := fs.Bool("explain", false, "print each query's evaluation plan and classification")
 	apq := fs.Bool("apq", false, "also print the equivalent acyclic positive queries (Thm 6.10)")
 	asXPath := fs.Bool("xpath", false, "also print equivalent XPath expressions (monadic queries)")
@@ -142,24 +140,12 @@ func run(args []string, stdout io.Writer) error {
 		if *explain {
 			fmt.Fprintln(stdout, "plan:", pq.Plan())
 		}
-		// Sequential runs stream through the range-over-func iterator;
-		// -parallel > 1 uses the sharded materializing path instead
-		// (streaming is single-goroutine by contract). Both are sorted
-		// below for deterministic output.
 		execStart := time.Now()
 		var answers [][]cqtrees.NodeID
-		if *parallel > 1 {
-			var err error
-			answers, err = pq.AllErr(doc, cqtrees.WithWorkers(*parallel))
-			if err != nil {
-				return fmt.Errorf("cqeval: query %d: %v", i+1, err)
-			}
-		} else {
-			for tuple := range pq.Tuples(doc) {
-				answers = append(answers, tuple)
-			}
-			slices.SortFunc(answers, slices.Compare)
+		for tuple := range pq.Tuples(doc) {
+			answers = append(answers, tuple)
 		}
+		slices.SortFunc(answers, slices.Compare)
 		executeDur += time.Since(execStart)
 		if len(pq.Query().Head) == 0 {
 			fmt.Fprintln(stdout, "satisfiable:", len(answers) > 0)

@@ -99,30 +99,6 @@ func TestMultiQueryOutput(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: -parallel output equals sequential
-// output line for line (both paths sort).
-func TestParallelMatchesSequential(t *testing.T) {
-	args := []string{
-		"-tree", "A(B,C(B),B(C(B)))",
-		"-query", "Q(x, y) <- A(x), Child+(x, y), B(y)",
-	}
-	seq, err := runCmd(t, args...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := runCmd(t, append(args, "-parallel", "4")...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripTimings := func(s string) string {
-		lines := strings.Split(strings.TrimSpace(s), "\n")
-		return strings.Join(lines[:len(lines)-1], "\n")
-	}
-	if stripTimings(seq) != stripTimings(par) {
-		t.Errorf("parallel output differs:\nseq:\n%s\npar:\n%s", seq, par)
-	}
-}
-
 // TestExplainAndTreefile: -explain prints the plan; -treefile loads term
 // and XML files by extension.
 func TestExplainAndTreefile(t *testing.T) {

@@ -16,7 +16,6 @@ package cqtrees
 //	stream        PreparedQuery.NodeSeq (incremental pinned checks
 //	              seeded from the shared maximal prevaluation).
 //	materialize   PreparedQuery.NodesErr.
-//	parallel4     PreparedQuery.NodesErr with WithWorkers(4).
 //	first-answer  NodeSeq with an immediate break — the early-exit
 //	              price of an existence-style query.
 
@@ -113,13 +112,6 @@ func BenchmarkEnumeration(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/parallel4", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := nodesOf(b, pq, doc, WithWorkers(4)); len(got) != cfg.answers {
-					b.Fatalf("count = %d", len(got))
-				}
-			}
-		})
 		b.Run(name+"/first-answer", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				found := false
@@ -153,13 +145,6 @@ func BenchmarkEnumeration(b *testing.B) {
 			})
 			if count != want {
 				b.Fatalf("count = %d, want %d", count, want)
-			}
-		}
-	})
-	b.Run("pair/n=4000/parallel4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := allOf(b, pq, doc, WithWorkers(4)); len(got) != want {
-				b.Fatalf("count = %d, want %d", len(got), want)
 			}
 		}
 	})

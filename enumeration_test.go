@@ -169,45 +169,9 @@ func TestStreamingEarlyExit(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: AllErr/NodesErr with WithWorkers(n) must
-// return exactly the sequential result on random trees and queries.
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(4321))
-	alphabet := []string{"A", "B", "C"}
-	for trial := 0; trial < 120; trial++ {
-		cfg := parityConfigs[trial%len(parityConfigs)]
-		tr := tree.Random(rng, tree.RandomConfig{
-			Nodes:       1 + rng.Intn(40),
-			MaxChildren: 4,
-			Alphabet:    alphabet,
-		})
-		q := randomQuery(rng, cfg.axes, 2+rng.Intn(3), 1+rng.Intn(4), alphabet)
-		pq, err := Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc := Index(tr)
-		want := allOf(t, pq, doc)
-		for _, workers := range []int{2, 4} {
-			par := WithWorkers(workers)
-			if got := allOf(t, pq, doc, par); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s trial %d (workers=%d): parallel All %v != sequential %v\nq = %s\ntree = %s",
-					cfg.name, trial, workers, got, want, q, tr)
-			}
-			if len(q.Head) == 1 {
-				if got, seq := nodesOf(t, pq, doc, par), nodesOf(t, pq, doc); !reflect.DeepEqual(got, seq) {
-					t.Fatalf("%s trial %d (workers=%d): parallel Nodes %v != sequential %v",
-						cfg.name, trial, workers, got, seq)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelEnumerationConcurrent drives parallel enumeration from many
+// TestParallelEnumerationConcurrent drives enumeration from many
 // goroutines at once on a shared PreparedQuery — under -race this proves
-// the sharded workers, pooled scratches and shared PinBase snapshots are
-// data-race free.
+// the pooled scratches and per-call PinBase snapshots are data-race free.
 func TestParallelEnumerationConcurrent(t *testing.T) {
 	queries := map[string]string{
 		"acyclic":   "Q(x, y) <- A(x), Child+(x, y), B(y)",
@@ -220,10 +184,10 @@ func TestParallelEnumerationConcurrent(t *testing.T) {
 	}
 	for name, src := range queries {
 		t.Run(name, func(t *testing.T) {
-			pq, par := MustCompile(src), WithWorkers(4)
+			pq := MustCompile(src)
 			want := make([][][]NodeID, len(docs))
 			for i, doc := range docs {
-				want[i] = allOf(t, pq, doc, par)
+				want[i] = allOf(t, pq, doc)
 				if len(want[i]) == 0 {
 					t.Fatalf("tree %d: want answers for a meaningful race test", i)
 				}
@@ -236,7 +200,7 @@ func TestParallelEnumerationConcurrent(t *testing.T) {
 					defer wg.Done()
 					for it := 0; it < 10; it++ {
 						i := (g + it) % len(docs)
-						got, err := pq.AllErr(docs[i], par)
+						got, err := pq.AllErr(docs[i])
 						if err != nil || !reflect.DeepEqual(got, want[i]) {
 							errs <- fmt.Errorf("goroutine %d tree %d: %v, %v != %v", g, i, got, err, want[i])
 							return

@@ -292,11 +292,6 @@ func TestNodeSetOps(t *testing.T) {
 	if len(members) != 2 || members[0] != 2 || members[1] != 5 {
 		t.Errorf("Members = %v", members)
 	}
-	c := o.Clone()
-	c.Remove(2)
-	if o.Len() != 2 {
-		t.Errorf("clone aliases original")
-	}
 }
 
 func TestFastACStats(t *testing.T) {

@@ -127,7 +127,7 @@ func (w *domWords) load(b *PinBase, s *NodeSet) {
 // can restore any domain with a few word copies.
 //
 // A PinBase is read-only after construction and safe to share between
-// concurrent PinRuns (the parallel enumeration path relies on this).
+// concurrent PinRuns.
 type PinBase struct {
 	t  *tree.Tree
 	q  *cq.Query

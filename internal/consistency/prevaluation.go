@@ -114,11 +114,6 @@ func (s *NodeSet) Empty() bool { return s.count == 0 }
 // (the word array plus the fixed header).
 func (s *NodeSet) SizeBytes() int64 { return int64(len(s.words))*8 + 16 }
 
-// Clone returns a copy.
-func (s *NodeSet) Clone() *NodeSet {
-	return &NodeSet{words: append([]uint64(nil), s.words...), n: s.n, count: s.count}
-}
-
 // copyFrom makes s an element-wise copy of o, reusing s's storage.
 func (s *NodeSet) copyFrom(o *NodeSet) {
 	w := bitset.Words(o.n)

@@ -299,7 +299,7 @@ func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 	// memory-flat however many answers it has.
 	emit := fn
 	if enumNeedsDedup(q.Head, f.headOrder) {
-		emit = dedupEmit(map[string]bool{}, fn)
+		emit = dedupEmit(fn)
 	}
 	acyclicEnumFrom(t, q, f, sets, f.headOrder, theta, 0, tuple, stop, emit)
 }

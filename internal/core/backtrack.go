@@ -273,7 +273,7 @@ func (e *BacktrackEngine) forEachTuple(d *Document, q *cq.Query, stop func() boo
 	// the one O(answers) allocation on this streaming path.
 	emit := fn
 	if !projectionFree(q) {
-		emit = dedupEmit(map[string]bool{}, fn)
+		emit = dedupEmit(fn)
 	}
 	tuple := make([]tree.NodeID, len(q.Head))
 	e.run(d, q, stop, func(theta consistency.Valuation) bool {

@@ -153,16 +153,6 @@ func collectSortedTuples(stream func(fn func([]tree.NodeID) bool)) [][]tree.Node
 	return out
 }
 
-// appendTupleKey appends tuple's dedup-key encoding to key. Every dedup
-// site (streaming and parallel-merge) must use this one encoding: the
-// parallel path relies on per-worker and merge-time keys agreeing.
-func appendTupleKey(key []byte, tuple []tree.NodeID) []byte {
-	for _, v := range tuple {
-		key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return key
-}
-
 // enumNeedsDedup reports whether an enumeration that assigns the
 // variables of order exactly once per distinct assignment can reach the
 // same head tuple twice — i.e. whether order contains a non-head
@@ -200,13 +190,18 @@ func projectionFree(q *cq.Query) bool {
 	return n == q.NumVars()
 }
 
-// dedupEmit wraps emit to drop tuples already recorded in seen, reusing
-// one key buffer across calls (map lookups through string(key) do not
-// allocate; only the insert of a genuinely new answer does).
-func dedupEmit(seen map[string]bool, emit func([]tree.NodeID) bool) func([]tree.NodeID) bool {
+// dedupEmit wraps emit to drop tuples it has already passed on, keyed by
+// the tuple's little-endian NodeID bytes. It reuses one key buffer across
+// calls (map lookups through string(key) do not allocate; only the insert
+// of a genuinely new answer does).
+func dedupEmit(emit func([]tree.NodeID) bool) func([]tree.NodeID) bool {
+	seen := map[string]bool{}
 	var key []byte
 	return func(tuple []tree.NodeID) bool {
-		key = appendTupleKey(key[:0], tuple)
+		key = key[:0]
+		for _, v := range tuple {
+			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		}
 		if seen[string(key)] {
 			return true
 		}

@@ -124,28 +124,19 @@ const (
 
 // EnumOptions tunes answer evaluation and enumeration.
 type EnumOptions struct {
-	// Parallel is the number of worker goroutines sharding the outer
-	// candidate loop of AllDoc/MonadicDoc; 0 and 1 are equivalent (both
-	// mean sequential), and negative values are treated as 0. Only the
-	// acyclic and X-property strategies parallelize (the backtracking
-	// search is inherently stateful and falls back to sequential).
-	// Streaming (ForEachTupleDoc/ForEachNodeDoc) is always sequential: the
-	// callback contract is single-goroutine.
-	Parallel int
 	// Ctx, when non-nil, cancels evaluation: cancellation is checked once
-	// per outer-candidate-loop iteration (in both sequential and sharded
-	// parallel enumeration) and once per search-node expansion under the
-	// backtracking strategy, so enumeration stops within one outer
-	// iteration of the cancel. The error-returning entry points report
-	// ctx.Err(); streaming entry points just stop.
+	// per outer-candidate-loop iteration and once per search-node
+	// expansion under the backtracking strategy, so enumeration stops
+	// within one outer iteration of the cancel. The error-returning entry
+	// points report ctx.Err(); streaming entry points just stop.
 	Ctx context.Context
 	// Order, when non-nil, requests ordered enumeration: answer tuples
 	// stream in lexicographic document order — head position i ascending
 	// or descending over pre-order ranks per Order[i]. It must hold
 	// exactly one direction per head variable (callers validate arity; a
-	// mismatch panics). Ordered enumeration is sequential (Parallel is
-	// ignored), streams with no sort or buffering under the acyclic and
-	// X-property strategies, and materializes + sorts under backtracking.
+	// mismatch panics). Ordered enumeration streams with no sort or
+	// buffering under the acyclic and X-property strategies, and
+	// materializes + sorts under backtracking.
 	// AllDoc returns the requested order instead of lexicographic NodeID
 	// order. Ignored for queries with an empty head.
 	Order []OrderDir
@@ -348,36 +339,21 @@ func (p *Prepared) ForEachNodeDoc(d *Document, o EnumOptions, fn func(v tree.Nod
 
 // AllDoc enumerates the distinct answer tuples of the compiled query on d
 // in lexicographic NodeID order (for Boolean queries: one empty tuple if
-// satisfiable). On cancellation the partial result is discarded and the
-// context's error returned.
+// satisfiable). Ordered enumeration keeps the requested order instead; a
+// Limit/Offset prefix of an unordered stream is sorted among itself. On
+// cancellation the partial result is discarded and the context's error
+// returned.
 func (p *Prepared) AllDoc(d *Document, o EnumOptions) ([][]tree.NodeID, error) {
 	if err := o.err(); err != nil {
 		return nil, err
 	}
-	// Ordered, limited, or offset enumeration is inherently sequential and
-	// must keep the stream's own order (ordered) or the stream-prefix
-	// semantics (limit/offset), so it bypasses the parallel sharding.
-	if ordered := o.ordered(len(p.q.Head)); ordered || o.Limit > 0 || o.Offset > 0 {
-		var out [][]tree.NodeID
-		p.ForEachTupleDoc(d, o, func(tuple []tree.NodeID) bool {
-			out = append(out, copyTuple(tuple))
-			return true
-		})
-		if !ordered {
-			// An unordered limit prefix keeps the sorted-relation shape
-			// (sorted among themselves, like the batch tuple cap).
-			slices.SortFunc(out, slices.Compare[[]tree.NodeID])
-		}
-		if err := o.err(); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	out, parallel := p.allParallel(d, o)
-	if !parallel {
-		out = collectSortedTuples(func(fn func([]tree.NodeID) bool) {
-			p.ForEachTupleDoc(d, o, fn)
-		})
+	var out [][]tree.NodeID
+	p.ForEachTupleDoc(d, o, func(tuple []tree.NodeID) bool {
+		out = append(out, copyTuple(tuple))
+		return true
+	})
+	if !o.ordered(len(p.q.Head)) {
+		slices.SortFunc(out, slices.Compare[[]tree.NodeID])
 	}
 	if err := o.err(); err != nil {
 		return nil, err
@@ -395,24 +371,17 @@ func (p *Prepared) MonadicDoc(d *Document, o EnumOptions) ([]tree.NodeID, error)
 	if err := o.err(); err != nil {
 		return nil, err
 	}
-	ordered := o.ordered(1)
-	out, parallel := []tree.NodeID(nil), false
-	if !ordered && o.Limit <= 0 && o.Offset <= 0 {
-		out, parallel = p.monadicParallel(d, o)
-	}
-	if !parallel {
-		out = []tree.NodeID{}
-		p.ForEachNodeDoc(d, o, func(v tree.NodeID) bool {
-			out = append(out, v)
-			return true
-		})
-		if !ordered {
-			// Acyclic and X-property emission is already sorted; backtracking
-			// is discovery-ordered. Sorting unconditionally keeps the contract
-			// simple and costs O(answer log answer). Ordered enumeration keeps
-			// the requested document order instead.
-			slices.Sort(out)
-		}
+	out := []tree.NodeID{}
+	p.ForEachNodeDoc(d, o, func(v tree.NodeID) bool {
+		out = append(out, v)
+		return true
+	})
+	if !o.ordered(1) {
+		// Acyclic and X-property emission is already sorted; backtracking
+		// is discovery-ordered. Sorting unconditionally keeps the contract
+		// simple and costs O(answer log answer). Ordered enumeration keeps
+		// the requested document order instead.
+		slices.Sort(out)
 	}
 	if err := o.err(); err != nil {
 		return nil, err

@@ -66,17 +66,16 @@ func sameTuples(a, b [][]tree.NodeID) bool {
 	return slices.EqualFunc(a, b, slices.Equal[[]tree.NodeID])
 }
 
-// TestParallelEnumerationMatchesReference: the sharded AllDoc and MonadicDoc
-// paths (polyAllParallel, polyMonadicParallel, acyclicAllParallel, and the
-// sequential fallback of backtracking) return exactly the reference
-// relation, and the sequential monadic streams agree with it too.
+// TestParallelEnumerationMatchesReference: AllDoc and MonadicDoc return
+// exactly the reference relation under every strategy, including acyclic
+// heads whose first enumeration variable is projected away.
 func TestParallelEnumerationMatchesReference(t *testing.T) {
 	for i, c := range strategyCases(t, 7, 25) {
 		d := NewDocument(c.tr)
 		want := c.want
-		got, err := c.p.AllDoc(d, EnumOptions{Parallel: 3})
+		got, err := c.p.AllDoc(d, EnumOptions{})
 		if err != nil || !sameTuples(got, want) {
-			t.Fatalf("case %d (%v): parallel AllDoc = %v (err %v), want %v\nquery %s\ntree %s",
+			t.Fatalf("case %d (%v): AllDoc = %v (err %v), want %v\nquery %s\ntree %s",
 				i, c.p.Plan().Strategy, got, err, want, c.q, c.tr)
 		}
 		if len(c.q.Head) != 1 {
@@ -86,20 +85,18 @@ func TestParallelEnumerationMatchesReference(t *testing.T) {
 		for _, tp := range want {
 			wantNodes = append(wantNodes, tp[0])
 		}
-		for _, workers := range []int{1, 3} {
-			nodes, err := c.p.MonadicDoc(d, EnumOptions{Parallel: workers})
-			if err != nil || !slices.Equal(nodes, wantNodes) {
-				t.Fatalf("case %d (%v, %d workers): MonadicDoc = %v (err %v), want %v\nquery %s\ntree %s",
-					i, c.p.Plan().Strategy, workers, nodes, err, wantNodes, c.q, c.tr)
-			}
+		nodes, err := c.p.MonadicDoc(d, EnumOptions{})
+		if err != nil || !slices.Equal(nodes, wantNodes) {
+			t.Fatalf("case %d (%v): MonadicDoc = %v (err %v), want %v\nquery %s\ntree %s",
+				i, c.p.Plan().Strategy, nodes, err, wantNodes, c.q, c.tr)
 		}
 	}
 }
 
 // TestParallelXPropertyOnAcyclicQueries forces the X-property strategy
 // onto acyclic tractable queries, whose answers are larger than those of
-// the random cyclic ones, so the parallel X-property shards see many
-// outer candidates.
+// the random cyclic ones, so the X-property descent sees many outer
+// candidates.
 func TestParallelXPropertyOnAcyclicQueries(t *testing.T) {
 	tr := tree.Random(rand.New(rand.NewSource(3)), tree.RandomConfig{Nodes: 40, MaxChildren: 3, Alphabet: []string{"A", "B"}})
 	d := NewDocument(tr)
@@ -110,29 +107,29 @@ func TestParallelXPropertyOnAcyclicQueries(t *testing.T) {
 		q := cq.MustParse(src)
 		p := prepareXProperty(t, q)
 		want := ReferenceEvalAll(tr, q)
-		if got, _ := p.AllDoc(d, EnumOptions{Parallel: 4}); !sameTuples(got, want) {
-			t.Fatalf("%s: parallel AllDoc = %v, want %v", src, got, want)
+		if got, _ := p.AllDoc(d, EnumOptions{}); !sameTuples(got, want) {
+			t.Fatalf("%s: AllDoc = %v, want %v", src, got, want)
 		}
 		if len(q.Head) == 1 {
 			var wantNodes []tree.NodeID
 			for _, tp := range want {
 				wantNodes = append(wantNodes, tp[0])
 			}
-			if nodes, _ := p.MonadicDoc(d, EnumOptions{Parallel: 4}); !slices.Equal(nodes, wantNodes) {
-				t.Fatalf("%s: parallel MonadicDoc = %v, want %v", src, nodes, wantNodes)
+			if nodes, _ := p.MonadicDoc(d, EnumOptions{}); !slices.Equal(nodes, wantNodes) {
+				t.Fatalf("%s: MonadicDoc = %v, want %v", src, nodes, wantNodes)
 			}
 		}
 	}
 }
 
-// TestParallelCancelled: a context cancelled before the shard starts stops
-// every worker and reports the context's error.
+// TestParallelCancelled: AllDoc under an already-cancelled context reports
+// the context's error under every strategy.
 func TestParallelCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := strategyCases(t, 11, 1)
 	for _, sc := range c {
-		if _, err := sc.p.AllDoc(NewDocument(sc.tr), EnumOptions{Parallel: 2, Ctx: ctx}); err == nil {
+		if _, err := sc.p.AllDoc(NewDocument(sc.tr), EnumOptions{Ctx: ctx}); err == nil {
 			t.Fatalf("%v: cancelled AllDoc returned no error", sc.p.Plan().Strategy)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -24,10 +25,11 @@ import (
 //	"nodes"  per-document sorted answer node set (monadic queries only)
 //	"tuples" per-document sorted distinct answer relation
 //
-// workers bounds the fan-out pool (0 = GOMAXPROCS); timeout_ms caps the
-// whole batch, admission wait included; max_answers caps each document's
-// tuples result (tightening the server's -max-answers, never extending
-// it) — a capped row carries "truncated": true.
+// workers bounds the fan-out pool: 0 means GOMAXPROCS, and larger values
+// clamp to it (see evalWorkers); timeout_ms caps the whole batch,
+// admission wait included; max_answers caps each document's tuples result
+// (tightening the server's -max-answers, never extending it) — a capped
+// row carries "truncated": true.
 type evalRequest struct {
 	Query      string   `json:"query,omitempty"`
 	Source     string   `json:"source,omitempty"`
@@ -99,6 +101,18 @@ func (s *Server) answerCap(req int) int {
 		cap = req
 	}
 	return cap
+}
+
+// evalWorkers bounds a request's workers by GOMAXPROCS (also the default
+// for <= 0). An admitted request holds one -max-inflight slot, so its
+// document fan-out must not grow with the client's number: a request
+// naming thousands of documents and as many workers would otherwise run
+// that many evaluations, each with its own pooled scratch, on one slot.
+func evalWorkers(req int) int {
+	if n := runtime.GOMAXPROCS(0); req <= 0 || req > n {
+		return n
+	}
+	return req
 }
 
 // admissionReject maps gate errors onto the overload tiers, counting the
@@ -422,7 +436,7 @@ func (s *Server) evalBatch(ctx context.Context, w http.ResponseWriter, r *http.R
 		}
 		// Collected before any row is added: a range-over-func body would
 		// move resp and rule to the heap on hit-only requests too.
-		for _, res := range slices.Collect(corpus.Run(ctx, req.Workers, misses, eval)) {
+		for _, res := range slices.Collect(corpus.Run(ctx, evalWorkers(req.Workers), misses, eval)) {
 			add(res.Job.Doc, res.Value, res.Err)
 		}
 	}

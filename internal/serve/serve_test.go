@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -448,4 +449,17 @@ func TestDataDirRestart(t *testing.T) {
 	s3 := mustServer(t, Config{DataDir: dir})
 	wantStatus(t, do(t, s3.Handler(), "GET", "/docs/xml", "", nil), http.StatusNotFound)
 	wantStatus(t, do(t, s3.Handler(), "GET", "/docs/term", "", nil), http.StatusOK)
+}
+
+// TestEvalWorkersClamp: a request's workers defaults to GOMAXPROCS and
+// never exceeds it, so one admitted request cannot fan out past the cores.
+func TestEvalWorkersClamp(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ req, want int }{
+		{-3, n}, {0, n}, {1, 1}, {n, n}, {n + 1, n}, {1 << 30, n},
+	} {
+		if got := evalWorkers(c.req); got != c.want {
+			t.Errorf("evalWorkers(%d) = %d, want %d (GOMAXPROCS %d)", c.req, got, c.want, n)
+		}
+	}
 }

@@ -84,8 +84,7 @@ func MustCompile(src string) *PreparedQuery {
 type EvalOption func(*evalConfig)
 
 type evalConfig struct {
-	ctx     context.Context
-	workers int
+	ctx context.Context
 	// order is the WithOrder spec: nil means no order requested; resolve
 	// pads it to one direction per head position when ordering is active.
 	order      []Dir
@@ -98,34 +97,13 @@ type evalConfig struct {
 }
 
 // WithContext attaches a context to the evaluation. Cancellation is
-// checked once per outer-candidate-loop iteration, in both sequential and
-// sharded parallel enumeration (and at every search-node expansion under
-// the backtracking strategy), so evaluation stops within one outer
-// iteration of the cancel. The error-returning methods then report
-// ctx.Err() and discard the partial result; the iterator methods simply
-// stop yielding.
+// checked once per outer-candidate-loop iteration (and at every
+// search-node expansion under the backtracking strategy), so evaluation
+// stops within one outer iteration of the cancel. The error-returning
+// methods then report ctx.Err() and discard the partial result; the
+// iterator methods simply stop yielding.
 func WithContext(ctx context.Context) EvalOption {
 	return func(c *evalConfig) { c.ctx = ctx }
-}
-
-// WithWorkers makes one materialized enumeration call (AllErr, NodesErr)
-// shard the outer candidate loop across the given number of worker
-// goroutines, each borrowing its own pooled evaluation scratch. 0 and 1
-// both mean sequential (the default), and negative counts clamp to 0.
-// Parallelism applies to AllErr under the acyclic and X-property
-// strategies and to NodesErr under the X-property strategy; backtracking
-// evaluation is inherently sequential and ignores it, and NodesErr on an
-// acyclic query is always sequential (its fast path returns the
-// semijoin-reduced head set directly, already O(answer) — there is no
-// outer loop to shard). Streaming (Tuples, NodeSeq) and ordered calls are
-// always sequential.
-func WithWorkers(workers int) EvalOption {
-	return func(c *evalConfig) {
-		if workers < 0 {
-			workers = 0
-		}
-		c.workers = workers
-	}
 }
 
 // WithOrder requests ordered enumeration: answer tuples stream in
@@ -137,7 +115,7 @@ func WithWorkers(workers int) EvalOption {
 // under the acyclic and X-property strategies — each pinned-descent level
 // iterates its candidate bitset in the requested direction — and
 // materializes + sorts under backtracking (order honored, document-order-
-// optimal only). Ordered calls are sequential: parallelism is ignored.
+// optimal only).
 //
 // With an order in force, AllErr returns the requested order instead of
 // lexicographic NodeID order, and Tuples/NodeSeq yield it directly.
@@ -194,7 +172,7 @@ func (pq *PreparedQuery) resolve(opts []EvalOption) (evalConfig, core.EnumOption
 	for _, o := range opts {
 		o(&c)
 	}
-	o := core.EnumOptions{Parallel: c.workers, Ctx: c.ctx, Limit: c.limit, Offset: c.offset}
+	o := core.EnumOptions{Ctx: c.ctx, Limit: c.limit, Offset: c.offset}
 	k := pq.arity()
 	ordered := c.order != nil || c.hasCursor
 	if !ordered {
