@@ -90,6 +90,35 @@ func NextAt(w []uint64, i int32) int32 {
 	}
 }
 
+// NextIn returns the smallest set bit index in [i, hi], or -1. Unlike
+// NextAt it reads no word past hi's, so walking a short interval of a
+// sparse set costs the interval's words, not the distance to the next set
+// bit. Tolerates empty and out-of-range intervals.
+func NextIn(w []uint64, i, hi int32) int32 {
+	if i < 0 {
+		i = 0
+	}
+	if max := int32(len(w)) * 64; hi >= max {
+		hi = max - 1
+	}
+	if hi < i {
+		return -1
+	}
+	wi, hiW := i>>6, hi>>6
+	x := w[wi] &^ ((1 << (uint(i) & 63)) - 1)
+	for x == 0 {
+		if wi == hiW {
+			return -1
+		}
+		wi++
+		x = w[wi]
+	}
+	if r := wi*64 + int32(bits.TrailingZeros64(x)); r <= hi {
+		return r
+	}
+	return -1
+}
+
 // Last returns the index of the highest set bit, or -1.
 func Last(w []uint64) int32 {
 	for wi := len(w) - 1; wi >= 0; wi-- {

@@ -73,6 +73,15 @@ func TestPointOpsAndScans(t *testing.T) {
 		if got := NextAt(w, probe); got != want {
 			t.Fatalf("NextAt(%d) = %d, want %d", probe, got, want)
 		}
+		for _, hi := range []int32{probe - 1, probe, probe + 1, probe + 63, probe + 64, probe + 130, n + 10} {
+			wantIn := want
+			if want > hi {
+				wantIn = -1
+			}
+			if got := NextIn(w, probe, hi); got != wantIn {
+				t.Fatalf("NextIn(%d, %d) = %d, want %d", probe, hi, got, wantIn)
+			}
+		}
 	}
 	var seen []int32
 	ForEach(w, func(i int32) bool { seen = append(seen, i); return true })

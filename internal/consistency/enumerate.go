@@ -150,21 +150,13 @@ type PinBase struct {
 	atomsStore [][]int32
 }
 
-// NewPinBase snapshots p — the maximal arc-consistent prevaluation of q on
-// t, as returned by FastAC — into a fresh PinBase (with its own
-// freshly built tree index). p's sets are copied; the caller may keep
-// using (or recycling) them afterwards.
-func NewPinBase(t *tree.Tree, q *cq.Query, p *Prevaluation) *PinBase {
-	b := &PinBase{}
-	b.init(NewTreeIndex(t), q, p)
-	return b
-}
-
-// PinBaseForIx is NewPinBase backed by Scratch-owned storage over a
-// borrowed document index (already built; snapshotting copies no
-// orderings). The result is valid until the next PinBaseForIx call on
-// sc — and no longer than the borrowed index; while valid it is still
-// safe for concurrent PinRuns.
+// PinBaseForIx snapshots p — the maximal arc-consistent prevaluation of q
+// on ix's tree, as returned by FastACIx — into Scratch-owned storage over
+// the borrowed document index (already built; snapshotting copies no
+// orderings). p's sets are copied; the caller may keep using (or
+// recycling) them afterwards. The result is valid until the next
+// PinBaseForIx call on sc — and no longer than the borrowed index; while
+// valid it is safe for concurrent PinRuns.
 func (sc *Scratch) PinBaseForIx(ix *TreeIndex, q *cq.Query, p *Prevaluation) *PinBase {
 	sc.pinBase.init(ix, q, p)
 	return &sc.pinBase

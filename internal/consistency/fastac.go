@@ -146,6 +146,162 @@ func supportedBwd(c *supportCtx, a axis.Axis, w tree.NodeID, dx *pinDom) bool {
 	}
 }
 
+// ImageIter visits image(v) ∩ dom for one step of a walk over an acyclic
+// query: the nodes w with R(v, w) (a forward step) or R(w, v) (a backward
+// step) whose pre ranks dom holds, in document order, as pre ranks. Each
+// axis image is read off the index's rank tables — a pre-rank interval,
+// a sibling chain, the ancestor chain, or one node — so a step costs the
+// words of its interval or the nodes of its chain, not a filter over the
+// whole domain:
+//
+//   - Child: v's children;
+//   - Child+, Child*, Following, DocOrder: a pre-rank interval;
+//   - Parent, Ancestor+, Ancestor*: the parent chain;
+//   - the sibling axes: v's siblings after or before it;
+//   - Preceding: pre ranks [0, pre(v)) with v's ancestors skipped;
+//   - Self, NextSibling, PrevSibling, DocOrderSucc: one node.
+//
+// The zero value is an exhausted iterator; Start and StartAll rewind it
+// and keep its buffer, so one ImageIter per walk position serves a whole
+// walk without allocating.
+type ImageIter struct {
+	ix   *TreeIndex
+	dom  []uint64
+	kind imageKind
+	// imageRange: the next pre rank to scan and the last one, and the
+	// Preceding cut (skip nodes whose subtree reaches it; 0 skips none).
+	// imageSibs: the next sibling and the one to stop before (-1: none).
+	next, end, cut int32
+	anc            []int32 // imageAnc: alive ancestors, the root last
+}
+
+type imageKind uint8
+
+const (
+	imageRange imageKind = iota
+	imageSibs
+	imageAnc
+)
+
+// StartAll rewinds it to visit every node of dom, in document order.
+func (it *ImageIter) StartAll(ix *TreeIndex, dom []uint64) {
+	it.ix, it.dom = ix, dom
+	it.scan(0, int32(len(ix.subtreeEnd))-1)
+}
+
+// Start rewinds it to visit image(v) ∩ dom under axis a, where v is a pre
+// rank: the nodes w with a(v, w) when fwd, with a(w, v) otherwise.
+func (it *ImageIter) Start(ix *TreeIndex, a axis.Axis, fwd bool, v int32, dom []uint64) {
+	it.ix, it.dom = ix, dom
+	if !fwd {
+		switch a {
+		case axis.DocOrder: // the nodes before v
+			it.scan(0, v-1)
+			return
+		case axis.DocOrderSucc: // v's predecessor
+			it.scan(v-1, v-1)
+			return
+		}
+		a = a.Inverse()
+	}
+	// A one-node image is the interval [w, w]. With w = -1 (no such node)
+	// it is empty: bitset.NextIn raises a negative start to 0, leaving
+	// [0, -1].
+	switch a {
+	case axis.Self:
+		it.scan(v, v)
+	case axis.Child:
+		it.sibs(ix.firstChildPre[v], -1)
+	case axis.ChildPlus:
+		it.scan(v+1, ix.subtreeEnd[v])
+	case axis.ChildStar:
+		it.scan(v, ix.subtreeEnd[v])
+	case axis.NextSibling:
+		it.scan(ix.nextSibPre[v], ix.nextSibPre[v])
+	case axis.NextSiblingPlus:
+		it.sibs(ix.nextSibPre[v], -1)
+	case axis.NextSiblingStar:
+		it.sibs(v, -1)
+	case axis.Following:
+		it.scan(ix.subtreeEnd[v]+1, int32(len(ix.subtreeEnd))-1)
+	case axis.Parent:
+		it.scan(ix.parentPre[v], ix.parentPre[v])
+	case axis.AncestorPlus:
+		it.ancestors(ix.parentPre[v])
+	case axis.AncestorStar:
+		it.ancestors(v)
+	case axis.PrevSibling:
+		it.scan(ix.prevSibPre[v], ix.prevSibPre[v])
+	case axis.PrevSiblingPlus:
+		it.sibs(ix.firstSibPre(v), v)
+	case axis.PrevSiblingStar:
+		it.sibs(ix.firstSibPre(v), ix.nextSibPre[v])
+	case axis.Preceding:
+		it.scan(0, v-1)
+		it.cut = v
+	case axis.DocOrder:
+		it.scan(v+1, int32(len(ix.subtreeEnd))-1)
+	case axis.DocOrderSucc:
+		it.scan(v+1, v+1)
+	default:
+		panic(fmt.Sprintf("consistency: image of invalid axis %d", int(a)))
+	}
+}
+
+func (it *ImageIter) scan(lo, hi int32) {
+	it.kind, it.next, it.end, it.cut = imageRange, lo, hi, 0
+}
+
+func (it *ImageIter) sibs(from, stop int32) {
+	it.kind, it.next, it.end = imageSibs, from, stop
+}
+
+// ancestors collects the alive nodes on the parent chain from u up, so
+// that Next can hand them out root first.
+func (it *ImageIter) ancestors(u int32) {
+	it.kind, it.anc = imageAnc, it.anc[:0]
+	for ; u >= 0; u = it.ix.parentPre[u] {
+		if bitset.Test(it.dom, u) {
+			it.anc = append(it.anc, u)
+		}
+	}
+}
+
+// Next returns the next node of the image, as a pre rank, or -1 when the
+// image is exhausted.
+func (it *ImageIter) Next() int32 {
+	switch it.kind {
+	case imageRange:
+		for {
+			w := bitset.NextIn(it.dom, it.next, it.end)
+			if w < 0 {
+				return -1
+			}
+			it.next = w + 1
+			if it.cut == 0 || it.ix.subtreeEnd[w] < it.cut {
+				return w
+			}
+		}
+	case imageSibs:
+		for w := it.next; w >= 0 && w != it.end; w = it.ix.nextSibPre[w] {
+			if bitset.Test(it.dom, w) {
+				it.next = it.ix.nextSibPre[w]
+				return w
+			}
+		}
+		it.next = -1
+		return -1
+	default:
+		k := len(it.anc) - 1
+		if k < 0 {
+			return -1
+		}
+		w := it.anc[k]
+		it.anc = it.anc[:k]
+		return w
+	}
+}
+
 // FastAC computes the subset-maximal arc-consistent prevaluation of q on t
 // with an AC-3-style worklist over the label-filtered initial
 // prevaluation, reporting (nil, false) if some variable's set empties.
@@ -244,11 +400,12 @@ type Semijoin struct {
 // such a schedule, and they reach the maximal arc-consistent prevaluation
 // without a worklist. The result aliases Scratch-owned sets (see type doc).
 //
-// The reduction runs on pre-rank words; mirror[x] says whether variable
-// x's NodeID-indexed set in the result is kept in step with it. Only
-// mirrored sets hold the reduced domains — the others keep the
-// label-filtered initial candidates — so a caller mirrors just the
-// variables it reads, and a nil mirror (a Boolean query) writes none.
+// The reduction runs on pre-rank words, which DomainPre reads afterwards;
+// mirror[x] says whether variable x's NodeID-indexed set in the result is
+// kept in step with them as well. Only mirrored sets hold the reduced
+// domains — the others keep the label-filtered initial candidates — so a
+// caller that reads NodeSets mirrors just those, and a nil mirror writes
+// none.
 func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin, mirror []bool) (*Prevaluation, bool) {
 	init := sc.InitialPrevaluationIx(ix, q)
 	lv, ok := sc.loadLevel(ix, q, init)
@@ -283,6 +440,13 @@ func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin, mirr
 	}
 	return init, true
 }
+
+// DomainPre returns variable x's domain as left by the last FastACIx,
+// SemijoinIx or PinnedFastACIx call on sc, as words over pre-order ranks
+// — reduced whether or not that call mirrored it into a NodeSet. The
+// words are Scratch-owned: read-only, and valid until the next call on
+// sc.
+func (sc *Scratch) DomainPre(x cq.Var) []uint64 { return sc.acRun.levels[0].cur[x].pre }
 
 // loadLevel binds the Scratch's AC run to ix and q and loads init's sets
 // into its level 0 in O(|dom| + n/64) per variable. It reports false if

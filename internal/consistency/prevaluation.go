@@ -138,13 +138,6 @@ func (s *NodeSet) ForEach(fn func(v tree.NodeID) bool) {
 	bitset.ForEach(s.words, func(i int32) bool { return fn(tree.NodeID(i)) })
 }
 
-// Members returns the members in increasing NodeID order.
-func (s *NodeSet) Members() []tree.NodeID {
-	out := make([]tree.NodeID, 0, s.count)
-	s.ForEach(func(v tree.NodeID) bool { out = append(out, v); return true })
-	return out
-}
-
 // Equal reports set equality.
 func (s *NodeSet) Equal(o *NodeSet) bool {
 	if s.count != o.count || s.n != o.n {

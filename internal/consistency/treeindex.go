@@ -145,6 +145,15 @@ func NewTreeIndex(t *tree.Tree) *TreeIndex {
 	return ix
 }
 
+// firstSibPre returns the pre rank of the first child of pre rank v's
+// parent — v itself at the root.
+func (ix *TreeIndex) firstSibPre(v int32) int32 {
+	if p := ix.parentPre[v]; p >= 0 {
+		return ix.firstChildPre[p]
+	}
+	return v
+}
+
 // Tree returns the tree the index was built for.
 func (ix *TreeIndex) Tree() *tree.Tree { return ix.t }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/axis"
 	"repro/internal/consistency"
@@ -18,7 +19,9 @@ import (
 // regardless of signature — acyclicity, not the X-property, supplies
 // tractability here. The two passes are a fixed schedule of revise steps,
 // built once at Prepare and run by the consistency package's one revise
-// (the same kernel-or-probe step as the FastAC worklist).
+// (the same kernel-or-probe step as the FastAC worklist). Enumeration then
+// walks the forest over the reduced pre-rank domains, visiting for each
+// parent value only its axis image (consistency.ImageIter).
 
 // shadowForest is a rooted-forest view of an acyclic query graph.
 type shadowForest struct {
@@ -31,20 +34,34 @@ type shadowForest struct {
 	linkDown  []bool // atom is R(parent, child)
 	children  [][]cq.Var
 	postorder []cq.Var
-	// headOrder lists the variables of components containing head
-	// variables in parent-before-child order — the variables enumeration
-	// assigns. Derived once at build time; see computeHeadOrder.
-	headOrder []cq.Var
+	// headWalk assigns the variables tuple enumeration reads (see
+	// computeHeadOrder); headPos maps each head position to its step in
+	// headWalk. Derived once at build time.
+	headWalk []walkStep
+	headPos  []int
+	// headDedup says whether headWalk holds a non-head variable, so that
+	// distinct assignments can project to the same head tuple.
+	headDedup bool
 	// schedule is Yannakakis' semijoin program over the linking atoms:
 	// postorder up (prune each parent against its child), then preorder
 	// down (prune each child against its parent). Derived once at build
 	// time and run by acyclicReduce.
 	schedule []consistency.Semijoin
-	// The variables whose reduced sets a caller of acyclicReduce reads, as
-	// masks over the query's variables: all of them (a satisfaction),
-	// those of headOrder (tuple enumeration) and the head (a monadic
-	// answer). A Boolean query reads none and passes nil.
-	allMirror, enumMirror, headMirror []bool
+	// headMirror marks the head variables. A monadic answer reads the
+	// reduced NodeID-indexed set of its one head variable, so it is the
+	// mirror mask that answer passes to SemijoinIx.
+	headMirror []bool
+}
+
+// walkStep is one variable of a walk: the variable, the walk position of
+// its forest parent (-1 for the top of a walked subtree, which ranges
+// over its whole domain), and the linking atom's axis, read from the
+// parent's value forward (atom R(parent, x)) or backward (R(x, parent)).
+type walkStep struct {
+	x    cq.Var
+	from int
+	ax   axis.Axis
+	fwd  bool
 }
 
 // buildShadowForest roots each component of the shadow; returns an error
@@ -115,7 +132,17 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 	for _, r := range f.roots {
 		dfs(r)
 	}
-	f.headOrder = computeHeadOrder(q, f)
+	f.headMirror = make([]bool, n)
+	for _, x := range q.Head {
+		f.headMirror[x] = true
+	}
+	headOrder := computeHeadOrder(q, f)
+	f.headWalk = f.walk(headOrder)
+	f.headDedup = enumNeedsDedup(q.Head, headOrder)
+	f.headPos = make([]int, len(q.Head))
+	for j, h := range q.Head {
+		f.headPos[j] = slices.Index(headOrder, h)
+	}
 	// The linking atom is R(parent, child) when linkDown: the parent is
 	// then the atom's left-hand side (a forward revise going up) and the
 	// child its right-hand side (a backward revise going down).
@@ -130,67 +157,88 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 			f.schedule = append(f.schedule, consistency.Semijoin{Atom: int32(f.linkAtom[x]), Fwd: !f.linkDown[x]})
 		}
 	}
-	f.allMirror, f.enumMirror, f.headMirror = make([]bool, n), make([]bool, n), make([]bool, n)
-	for x := range f.allMirror {
-		f.allMirror[x] = true
-	}
-	for _, x := range f.headOrder {
-		f.enumMirror[x] = true
-	}
-	for _, x := range q.Head {
-		f.headMirror[x] = true
-	}
 	return f, nil
 }
 
-// computeHeadOrder returns the variables of forest components containing
-// head variables, in parent-before-child order. (Non-head components only
-// contribute their nonemptiness, established by acyclicReduce.)
-func computeHeadOrder(q *cq.Query, f *shadowForest) []cq.Var {
-	comp := make([]int, q.NumVars())
-	for i := range comp {
-		comp[i] = -1
+// walk returns the steps that assign order, a parent-before-child list of
+// variables: each variable whose forest parent precedes it ranges over
+// that parent's axis image, every other one over its whole domain.
+func (f *shadowForest) walk(order []cq.Var) []walkStep {
+	pos := make([]int, f.q.NumVars())
+	for i := range pos {
+		pos[i] = -1
 	}
-	var mark func(x cq.Var, c int)
-	mark = func(x cq.Var, c int) {
-		comp[x] = c
-		for _, ch := range f.children[x] {
-			mark(ch, c)
+	steps := make([]walkStep, len(order))
+	for i, x := range order {
+		pos[x] = i
+		steps[i] = walkStep{x: x, from: -1}
+		if p := f.parent[x]; p != cq.NilVar && pos[p] >= 0 {
+			steps[i].from = pos[p]
+			steps[i].ax = f.q.Atoms[f.linkAtom[x]].Axis
+			steps[i].fwd = f.linkDown[x]
 		}
 	}
-	for ci, r := range f.roots {
-		mark(r, ci)
-	}
-	headComps := map[int]bool{}
-	for _, h := range q.Head {
-		headComps[comp[h]] = true
+	return steps
+}
+
+// computeHeadOrder returns, for every forest component holding head
+// variables, the smallest connected subtree holding them, in
+// parent-before-child order. After the full reduction every value of a
+// variable extends to a solution along every branch, so tuple enumeration
+// need not walk the branches this subtree leaves out, nor the components
+// without head variables (acyclicReduce has established that they are
+// nonempty).
+func computeHeadOrder(q *cq.Query, f *shadowForest) []cq.Var {
+	isHead := f.headMirror
+	holds := make([]int, q.NumVars()) // distinct head variables in x's forest subtree
+	for _, x := range f.postorder {
+		if isHead[x] {
+			holds[x]++
+		}
+		if p := f.parent[x]; p != cq.NilVar {
+			holds[p] += holds[x]
+		}
 	}
 	var order []cq.Var
-	for i := len(f.postorder) - 1; i >= 0; i-- {
-		x := f.postorder[i]
-		if headComps[comp[x]] {
-			order = append(order, x)
+	for _, top := range f.roots {
+		if holds[top] == 0 {
+			continue
 		}
+		// Descend while one child's subtree holds every head variable.
+	descend:
+		for !isHead[top] {
+			for _, c := range f.children[top] {
+				if holds[c] == holds[top] {
+					top = c
+					continue descend
+				}
+			}
+			break
+		}
+		order = f.appendHolding(order, top, holds)
 	}
 	return order
 }
 
-// atomHolds evaluates the linking atom between child c and its parent for
-// concrete nodes: vc at the child, vp at the parent.
-func (f *shadowForest) atomHolds(t *tree.Tree, c cq.Var, vp, vc tree.NodeID) bool {
-	at := f.q.Atoms[f.linkAtom[c]]
-	if f.linkDown[c] {
-		return axis.Holds(t, at.Axis, vp, vc)
+// appendHolding appends x and, depth first, every variable below it whose
+// forest subtree holds a head variable.
+func (f *shadowForest) appendHolding(order []cq.Var, x cq.Var, holds []int) []cq.Var {
+	order = append(order, x)
+	for _, c := range f.children[x] {
+		if holds[c] > 0 {
+			order = f.appendHolding(order, c, holds)
+		}
 	}
-	return axis.Holds(t, at.Axis, vc, vp)
+	return order
 }
 
 // acyclicReduce runs the two semijoin passes and returns the globally
 // consistent candidate sets, or ok=false if some set empties. Only the
 // sets of the variables mirror marks are reduced (see SemijoinIx); the
 // others keep their label-filtered candidates, so a caller reads only the
-// variables of the mask it passed. The returned sets are scratch-owned:
-// valid until the scratch's next use.
+// variables of the mask it passed. Every variable's reduced pre-rank
+// words are left in s.ac (Scratch.DomainPre) either way. The returned
+// sets are scratch-owned: valid until the scratch's next use.
 func acyclicReduce(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, mirror []bool) ([]*consistency.NodeSet, bool) {
 	p, ok := s.ac.SemijoinIx(d.ix, q, f.schedule, mirror)
 	if !ok {
@@ -207,101 +255,107 @@ func acyclicBool(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) bool
 	return ok
 }
 
-// acyclicSatisfaction returns one consistent valuation, or nil.
+// acyclicSatisfaction returns one consistent valuation, or nil: the first
+// assignment of the walk over every variable.
 func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) consistency.Valuation {
-	t := d.t
-	sets, ok := acyclicReduce(d, q, f, s, f.allMirror)
-	if !ok {
+	if !acyclicBool(d, q, f, s) {
 		return nil
 	}
-	theta := make(consistency.Valuation, q.NumVars())
-	for i := range theta {
-		theta[i] = tree.NilNode
+	n := q.NumVars()
+	order := make([]cq.Var, n)
+	for i, x := range f.postorder {
+		order[n-1-i] = x
 	}
-	// Assign top-down; after reduction every parent choice extends.
-	for i := len(f.postorder) - 1; i >= 0; i-- {
-		x := f.postorder[i]
-		p := f.parent[x]
-		if p == cq.NilVar {
-			sets[x].ForEach(func(v tree.NodeID) bool { theta[x] = v; return false })
-			continue
+	steps := f.walk(order)
+	theta := make(consistency.Valuation, n)
+	found := n == 0
+	acyclicWalk(d, steps, s, nil, func(at []int32) bool {
+		for i, st := range steps {
+			theta[st.x] = d.t.ByPre(at[i])
 		}
-		vp := theta[p]
-		sets[x].ForEach(func(vc tree.NodeID) bool {
-			if f.atomHolds(t, x, vp, vc) {
-				theta[x] = vc
-				return false
-			}
-			return true
-		})
-		if theta[x] == tree.NilNode {
-			panic("core: acyclic reduction left a parent value without child support")
-		}
+		found = true
+		return false
+	})
+	if !found {
+		panic("core: acyclic reduction left a parent value without child support")
 	}
 	return theta
 }
 
-// acyclicEnumFrom runs the backtrack-free enumeration recursion from
-// dimension i of order, assigning into theta and passing each complete
-// head tuple (reused buffer) to emit — callers wrap emit with dedupEmit,
-// since distinct assignments can project to the same head tuple. Returns
-// false when enumeration should stop. stop (optional) is the context
-// cancellation probe, checked once per outer (i == 0) candidate.
-func acyclicEnumFrom(t *tree.Tree, q *cq.Query, f *shadowForest, sets []*consistency.NodeSet,
-	order []cq.Var, theta consistency.Valuation, i int,
-	tuple []tree.NodeID, stop func() bool, emit func([]tree.NodeID) bool) bool {
-	if i == len(order) {
-		for j, h := range q.Head {
-			tuple[j] = theta[h]
-		}
-		return emit(tuple)
+// acyclicWalk enumerates the assignments of steps over the reduced
+// domains that acyclicReduce left in s: each step ranges over the axis
+// image of its parent step's value intersected with its variable's domain
+// (the whole domain at a top step), in document order. It calls leaf with
+// the pre ranks assigned, by step (a reused buffer), once per complete
+// assignment, and stops when leaf returns false. The reduction is full,
+// so every image the walk opens is nonempty: it never backs out of a dead
+// end, and an assignment costs O(1) amortised beyond the image shapes'
+// own overhead (see consistency.ImageIter). stop (optional) is the
+// context cancellation probe, checked once per value of the first step.
+func acyclicWalk(d *Document, steps []walkStep, s *evalScratch, stop func() bool, leaf func(at []int32) bool) {
+	k := len(steps)
+	if k == 0 {
+		return
 	}
-	x := order[i]
-	p := f.parent[x]
-	cont := true
-	sets[x].ForEach(func(v tree.NodeID) bool {
+	if len(s.iters) < k {
+		s.iters = make([]consistency.ImageIter, k)
+		s.at = make([]int32, k)
+	}
+	iters, at := s.iters[:k], s.at[:k]
+	iters[0].StartAll(d.ix, s.ac.DomainPre(steps[0].x))
+	for i := 0; i >= 0; {
+		w := iters[i].Next()
+		if w < 0 {
+			i--
+			continue
+		}
 		if i == 0 && stop != nil && stop() {
-			cont = false
-			return false
+			return
 		}
-		if p != cq.NilVar && !f.atomHolds(t, x, theta[p], v) {
-			return true
+		at[i] = w
+		if i == k-1 {
+			if !leaf(at) {
+				return
+			}
+			continue
 		}
-		theta[x] = v
-		cont = acyclicEnumFrom(t, q, f, sets, order, theta, i+1, tuple, stop, emit)
-		return cont
-	})
-	return cont
+		i++
+		st := &steps[i]
+		if dom := s.ac.DomainPre(st.x); st.from < 0 {
+			iters[i].StartAll(d.ix, dom)
+		} else {
+			iters[i].Start(d.ix, st.ax, st.fwd, at[st.from], dom)
+		}
+	}
 }
 
 // acyclicForEachTuple streams the distinct head tuples of the query
-// answer. Enumeration is backtrack-free per component after reduction;
-// the tuple passed to fn is reused (copy to retain); fn returns false to
-// stop early.
+// answer by walking the head variables' connecting subtrees (see
+// computeHeadOrder), in walk order: the first step's values in document
+// order, each later step's image in document order. The tuple passed to
+// fn is reused (copy to retain); fn returns false to stop early.
 func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, stop func() bool, fn func(tuple []tree.NodeID) bool) {
+	if !acyclicBool(d, q, f, s) {
+		return
+	}
 	if len(q.Head) == 0 {
-		if acyclicBool(d, q, f, s) {
-			fn(nil)
-		}
+		fn(nil)
 		return
 	}
-	sets, ok := acyclicReduce(d, q, f, s, f.enumMirror)
-	if !ok {
-		return
-	}
-	t := d.t
-	theta := make(consistency.Valuation, q.NumVars())
-	tuple := make([]tree.NodeID, len(q.Head))
-	// headOrder always contains every head variable (head components are
-	// enumerated whole), so when it holds nothing else, distinct
-	// assignments project to distinct tuples and the O(answers) dedup set
-	// can be skipped — streaming a projection-free relation is then
-	// memory-flat however many answers it has.
+	// When the walk holds head variables only, distinct assignments are
+	// distinct tuples and the O(answers) dedup set is skipped: streaming
+	// such a relation is memory-flat however many answers it has.
 	emit := fn
-	if enumNeedsDedup(q.Head, f.headOrder) {
+	if f.headDedup {
 		emit = dedupEmit(fn)
 	}
-	acyclicEnumFrom(t, q, f, sets, f.headOrder, theta, 0, tuple, stop, emit)
+	tuple := make([]tree.NodeID, len(q.Head))
+	acyclicWalk(d, f.headWalk, s, stop, func(at []int32) bool {
+		for j, i := range f.headPos {
+			tuple[j] = d.t.ByPre(at[i])
+		}
+		return emit(tuple)
+	})
 }
 
 // acyclicForEachNode streams the answer of a monadic acyclic query in

@@ -52,3 +52,58 @@ func BenchmarkAcyclicChain(b *testing.B) {
 		}
 	}
 }
+
+// acyclicTupleQueries are the tuple-stream shapes of
+// BenchmarkAcyclicTuples: the benchmark corpus's st_tuples and ac_tuples,
+// its inline NextSibling template, a Following shape (x and y restricted
+// by non-head branches, so that the quadratic axis keeps the answer count
+// in hand), and a projected chain, whose
+// walk holds the non-head y and so runs through the dedup set.
+var acyclicTupleQueries = []struct{ name, src string }{
+	{"st_tuples", "Q(x, y) <- A(x), Child+(x, y), E(y)"},
+	{"ac_tuples", "Q(x, y) <- C(x), Child(x, y), D(y)"},
+	{"nextsibling", "Q(x, y) <- A(x), NextSibling(x, y), B(y)"},
+	{"following", "Q(x, y) <- A(x), Child(x, u), A(u), Child(u, v), A(v), Following(x, y), B(y), Child(y, w), B(w)"},
+	{"projected", "Q(x, z) <- A(x), Child+(x, y), B(y), Child+(y, z), C(z)"},
+}
+
+// BenchmarkAcyclicTuples times unordered acyclic tuple streams (the two
+// semijoin passes plus the walk over the reduced domains) on tree.Random
+// trees of 4k, 16k and 64k nodes, reporting answers/op and ns/answer.
+// Each walk step visits only its parent value's axis image, so ns/answer
+// should stay about flat as the tree grows. On the 4k tree each stream's
+// answer count is checked against the ordered descent's.
+func BenchmarkAcyclicTuples(b *testing.B) {
+	for _, bq := range acyclicTupleQueries {
+		p := MustPrepare(cq.MustParse(bq.src))
+		if p.Plan().Strategy != StrategyAcyclic {
+			b.Fatalf("%s: strategy %v, want acyclic", bq.name, p.Plan().Strategy)
+		}
+		for _, n := range []int{4000, 16000, 64000} {
+			d := NewDocument(tree.Random(rand.New(rand.NewSource(1)), tree.DefaultRandomConfig(n)))
+			count := func(o EnumOptions) int {
+				answers := 0
+				p.ForEachTupleDoc(d, o, func([]tree.NodeID) bool {
+					answers++
+					return true
+				})
+				return answers
+			}
+			if n == 4000 {
+				if got, want := count(EnumOptions{}), count(EnumOptions{Order: []OrderDir{OrderAsc, OrderAsc}}); got != want {
+					b.Fatalf("%s/n=%d: %d answers, the ordered descent gives %d", bq.name, n, got, want)
+				}
+			}
+			b.Run(fmt.Sprintf("%s/n=%d", bq.name, n), func(b *testing.B) {
+				answers := 0
+				for i := 0; i < b.N; i++ {
+					answers += count(EnumOptions{})
+				}
+				b.ReportMetric(float64(answers)/float64(b.N), "answers/op")
+				if answers > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answers), "ns/answer")
+				}
+			})
+		}
+	}
+}

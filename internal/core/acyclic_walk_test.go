@@ -1,0 +1,144 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/axis"
+	"repro/internal/consistency"
+	"repro/internal/cq"
+	"repro/internal/tree"
+)
+
+// scrambledTree builds a random n-node tree with tree.Builder, attaching
+// each new node under a uniformly drawn earlier one, so that NodeIDs are
+// not pre ranks: a walk that mixed the two numberings up would read the
+// wrong nodes. Each node carries up to two labels of A, B, C.
+func scrambledTree(rng *rand.Rand, n int) *tree.Tree {
+	labels := func() []string {
+		var ls []string
+		for _, l := range []string{"A", "B", "C"} {
+			if rng.Intn(2) == 0 {
+				ls = append(ls, l)
+			}
+		}
+		return ls
+	}
+	b := tree.NewBuilder(n)
+	b.AddNode(tree.NilNode, labels()...)
+	for i := 1; i < n; i++ {
+		b.AddNode(tree.NodeID(rng.Intn(i)), labels()...)
+	}
+	return b.Build()
+}
+
+// walkParityQueries are the acyclic shapes of TestAcyclicWalkParity:
+// every axis as R(x, y) (the walk reads x's forward image) and as R(y, x)
+// (its backward image), with head (x, y); then a projected chain, heads
+// whose connecting subtree starts below the forest root (the body's
+// first variable) or leaves a branch out, and a two-component product
+// with non-head branches.
+func walkParityQueries() []*cq.Query {
+	var out []*cq.Query
+	for _, a := range axis.All() {
+		out = append(out,
+			headed(fmt.Sprintf("A(x), %s(x, y), B(y)", a), "x", "y"),
+			headed(fmt.Sprintf("A(x), %s(y, x), B(y)", a), "x", "y"),
+		)
+	}
+	return append(out,
+		headed("A(x), Child+(x, y), B(y), Child+(y, z), C(z)", "x", "z"),
+		headed("A(x), Following(x, y), B(y), Ancestor*(y, z), C(z)", "z", "y"),
+		headed("A(x), Child(x, y), NextSibling+(y, z), B(z)", "z"),
+		headed("A(x), Child+(x, y), B(y), Preceding(x, z), PrevSibling*(z, w)", "y", "w"),
+		headed("A(x), Child(x, y), B(y), C(u), NextSibling(u, w), A(w)", "x", "u"),
+	)
+}
+
+// headed parses body with the named head variables. Variables are
+// numbered by first occurrence in the body, so the acyclic strategy roots
+// each component at its first body variable, head or not.
+func headed(body string, head ...string) *cq.Query {
+	q := cq.MustParse("Q() <- " + body)
+	vars := make([]cq.Var, len(head))
+	for i, h := range head {
+		vars[i], _ = q.VarByName(h)
+	}
+	q.SetHead(vars...)
+	return q
+}
+
+// TestAcyclicWalkParity: the acyclic strategy's unordered tuple stream is
+// exactly the reference relation, with no tuple twice, for every axis in
+// both link directions and for projected and product heads, on trees
+// whose NodeIDs are not pre ranks. SatisfactionDoc's valuation (the first
+// assignment of the same walk over every variable) is consistent.
+func TestAcyclicWalkParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, q := range walkParityQueries() {
+		src := q.String()
+		p := MustPrepare(q)
+		if p.Plan().Strategy != StrategyAcyclic {
+			t.Fatalf("%s: plan %v, want the acyclic strategy", src, p.Plan())
+		}
+		n := 90 // more than one word of pre ranks, so interval ends fall mid-set
+		if q.NumVars() > 2 {
+			n = 12 // ReferenceEvalAll costs n^vars
+		}
+		answered := 0
+		for trial := 0; trial < 6; trial++ {
+			tr := scrambledTree(rng, 1+rng.Intn(n))
+			d := NewDocument(tr)
+			var got [][]tree.NodeID
+			seen := map[string]bool{}
+			p.ForEachTupleDoc(d, EnumOptions{}, func(tuple []tree.NodeID) bool {
+				if key := fmt.Sprint(tuple); seen[key] {
+					t.Fatalf("%s on %s: tuple %v streamed twice", src, tr, tuple)
+				} else {
+					seen[key] = true
+				}
+				got = append(got, copyTuple(tuple))
+				return true
+			})
+			slices.SortFunc(got, slices.Compare[[]tree.NodeID])
+			want := ReferenceEvalAll(tr, q)
+			if !sameTuples(got, want) {
+				t.Fatalf("%s on %s:\n got %v\nwant %v", src, tr, got, want)
+			}
+			theta := p.SatisfactionDoc(d, EnumOptions{})
+			if (theta != nil) != (len(want) > 0) || theta != nil && !consistency.Consistent(tr, q, theta) {
+				t.Fatalf("%s on %s: satisfaction %v with %d answers", src, tr, theta, len(want))
+			}
+			if len(want) > 0 {
+				answered++
+			}
+		}
+		if answered == 0 {
+			t.Errorf("%s: no trial had an answer", src)
+		}
+	}
+}
+
+// TestAcyclicWalkOrder: a single-atom stream whose head is (top, image)
+// arrives in walk order — x ascending in document order, then each x's
+// image ascending in document order — for every axis in both directions.
+func TestAcyclicWalkOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	tr := scrambledTree(rng, 200)
+	d := NewDocument(tr)
+	for _, q := range walkParityQueries()[:2*len(axis.All())] {
+		src := q.String()
+		p := MustPrepare(q)
+		var prev []int32
+		p.ForEachTupleDoc(d, EnumOptions{}, func(tuple []tree.NodeID) bool {
+			cur := []int32{tr.Pre(tuple[0]), tr.Pre(tuple[1])}
+			if prev != nil && slices.Compare(prev, cur) >= 0 {
+				t.Fatalf("%s: pre ranks %v after %v", src, cur, prev)
+			}
+			prev = cur
+			return true
+		})
+	}
+}

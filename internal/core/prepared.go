@@ -26,6 +26,9 @@ var ErrNotMonadic = errors.New("query is not monadic")
 type evalScratch struct {
 	ac *consistency.Scratch
 	bt *BacktrackEngine
+	// The acyclic walk's per-step image iterators and assigned pre ranks.
+	iters []consistency.ImageIter
+	at    []int32
 }
 
 func newEvalScratch() *evalScratch {
@@ -264,8 +267,11 @@ func (p *Prepared) SatisfactionDoc(d *Document, o EnumOptions) consistency.Valua
 // returns false, so prefix-limited and existence queries cost only the
 // answers actually consumed. Nothing is materialized; the tuple slice is
 // reused between calls — copy it to retain. Tuples arrive in a
-// strategy-dependent order (not necessarily lexicographic; document order
-// under the X-property strategy); AllDoc sorts.
+// strategy-dependent order (not necessarily lexicographic): document
+// order under the X-property strategy; walk order under the acyclic one
+// (the first walked variable in document order, then each variable's
+// values for its parent's value in document order); discovery order
+// under backtracking. AllDoc sorts.
 // For Boolean queries fn is called once with an empty tuple if the query
 // is satisfiable. The returned error is the context's cancellation error,
 // if any (the stream just stops at the cancel point).

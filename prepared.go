@@ -246,7 +246,8 @@ func (pq *PreparedQuery) arity() int { return len(pq.p.Query().Head) }
 // Each yielded tuple is freshly allocated and owned by the consumer (safe
 // for slices.Collect and for retaining without a copy). Tuples arrive in
 // a strategy-dependent order (document order under the X-property
-// strategy; AllErr sorts, this does not). For Boolean queries one empty tuple is yielded if the query is
+// strategy, walk order under the acyclic one; AllErr sorts, this does
+// not). For Boolean queries one empty tuple is yielded if the query is
 // satisfiable. If a WithContext context is cancelled mid-iteration the
 // sequence just stops — use AllErr to observe the cancellation error.
 // Invalid order/cursor options likewise end the sequence before the first
