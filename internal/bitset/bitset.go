@@ -119,6 +119,28 @@ func NextIn(w []uint64, i, hi int32) int32 {
 	return -1
 }
 
+// PrevIn returns the largest set bit index in [lo, i], or -1: NextIn
+// walking down. It reads no word below lo's. Tolerates empty and
+// out-of-range intervals.
+func PrevIn(w []uint64, lo, i int32) int32 {
+	if lo < 0 {
+		lo = 0
+	}
+	if max := int32(len(w)) * 64; i >= max {
+		i = max - 1
+	}
+	for i >= lo {
+		if x := w[i>>6] & (^uint64(0) >> (63 - uint(i)&63)); x != 0 {
+			if r := i&^63 + 63 - int32(bits.LeadingZeros64(x)); r >= lo {
+				return r
+			}
+			return -1
+		}
+		i = i&^63 - 1
+	}
+	return -1
+}
+
 // Last returns the index of the highest set bit, or -1.
 func Last(w []uint64) int32 {
 	for wi := len(w) - 1; wi >= 0; wi-- {

@@ -82,6 +82,22 @@ func TestPointOpsAndScans(t *testing.T) {
 				t.Fatalf("NextIn(%d, %d) = %d, want %d", probe, hi, got, wantIn)
 			}
 		}
+		wantPrev := int32(-1)
+		for i := min(probe, n-1); i >= 0; i-- {
+			if ref[i] {
+				wantPrev = i
+				break
+			}
+		}
+		for _, lo := range []int32{probe + 1, probe, probe - 1, probe - 63, probe - 64, probe - 130, -10} {
+			wantIn := wantPrev
+			if wantPrev < lo {
+				wantIn = -1
+			}
+			if got := PrevIn(w, lo, probe); got != wantIn {
+				t.Fatalf("PrevIn(%d, %d) = %d, want %d", lo, probe, got, wantIn)
+			}
+		}
 	}
 	var seen []int32
 	ForEach(w, func(i int32) bool { seen = append(seen, i); return true })

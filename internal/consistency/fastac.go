@@ -148,11 +148,11 @@ func supportedBwd(c *supportCtx, a axis.Axis, w tree.NodeID, dx *pinDom) bool {
 
 // ImageIter visits image(v) ∩ dom for one step of a walk over an acyclic
 // query: the nodes w with R(v, w) (a forward step) or R(w, v) (a backward
-// step) whose pre ranks dom holds, in document order, as pre ranks. Each
-// axis image is read off the index's rank tables — a pre-rank interval,
-// a sibling chain, the ancestor chain, or one node — so a step costs the
-// words of its interval or the nodes of its chain, not a filter over the
-// whole domain:
+// step) whose pre ranks dom holds, as pre ranks, in document order or, in
+// descending mode, in reverse document order. Each axis image is read off
+// the index's rank tables — a pre-rank interval, a sibling chain, the
+// ancestor chain, or one node — so a step costs the words of its interval
+// or the nodes of its chain, not a filter over the whole domain:
 //
 //   - Child: v's children;
 //   - Child+, Child*, Following, DocOrder: a pre-rank interval;
@@ -161,6 +161,9 @@ func supportedBwd(c *supportCtx, a axis.Axis, w tree.NodeID, dx *pinDom) bool {
 //   - Preceding: pre ranks [0, pre(v)) with v's ancestors skipped;
 //   - Self, NextSibling, PrevSibling, DocOrderSucc: one node.
 //
+// Seek skips to a pre rank in the iterator's direction, which is how a
+// paged walk resumes without revisiting earlier nodes.
+//
 // The zero value is an exhausted iterator; Start and StartAll rewind it
 // and keep its buffer, so one ImageIter per walk position serves a whole
 // walk without allocating.
@@ -168,11 +171,14 @@ type ImageIter struct {
 	ix   *TreeIndex
 	dom  []uint64
 	kind imageKind
-	// imageRange: the next pre rank to scan and the last one, and the
-	// Preceding cut (skip nodes whose subtree reaches it; 0 skips none).
-	// imageSibs: the next sibling and the one to stop before (-1: none).
-	next, end, cut int32
-	anc            []int32 // imageAnc: alive ancestors, the root last
+	desc bool
+	// imageRange: the pre ranks [lo, hi] still to scan, and the Preceding
+	// cut (skip nodes whose subtree reaches it; 0 skips none).
+	// imageSibs: the next sibling to test (-1: none), and the pre ranks
+	// [lo, hi] the chain stays within.
+	// imageAnc: the index of the next ancestor when desc.
+	next, lo, hi, cut int32
+	anc               []int32 // imageAnc: alive ancestors, the deepest first
 }
 
 type imageKind uint8
@@ -183,16 +189,19 @@ const (
 	imageAnc
 )
 
-// StartAll rewinds it to visit every node of dom, in document order.
-func (it *ImageIter) StartAll(ix *TreeIndex, dom []uint64) {
-	it.ix, it.dom = ix, dom
+// StartAll rewinds it to visit every node of dom, in document order or,
+// when desc, in reverse.
+func (it *ImageIter) StartAll(ix *TreeIndex, dom []uint64, desc bool) {
+	it.ix, it.dom, it.desc = ix, dom, desc
 	it.scan(0, int32(len(ix.subtreeEnd))-1)
 }
 
 // Start rewinds it to visit image(v) ∩ dom under axis a, where v is a pre
-// rank: the nodes w with a(v, w) when fwd, with a(w, v) otherwise.
-func (it *ImageIter) Start(ix *TreeIndex, a axis.Axis, fwd bool, v int32, dom []uint64) {
-	it.ix, it.dom = ix, dom
+// rank: the nodes w with a(v, w) when fwd, with a(w, v) otherwise; in
+// document order or, when desc, in reverse.
+func (it *ImageIter) Start(ix *TreeIndex, a axis.Axis, fwd bool, v int32, dom []uint64, desc bool) {
+	it.ix, it.dom, it.desc = ix, dom, desc
+	last := int32(len(ix.subtreeEnd)) - 1
 	if !fwd {
 		switch a {
 		case axis.DocOrder: // the nodes before v
@@ -205,13 +214,18 @@ func (it *ImageIter) Start(ix *TreeIndex, a axis.Axis, fwd bool, v int32, dom []
 		a = a.Inverse()
 	}
 	// A one-node image is the interval [w, w]. With w = -1 (no such node)
-	// it is empty: bitset.NextIn raises a negative start to 0, leaving
-	// [0, -1].
+	// it is empty: bitset.NextIn and PrevIn raise a negative low end to 0,
+	// leaving [0, -1]. A sibling chain starts at its first member, or at
+	// its last one when desc.
 	switch a {
 	case axis.Self:
 		it.scan(v, v)
 	case axis.Child:
-		it.sibs(ix.firstChildPre[v], -1)
+		if desc {
+			it.sibs(ix.lastChildPre(v), v+1, ix.subtreeEnd[v])
+		} else {
+			it.sibs(ix.firstChildPre[v], v+1, ix.subtreeEnd[v])
+		}
 	case axis.ChildPlus:
 		it.scan(v+1, ix.subtreeEnd[v])
 	case axis.ChildStar:
@@ -219,11 +233,19 @@ func (it *ImageIter) Start(ix *TreeIndex, a axis.Axis, fwd bool, v int32, dom []
 	case axis.NextSibling:
 		it.scan(ix.nextSibPre[v], ix.nextSibPre[v])
 	case axis.NextSiblingPlus:
-		it.sibs(ix.nextSibPre[v], -1)
+		if desc {
+			it.sibs(ix.lastSibPre(v), v+1, last)
+		} else {
+			it.sibs(ix.nextSibPre[v], v+1, last)
+		}
 	case axis.NextSiblingStar:
-		it.sibs(v, -1)
+		if desc {
+			it.sibs(ix.lastSibPre(v), v, last)
+		} else {
+			it.sibs(v, v, last)
+		}
 	case axis.Following:
-		it.scan(ix.subtreeEnd[v]+1, int32(len(ix.subtreeEnd))-1)
+		it.scan(ix.subtreeEnd[v]+1, last)
 	case axis.Parent:
 		it.scan(ix.parentPre[v], ix.parentPre[v])
 	case axis.AncestorPlus:
@@ -233,14 +255,22 @@ func (it *ImageIter) Start(ix *TreeIndex, a axis.Axis, fwd bool, v int32, dom []
 	case axis.PrevSibling:
 		it.scan(ix.prevSibPre[v], ix.prevSibPre[v])
 	case axis.PrevSiblingPlus:
-		it.sibs(ix.firstSibPre(v), v)
+		if desc {
+			it.sibs(ix.prevSibPre[v], 0, v-1)
+		} else {
+			it.sibs(ix.firstSibPre(v), 0, v-1)
+		}
 	case axis.PrevSiblingStar:
-		it.sibs(ix.firstSibPre(v), ix.nextSibPre[v])
+		if desc {
+			it.sibs(v, 0, v)
+		} else {
+			it.sibs(ix.firstSibPre(v), 0, v)
+		}
 	case axis.Preceding:
 		it.scan(0, v-1)
 		it.cut = v
 	case axis.DocOrder:
-		it.scan(v+1, int32(len(ix.subtreeEnd))-1)
+		it.scan(v+1, last)
 	case axis.DocOrderSucc:
 		it.scan(v+1, v+1)
 	default:
@@ -249,21 +279,67 @@ func (it *ImageIter) Start(ix *TreeIndex, a axis.Axis, fwd bool, v int32, dom []
 }
 
 func (it *ImageIter) scan(lo, hi int32) {
-	it.kind, it.next, it.end, it.cut = imageRange, lo, hi, 0
+	it.kind, it.lo, it.hi, it.cut = imageRange, lo, hi, 0
 }
 
-func (it *ImageIter) sibs(from, stop int32) {
-	it.kind, it.next, it.end = imageSibs, from, stop
+func (it *ImageIter) sibs(start, lo, hi int32) {
+	it.kind, it.next, it.lo, it.hi = imageSibs, start, lo, hi
 }
 
 // ancestors collects the alive nodes on the parent chain from u up, so
-// that Next can hand them out root first.
+// that Next can hand them out root first, or deepest first when desc.
 func (it *ImageIter) ancestors(u int32) {
-	it.kind, it.anc = imageAnc, it.anc[:0]
+	it.kind, it.anc, it.next = imageAnc, it.anc[:0], 0
 	for ; u >= 0; u = it.ix.parentPre[u] {
 		if bitset.Test(it.dom, u) {
 			it.anc = append(it.anc, u)
 		}
+	}
+}
+
+// Seek drops the nodes that come before pre rank r in the iterator's
+// direction (below r ascending, above r descending), so that Next goes
+// on from r itself or the first node past it. Called right after a
+// Start; any r is safe, including ranks outside the tree.
+func (it *ImageIter) Seek(r int32) {
+	switch it.kind {
+	case imageRange:
+		if it.desc {
+			it.hi = min(it.hi, r)
+		} else {
+			it.lo = max(it.lo, r)
+		}
+	case imageSibs:
+		ix, w := it.ix, it.next
+		if w < 0 || w == r || (w > r) != it.desc {
+			return // the chain starts at or past r
+		}
+		// A sibling of the chain's start lies on the chain: jump to it.
+		// Any other rank is reached by stepping along the chain.
+		if r >= 0 && r < int32(len(ix.parentPre)) && ix.parentPre[r] == ix.parentPre[w] {
+			it.next = r
+			return
+		}
+		step := ix.nextSibPre
+		if it.desc {
+			step = ix.prevSibPre
+		}
+		for w >= 0 && w != r && (w > r) == it.desc {
+			w = step[w]
+		}
+		it.next = w
+	default:
+		if it.desc {
+			for int(it.next) < len(it.anc) && it.anc[it.next] > r {
+				it.next++
+			}
+			return
+		}
+		k := len(it.anc)
+		for k > 0 && it.anc[k-1] < r {
+			k--
+		}
+		it.anc = it.anc[:k]
 	}
 }
 
@@ -273,25 +349,43 @@ func (it *ImageIter) Next() int32 {
 	switch it.kind {
 	case imageRange:
 		for {
-			w := bitset.NextIn(it.dom, it.next, it.end)
-			if w < 0 {
-				return -1
+			var w int32
+			if it.desc {
+				if w = bitset.PrevIn(it.dom, it.lo, it.hi); w < 0 {
+					return -1
+				}
+				it.hi = w - 1
+			} else {
+				if w = bitset.NextIn(it.dom, it.lo, it.hi); w < 0 {
+					return -1
+				}
+				it.lo = w + 1
 			}
-			it.next = w + 1
 			if it.cut == 0 || it.ix.subtreeEnd[w] < it.cut {
 				return w
 			}
 		}
 	case imageSibs:
-		for w := it.next; w >= 0 && w != it.end; w = it.ix.nextSibPre[w] {
+		step := it.ix.nextSibPre
+		if it.desc {
+			step = it.ix.prevSibPre
+		}
+		for w := it.next; w >= it.lo && w <= it.hi; w = step[w] {
 			if bitset.Test(it.dom, w) {
-				it.next = it.ix.nextSibPre[w]
+				it.next = step[w]
 				return w
 			}
 		}
 		it.next = -1
 		return -1
 	default:
+		if it.desc {
+			if int(it.next) == len(it.anc) {
+				return -1
+			}
+			it.next++
+			return it.anc[it.next-1]
+		}
 		k := len(it.anc) - 1
 		if k < 0 {
 			return -1

@@ -154,6 +154,25 @@ func (ix *TreeIndex) firstSibPre(v int32) int32 {
 	return v
 }
 
+// lastChildPre returns the pre rank of pre rank v's last child, or -1 at
+// a leaf.
+func (ix *TreeIndex) lastChildPre(v int32) int32 {
+	kids := ix.t.Children(ix.t.ByPre(v))
+	if len(kids) == 0 {
+		return -1
+	}
+	return ix.t.Pre(kids[len(kids)-1])
+}
+
+// lastSibPre returns the pre rank of the last child of pre rank v's
+// parent — v itself at the root.
+func (ix *TreeIndex) lastSibPre(v int32) int32 {
+	if p := ix.parentPre[v]; p >= 0 {
+		return ix.lastChildPre(p)
+	}
+	return v
+}
+
 // Tree returns the tree the index was built for.
 func (ix *TreeIndex) Tree() *tree.Tree { return ix.t }
 

@@ -34,11 +34,17 @@ type shadowForest struct {
 	linkDown  []bool // atom is R(parent, child)
 	children  [][]cq.Var
 	postorder []cq.Var
-	// headWalk assigns the variables tuple enumeration reads (see
-	// computeHeadOrder); headPos maps each head position to its step in
-	// headWalk. Derived once at build time.
+	// headWalk assigns the variables tuple enumeration reads: the head
+	// itself, in head order, when inOrder; otherwise the head variables'
+	// connecting subtrees (see computeHeadOrder). headPos maps each head
+	// position to its step in headWalk. Derived once at build time.
 	headWalk []walkStep
 	headPos  []int
+	// inOrder says whether the head is walkable in head order: its
+	// variables are distinct, and each one after the first is adjacent to
+	// an earlier one or is the first of its forest component. Ordered
+	// requests for such a head walk headWalk directly.
+	inOrder bool
 	// headDedup says whether headWalk holds a non-head variable, so that
 	// distinct assignments can project to the same head tuple.
 	headDedup bool
@@ -54,9 +60,10 @@ type shadowForest struct {
 }
 
 // walkStep is one variable of a walk: the variable, the walk position of
-// its forest parent (-1 for the top of a walked subtree, which ranges
-// over its whole domain), and the linking atom's axis, read from the
-// parent's value forward (atom R(parent, x)) or backward (R(x, parent)).
+// the forest neighbour it is read from (-1 for the top of a walked
+// subtree, which ranges over its whole domain), and the linking atom's
+// axis, read from that neighbour's value forward (atom R(neighbour, x))
+// or backward (R(x, neighbour)).
 type walkStep struct {
 	x    cq.Var
 	from int
@@ -136,12 +143,20 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 	for _, x := range q.Head {
 		f.headMirror[x] = true
 	}
-	headOrder := computeHeadOrder(q, f)
-	f.headWalk = f.walk(headOrder)
-	f.headDedup = enumNeedsDedup(q.Head, headOrder)
 	f.headPos = make([]int, len(q.Head))
-	for j, h := range q.Head {
-		f.headPos[j] = slices.Index(headOrder, h)
+	if f.walkableInOrder(q.Head) {
+		f.inOrder = true
+		f.headWalk = f.walk(q.Head)
+		for j := range f.headPos {
+			f.headPos[j] = j
+		}
+	} else {
+		headOrder := computeHeadOrder(q, f)
+		f.headWalk = f.walk(headOrder)
+		f.headDedup = enumNeedsDedup(q.Head, headOrder)
+		for j, h := range q.Head {
+			f.headPos[j] = slices.Index(headOrder, h)
+		}
 	}
 	// The linking atom is R(parent, child) when linkDown: the parent is
 	// then the atom's left-hand side (a forward revise going up) and the
@@ -160,9 +175,12 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 	return f, nil
 }
 
-// walk returns the steps that assign order, a parent-before-child list of
-// variables: each variable whose forest parent precedes it ranges over
-// that parent's axis image, every other one over its whole domain.
+// walk returns the steps that assign order, a list of variables in which
+// each variable with an earlier forest neighbour has exactly one: it
+// ranges over that neighbour's axis image, every other variable over its
+// whole domain. A neighbour is the forest parent (the linking atom read
+// as built) or a forest child (the child's linking atom, read the other
+// way).
 func (f *shadowForest) walk(order []cq.Var) []walkStep {
 	pos := make([]int, f.q.NumVars())
 	for i := range pos {
@@ -176,9 +194,47 @@ func (f *shadowForest) walk(order []cq.Var) []walkStep {
 			steps[i].from = pos[p]
 			steps[i].ax = f.q.Atoms[f.linkAtom[x]].Axis
 			steps[i].fwd = f.linkDown[x]
+			continue
+		}
+		for _, c := range f.children[x] {
+			if pos[c] >= 0 {
+				steps[i].from = pos[c]
+				steps[i].ax = f.q.Atoms[f.linkAtom[c]].Axis
+				steps[i].fwd = !f.linkDown[c]
+				break
+			}
 		}
 	}
 	return steps
+}
+
+// walkableInOrder reports whether a walk can assign head in head order:
+// the variables are distinct and each one is adjacent in the forest to an
+// earlier one or is the first of its component. The walk then assigns
+// only head variables, so its assignments are the distinct head tuples.
+func (f *shadowForest) walkableInOrder(head []cq.Var) bool {
+	for i, x := range head {
+		earlier := head[:i]
+		if slices.Contains(earlier, x) {
+			return false
+		}
+		if slices.ContainsFunc(earlier, func(y cq.Var) bool { return f.parent[x] == y || f.parent[y] == x }) {
+			continue
+		}
+		root := f.rootOf(x)
+		if slices.ContainsFunc(earlier, func(y cq.Var) bool { return f.rootOf(y) == root }) {
+			return false
+		}
+	}
+	return true
+}
+
+// rootOf returns the root of x's forest component.
+func (f *shadowForest) rootOf(x cq.Var) cq.Var {
+	for f.parent[x] != cq.NilVar {
+		x = f.parent[x]
+	}
+	return x
 }
 
 // computeHeadOrder returns, for every forest component holding head
@@ -269,7 +325,7 @@ func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 	steps := f.walk(order)
 	theta := make(consistency.Valuation, n)
 	found := n == 0
-	acyclicWalk(d, steps, s, nil, func(at []int32) bool {
+	acyclicWalk(d, steps, s, nil, nil, nil, func(at []int32) bool {
 		for i, st := range steps {
 			theta[st.x] = d.t.ByPre(at[i])
 		}
@@ -284,15 +340,23 @@ func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 
 // acyclicWalk enumerates the assignments of steps over the reduced
 // domains that acyclicReduce left in s: each step ranges over the axis
-// image of its parent step's value intersected with its variable's domain
-// (the whole domain at a top step), in document order. It calls leaf with
-// the pre ranks assigned, by step (a reused buffer), once per complete
+// image of its source step's value intersected with its variable's domain
+// (the whole domain at a top step), in document order, or in reverse
+// where dirs (nil: all ascending) says OrderDesc. It calls leaf with the
+// pre ranks assigned, by step (a reused buffer), once per complete
 // assignment, and stops when leaf returns false. The reduction is full,
 // so every image the walk opens is nonempty: it never backs out of a dead
 // end, and an assignment costs O(1) amortised beyond the image shapes'
-// own overhead (see consistency.ImageIter). stop (optional) is the
-// context cancellation probe, checked once per value of the first step.
-func acyclicWalk(d *Document, steps []walkStep, s *evalScratch, stop func() bool, leaf func(at []int32) bool) {
+// own overhead (see consistency.ImageIter).
+//
+// With after set (pre ranks by step), the walk resumes strictly after
+// that assignment in the lexicographic order it walks: while every
+// earlier step still holds after's value, a step seeks to after's rank,
+// at or past it on inner steps and past it on the last. A resume thus
+// costs O(steps + the images' seeks), not the assignments skipped.
+// stop (optional) is the context cancellation probe, checked once per
+// value of the first step.
+func acyclicWalk(d *Document, steps []walkStep, s *evalScratch, dirs []OrderDir, after []int32, stop func() bool, leaf func(at []int32) bool) {
 	k := len(steps)
 	if k == 0 {
 		return
@@ -302,39 +366,76 @@ func acyclicWalk(d *Document, steps []walkStep, s *evalScratch, stop func() bool
 		s.at = make([]int32, k)
 	}
 	iters, at := s.iters[:k], s.at[:k]
-	iters[0].StartAll(d.ix, s.ac.DomainPre(steps[0].x))
-	for i := 0; i >= 0; {
-		w := iters[i].Next()
-		if w < 0 {
-			i--
-			continue
+	// pfx counts the leading steps whose values equal after's. A step
+	// moves on from after's value and never comes back to it, so pfx only
+	// shrinks; -1 means no resume.
+	pfx := -1
+	if after != nil {
+		pfx = k
+	}
+	for i := 0; ; i++ {
+		st, desc := &steps[i], dirs != nil && dirs[i] == OrderDesc
+		if dom := s.ac.DomainPre(st.x); st.from < 0 {
+			iters[i].StartAll(d.ix, dom, desc)
+		} else {
+			iters[i].Start(d.ix, st.ax, st.fwd, at[st.from], dom, desc)
 		}
-		if i == 0 && stop != nil && stop() {
-			return
+		if i <= pfx {
+			iters[i].Seek(seekRank(after[i], int32(d.t.Len()), desc, i == k-1))
 		}
-		at[i] = w
-		if i == k-1 {
+		for {
+			w := iters[i].Next()
+			if w < 0 {
+				if i--; i < 0 {
+					return
+				}
+				continue
+			}
+			if i == 0 && stop != nil && stop() {
+				return
+			}
+			if pfx > i && w != after[i] {
+				pfx = i
+			}
+			at[i] = w
+			if i < k-1 {
+				break
+			}
 			if !leaf(at) {
 				return
 			}
-			continue
-		}
-		i++
-		st := &steps[i]
-		if dom := s.ac.DomainPre(st.x); st.from < 0 {
-			iters[i].StartAll(d.ix, dom)
-		} else {
-			iters[i].Start(d.ix, st.ax, st.fwd, at[st.from], dom)
 		}
 	}
 }
 
+// seekRank returns the rank a resumed walk step seeks to: r itself, or
+// the next rank in the step's direction on the last step, whose value r
+// was already delivered. r comes from a client's cursor and may be any
+// int32, so it is first clamped to [-1, n], which changes no seek's
+// outcome and keeps the step from overflowing.
+func seekRank(r, n int32, desc, last bool) int32 {
+	r = min(max(r, -1), n)
+	switch {
+	case !last:
+		return r
+	case desc:
+		return r - 1
+	default:
+		return r + 1
+	}
+}
+
 // acyclicForEachTuple streams the distinct head tuples of the query
-// answer by walking the head variables' connecting subtrees (see
-// computeHeadOrder), in walk order: the first step's values in document
-// order, each later step's image in document order. The tuple passed to
-// fn is reused (copy to retain); fn returns false to stop early.
-func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, stop func() bool, fn func(tuple []tree.NodeID) bool) {
+// answer by walking f.headWalk (see shadowForest.inOrder). A head that is
+// walkable in head order streams in head-lexicographic document order,
+// each position ascending or, where dirs (nil: all ascending) says
+// OrderDesc, descending, resuming strictly after the pre ranks after
+// (nil: from the start). Any other head streams in walk order over its
+// connecting subtrees (see computeHeadOrder): the first step's values in
+// document order, each later step's image in document order; dirs and
+// after must then be nil. The tuple passed to fn is reused (copy to
+// retain); fn returns false to stop early.
+func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, dirs []OrderDir, after []int32, stop func() bool, fn func(tuple []tree.NodeID) bool) {
 	if !acyclicBool(d, q, f, s) {
 		return
 	}
@@ -350,7 +451,7 @@ func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 		emit = dedupEmit(fn)
 	}
 	tuple := make([]tree.NodeID, len(q.Head))
-	acyclicWalk(d, f.headWalk, s, stop, func(at []int32) bool {
+	acyclicWalk(d, f.headWalk, s, dirs, after, stop, func(at []int32) bool {
 		for j, i := range f.headPos {
 			tuple[j] = d.t.ByPre(at[i])
 		}

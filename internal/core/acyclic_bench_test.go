@@ -107,3 +107,54 @@ func BenchmarkAcyclicTuples(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAcyclicPages times one page of perfbench's page query (100
+// tuples, asked with a limit of 101 as a paginated request probes one
+// past the page) at pages 1 and 8, under the orders (asc, asc) and
+// (desc, asc), on tree.Random trees of 4k, 16k and 64k nodes. Page 8
+// resumes after page 7's last tuple, as a cursor does. A resume seeks
+// straight to the recorded ranks, so page 8 should cost about what page
+// 1 costs, and neither should grow much faster than the tree.
+func BenchmarkAcyclicPages(b *testing.B) {
+	const pageSize = 100
+	p := MustPrepare(cq.MustParse("Q(x, y) <- B(x), Child+(x, y)"))
+	for _, n := range []int{4000, 16000, 64000} {
+		tr := tree.Random(rand.New(rand.NewSource(1)), tree.DefaultRandomConfig(n))
+		d := NewDocument(tr)
+		for _, dirs := range [][]OrderDir{{OrderAsc, OrderAsc}, {OrderDesc, OrderAsc}} {
+			// The resume point of page 8: the 700th tuple of the stream.
+			var after []int32
+			p.ForEachTupleDoc(d, EnumOptions{Order: dirs, Limit: 7 * pageSize}, func(tuple []tree.NodeID) bool {
+				after = []int32{tr.Pre(tuple[0]), tr.Pre(tuple[1])}
+				return true
+			})
+			name := fmt.Sprintf("%s_%s", dirName(dirs[0]), dirName(dirs[1]))
+			for _, page := range []int{1, 8} {
+				o := EnumOptions{Order: dirs, Limit: pageSize + 1}
+				if page == 8 {
+					o.After = after
+				}
+				b.Run(fmt.Sprintf("%s/page=%d/n=%d", name, page, n), func(b *testing.B) {
+					tuples := 0
+					for i := 0; i < b.N; i++ {
+						p.ForEachTupleDoc(d, o, func([]tree.NodeID) bool {
+							tuples++
+							return true
+						})
+					}
+					if tuples != b.N*(pageSize+1) {
+						b.Fatalf("%d tuples in %d pages, want %d a page", tuples, b.N, pageSize+1)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/page")
+				})
+			}
+		}
+	}
+}
+
+func dirName(d OrderDir) string {
+	if d == OrderDesc {
+		return "desc"
+	}
+	return "asc"
+}

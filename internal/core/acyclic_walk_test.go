@@ -142,3 +142,134 @@ func TestAcyclicWalkOrder(t *testing.T) {
 		})
 	}
 }
+
+// orderedWalkCase is one query of TestAcyclicOrderedWalkParity and
+// whether its head is walkable in head order (otherwise ordered requests
+// fall back to the pinned descent).
+type orderedWalkCase struct {
+	q        *cq.Query
+	walkable bool
+}
+
+// orderedWalkQueries: every axis as R(x, y) and as R(y, x), with heads
+// (x, y) and (y, x); three-variable heads walked in an order other than
+// the forest's BFS order (x, y, z), one reading each step from a forest
+// child and one starting below the root; a product of two components;
+// and heads that are not walkable in head order: one skipping the middle
+// of a chain, one leaving the chain's middle for last, one with a
+// repeated variable.
+func orderedWalkQueries() []orderedWalkCase {
+	var out []orderedWalkCase
+	for _, a := range axis.All() {
+		for _, body := range []string{"A(x), %s(x, y), B(y)", "A(x), %s(y, x), B(y)"} {
+			body = fmt.Sprintf(body, a)
+			out = append(out,
+				orderedWalkCase{headed(body, "x", "y"), true},
+				orderedWalkCase{headed(body, "y", "x"), true},
+			)
+		}
+	}
+	chain := "A(x), Child+(x, y), B(y), Following(y, z), C(z)"
+	return append(out,
+		orderedWalkCase{headed(chain, "z", "y", "x"), true},
+		orderedWalkCase{headed(chain, "y", "z", "x"), true},
+		orderedWalkCase{headed("A(x), Child(x, y), B(y), PrevSibling*(y, z), Ancestor+(z, w)", "y", "z", "x"), true},
+		orderedWalkCase{headed("A(x), Child(x, y), B(y), C(u), NextSibling(u, w), A(w)", "y", "u", "x", "w"), true},
+		orderedWalkCase{headed(chain, "x", "z"), false},
+		orderedWalkCase{headed(chain, "z", "x", "y"), false},
+		orderedWalkCase{headed(chain, "y", "x", "y"), false},
+	)
+}
+
+// TestAcyclicOrderedWalkParity: for every direction combination, an
+// ordered stream of the acyclic strategy is the reference relation sorted
+// by the per-position pre-rank key (and for a walkable head, so is the
+// unordered stream under all-ascending directions); pages of random sizes, each resumed
+// through After at the previous page's last tuple, concatenate to the
+// same stream; and the stream equals the pinned descent's. The trees are
+// built under random parents, so NodeIDs are not pre ranks.
+func TestAcyclicOrderedWalkParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, c := range orderedWalkQueries() {
+		q, src := c.q, c.q.String()
+		p := MustPrepare(q)
+		if p.Plan().Strategy != StrategyAcyclic || p.forest.inOrder != c.walkable {
+			t.Fatalf("%s: plan %v, walkable %v, want acyclic and %v", src, p.Plan(), p.forest.inOrder, c.walkable)
+		}
+		n := 90 // more than one word of pre ranks
+		switch q.NumVars() {
+		case 3:
+			n = 20 // ReferenceEvalAll costs n^vars
+		case 4:
+			n = 10
+		}
+		k := len(q.Head)
+		answered := 0
+		for trial := 0; trial < 1<<k; trial++ {
+			dirs := make([]OrderDir, k)
+			for j := range dirs {
+				dirs[j] = OrderDir(trial >> j & 1)
+			}
+			tr := scrambledTree(rng, 1+rng.Intn(n))
+			d := NewDocument(tr)
+			want := ReferenceEvalAll(tr, q)
+			slices.SortStableFunc(want, func(a, b []tree.NodeID) int {
+				switch {
+				case preKeyLess(tr, dirs, a, b):
+					return -1
+				case preKeyLess(tr, dirs, b, a):
+					return 1
+				}
+				return 0
+			})
+			got, err := p.AllDoc(d, EnumOptions{Order: dirs})
+			if err != nil || !sameTuples(got, want) {
+				t.Fatalf("%s dirs %v on %s:\n got %v\nwant %v", src, dirs, tr, got, want)
+			}
+
+			if c.walkable && trial == 0 {
+				var unordered [][]tree.NodeID
+				p.ForEachTupleDoc(d, EnumOptions{}, func(tuple []tree.NodeID) bool {
+					unordered = append(unordered, copyTuple(tuple))
+					return true
+				})
+				if !sameTuples(unordered, want) {
+					t.Fatalf("%s on %s: unordered stream\n %v\nwant the ascending one %v", src, tr, unordered, want)
+				}
+			}
+
+			var paged [][]tree.NodeID
+			o := EnumOptions{Order: dirs}
+			for {
+				o.Limit = 1 + rng.Intn(7)
+				page, _ := p.AllDoc(d, o)
+				paged = append(paged, page...)
+				if len(page) < o.Limit {
+					break
+				}
+				o.After = make([]int32, k)
+				for j, v := range page[len(page)-1] {
+					o.After[j] = tr.Pre(v)
+				}
+			}
+			if !sameTuples(paged, want) {
+				t.Fatalf("%s dirs %v on %s: pages concatenate to\n %v\nwant %v", src, dirs, tr, paged, want)
+			}
+
+			var descent [][]tree.NodeID
+			orderedDescent(d, q, newEvalScratch(), EnumOptions{Order: dirs}, nil, func(tuple []tree.NodeID) bool {
+				descent = append(descent, copyTuple(tuple))
+				return true
+			})
+			if !sameTuples(descent, want) {
+				t.Fatalf("%s dirs %v on %s: pinned descent gives\n %v\nwant %v", src, dirs, tr, descent, want)
+			}
+			if len(want) > 0 {
+				answered++
+			}
+		}
+		if answered == 0 {
+			t.Errorf("%s: no trial had an answer", src)
+		}
+	}
+}

@@ -11,37 +11,49 @@ import (
 // Ordered enumeration: answers stream in lexicographic document order
 // over the head tuple — position i ascending or descending over pre-order
 // ranks per EnumOptions.Order[i] — with no sort and no buffering, and a
-// resume point (EnumOptions.After) re-descends directly to the recorded
-// pin prefix instead of re-enumerating skipped answers.
+// resume point (EnumOptions.After) seeks each position directly to its
+// recorded rank instead of re-enumerating skipped answers.
 //
-// The engine is the pinned-AC descent of enumerate.go with each level's
-// candidate bitset iterated in the requested direction. That descent is
-// sound and complete for BOTH tractable strategies:
+// Three engines serve it, by strategy and head:
 //
-//   - X-property signatures: pinned arc consistency decides satisfiability
-//     exactly (Theorem 3.5), so a fully pinned consistent state IS an
-//     answer and every answer survives pinning.
-//   - Acyclic queries: the query graph's shadow is a forest, and arc
-//     consistency with nonempty domains is decision-complete on
-//     forest-structured constraint graphs (Freuder) — pinning head
-//     variables keeps the graph a forest, so the same invariant holds.
-//
-// Head tuples are enumerated directly (one pin path per distinct tuple),
-// so no dedup set is needed and the stream is memory-flat. Only the
-// backtracking strategy lacks an order-aware search; it materializes,
-// sorts by the requested key, and replays — order and limit are honored,
-// but a cursor restart there costs O(answers), not O(depth).
+//   - Acyclic queries whose head is walkable in head order (see
+//     shadowForest.inOrder) run the axis-image walk of acyclic.go with a
+//     direction and a resume seek per position: after the full semijoin
+//     reduction no step reaches a dead end, whichever head variable roots
+//     the walk.
+//   - Every other acyclic head, and the X-property strategy, run the
+//     pinned-AC descent below, each level's candidate bitset iterated in
+//     the requested direction. It is sound and complete for both:
+//     under the X-property, pinned arc consistency decides
+//     satisfiability exactly (Theorem 3.5), so a fully pinned consistent
+//     state IS an answer and every answer survives pinning; for an
+//     acyclic query, arc consistency with nonempty domains is
+//     decision-complete on forest-structured constraint graphs (Freuder),
+//     and pinning head variables keeps the graph a forest. Head tuples
+//     are enumerated directly (one pin path per distinct tuple), so no
+//     dedup set is needed and the stream is memory-flat.
+//   - The backtracking strategy lacks an order-aware search; it
+//     materializes, sorts by the requested key, and replays — order and
+//     limit are honored, but a cursor restart there costs O(answers), not
+//     O(depth).
 
 // orderedForEachTuple streams the distinct answer tuples of p on d in the
 // requested document order, resuming strictly after o.After when set.
 // o.Order must have exactly one direction per head variable (callers
 // validate); the head must be non-empty. The tuple passed to fn is reused.
 func (p *Prepared) orderedForEachTuple(d *Document, s *evalScratch, o EnumOptions, stop func() bool, fn func(tuple []tree.NodeID) bool) {
-	q := p.q
-	if p.plan.Strategy == StrategyBacktrack {
+	switch {
+	case p.plan.Strategy == StrategyBacktrack:
 		p.orderedBacktrack(d, s, o, stop, fn)
-		return
+	case p.plan.Strategy == StrategyAcyclic && p.forest.inOrder:
+		acyclicForEachTuple(d, p.q, p.forest, s, o.Order, o.After, stop, fn)
+	default:
+		orderedDescent(d, p.q, s, o, stop, fn)
 	}
+}
+
+// orderedDescent is orderedForEachTuple through the pinned-AC descent.
+func orderedDescent(d *Document, q *cq.Query, s *evalScratch, o EnumOptions, stop func() bool, fn func(tuple []tree.NodeID) bool) {
 	pre, ok := s.ac.FastACIx(d.ix, q)
 	if !ok {
 		return

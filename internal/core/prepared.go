@@ -153,10 +153,11 @@ type EnumOptions struct {
 	Offset int
 	// After, when non-nil, resumes ordered enumeration strictly after the
 	// answer whose head nodes have these pre-order ranks (one per head
-	// position, under the same Order). The engine re-descends directly to
-	// the recorded pin prefix — an O(depth) restart, no re-enumeration of
-	// skipped answers. Requires Order to be set; under the backtracking
-	// strategy the restart is by replay (O(answers)).
+	// position, under the same Order). The engine seeks each position
+	// directly to its recorded rank — an O(depth) restart, no
+	// re-enumeration of skipped answers. Ranks outside the tree are
+	// allowed. Requires Order to be set; under the backtracking strategy
+	// the restart is by replay (O(answers)).
 	After []int32
 }
 
@@ -267,11 +268,14 @@ func (p *Prepared) SatisfactionDoc(d *Document, o EnumOptions) consistency.Valua
 // returns false, so prefix-limited and existence queries cost only the
 // answers actually consumed. Nothing is materialized; the tuple slice is
 // reused between calls — copy it to retain. Tuples arrive in a
-// strategy-dependent order (not necessarily lexicographic): document
-// order under the X-property strategy; walk order under the acyclic one
-// (the first walked variable in document order, then each variable's
-// values for its parent's value in document order); discovery order
-// under backtracking. AllDoc sorts.
+// strategy-dependent order (not necessarily lexicographic NodeID order):
+// document order under the X-property strategy; under the acyclic one,
+// all-ascending head-lexicographic document order when the head is
+// walkable in head order (distinct variables, each adjacent in the query
+// forest to an earlier one or the first of its component), walk order
+// otherwise (the first walked variable in document order, then each
+// variable's values for its parent's value in document order); discovery
+// order under backtracking. AllDoc sorts.
 // For Boolean queries fn is called once with an empty tuple if the query
 // is satisfiable. The returned error is the context's cancellation error,
 // if any (the stream just stops at the cancel point).
@@ -291,7 +295,7 @@ func (p *Prepared) ForEachTupleDoc(d *Document, o EnumOptions, fn func(tuple []t
 	}
 	switch p.plan.Strategy {
 	case StrategyAcyclic:
-		acyclicForEachTuple(d, p.q, p.forest, s, stop, fn)
+		acyclicForEachTuple(d, p.q, p.forest, s, nil, nil, stop, fn)
 	case StrategyXProperty:
 		if arity > 0 {
 			// Unordered streams run the ordered descent in document order.

@@ -245,9 +245,12 @@ func (pq *PreparedQuery) arity() int { return len(pq.p.Query().Head) }
 //
 // Each yielded tuple is freshly allocated and owned by the consumer (safe
 // for slices.Collect and for retaining without a copy). Tuples arrive in
-// a strategy-dependent order (document order under the X-property
-// strategy, walk order under the acyclic one; AllErr sorts, this does
-// not). For Boolean queries one empty tuple is yielded if the query is
+// a strategy-dependent order: document order under the X-property
+// strategy; under the acyclic one, all-ascending document order over the
+// head tuple when the head variables are distinct and each one after the
+// first shares an atom with an earlier one or is the first of its
+// connected part of the query, walk order otherwise (AllErr sorts, this
+// does not). For Boolean queries one empty tuple is yielded if the query is
 // satisfiable. If a WithContext context is cancelled mid-iteration the
 // sequence just stops — use AllErr to observe the cancellation error.
 // Invalid order/cursor options likewise end the sequence before the first
@@ -335,7 +338,7 @@ const DefaultPageSize = 100
 // Page is one page of a paginated enumeration.
 type Page struct {
 	// Tuples holds up to the page size answer tuples, in the requested
-	// order (each freshly allocated and owned by the caller).
+	// order, owned by the caller.
 	Tuples [][]NodeID
 	// Next is the opaque resume cursor for the following page, or "" when
 	// this page ends the result set. Pass it back via WithCursor.
@@ -376,20 +379,24 @@ func (pq *PreparedQuery) Paginate(doc *Document, opts ...EvalOption) (Page, erro
 	}
 	// Probe one answer past the page: an exactly-full final page is
 	// complete, not truncated, and mints no cursor.
+	// The rows share one flat array; each is cut with its capacity capped,
+	// so appending to a row cannot overwrite the next one.
 	o.Limit = limit + 1
-	rows := make([][]NodeID, 0, min(limit, 1024))
+	k := pq.arity()
+	flat := make([]NodeID, 0, min(limit+1, 1024)*k)
 	if err := pq.p.ForEachTupleDoc(doc, o, func(tuple []NodeID) bool {
-		cp := make([]NodeID, len(tuple))
-		copy(cp, tuple)
-		rows = append(rows, cp)
+		flat = append(flat, tuple...)
 		return true
 	}); err != nil {
 		return Page{}, err
 	}
-	page := Page{Tuples: rows}
-	if len(rows) > limit {
-		page.Tuples = rows[:limit]
-		last := rows[limit-1]
+	rows := len(flat) / k
+	page := Page{Tuples: make([][]NodeID, min(rows, limit))}
+	for i := range page.Tuples {
+		page.Tuples[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	if rows > limit {
+		last := page.Tuples[limit-1]
 		t := doc.Tree()
 		c := cursor{
 			qhash:   fingerprintHash(pq.p.Query().Fingerprint()),
