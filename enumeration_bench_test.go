@@ -4,8 +4,8 @@ package cqtrees
 // controls the answer-set size independently of the tree size — the paper's
 // bound below Theorem 3.5 is O(|A|^k · ‖A‖ · |Q|) (candidate-space
 // sensitive), while the streaming enumerator's cost should track the answer
-// count: one shared arc-consistency pass plus an incremental pinned check
-// per candidate.
+// count: one shared arc-consistency pass, then per answer one exclusion
+// of Lemma 3.4's min-delete loop.
 //
 // Variants:
 //
@@ -13,8 +13,9 @@ package cqtrees
 //	              from-scratch pinned arc-consistency run per candidate
 //	              (Scratch.PinnedFastACIx against one TreeIndex),
 //	              rebuilding domains each time.
-//	stream        PreparedQuery.NodeSeq (incremental pinned checks
-//	              seeded from the shared maximal prevaluation).
+//	stream        PreparedQuery.NodeSeq (the min-delete loop over the
+//	              shared maximal prevaluation: emit the head's minimum,
+//	              exclude it, restore arc consistency).
 //	materialize   PreparedQuery.NodesErr.
 //	first-answer  NodeSeq with an immediate break — the early-exit
 //	              price of an existence-style query.

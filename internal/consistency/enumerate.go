@@ -80,6 +80,21 @@ func (w *domWords) add(ix *TreeIndex, v tree.NodeID) {
 	}
 }
 
+// remove deletes the node of pre rank pr.
+func (w *domWords) remove(ix *TreeIndex, pr int32) {
+	bitset.Clear(w.pre, pr)
+	if len(w.sib) == 0 && len(w.preEnd) == 0 {
+		return
+	}
+	v := ix.t.ByPre(pr)
+	if len(w.sib) > 0 {
+		bitset.Clear(w.sib, ix.sibRank[v])
+	}
+	if len(w.preEnd) > 0 {
+		bitset.Clear(w.preEnd, ix.preEndPos[v])
+	}
+}
+
 // removeAll deletes the nodes of the given pre ranks.
 func (w *domWords) removeAll(ix *TreeIndex, prs []int32) {
 	for _, pr := range prs {
@@ -144,19 +159,18 @@ type PinBase struct {
 	sctx    supportCtx
 	atomsOf [][]int32 // variable -> indexes of atoms touching it
 
-	sets       []*NodeSet // per variable: candidates, NodeID-indexed
 	words      []domWords // per variable: candidates in the three orderings
-	setStore   []NodeSet  // backing storage for sets (reused across rebinds)
+	counts     []int32    // per variable: number of candidates
 	atomsStore [][]int32
 }
 
 // PinBaseForIx snapshots p — the maximal arc-consistent prevaluation of q
 // on ix's tree, as returned by FastACIx — into Scratch-owned storage over
 // the borrowed document index (already built; snapshotting copies no
-// orderings). p's sets are copied; the caller may keep using (or
-// recycling) them afterwards. The result is valid until the next
-// PinBaseForIx call on sc — and no longer than the borrowed index; while
-// valid it is safe for concurrent PinRuns.
+// orderings). p's sets are loaded into the base's bitsets; the caller may
+// keep using (or recycling) them afterwards. The result is valid until the
+// next PinBaseForIx call on sc — and no longer than the borrowed index;
+// while valid it is safe for concurrent PinRuns.
 func (sc *Scratch) PinBaseForIx(ix *TreeIndex, q *cq.Query, p *Prevaluation) *PinBase {
 	sc.pinBase.init(ix, q, p)
 	return &sc.pinBase
@@ -204,15 +218,11 @@ func (b *PinBase) init(ix *TreeIndex, q *cq.Query, p *Prevaluation) {
 		panic(fmt.Sprintf("consistency: PinBase of %d-set prevaluation for %d-var query", len(p.Sets), nv))
 	}
 	b.bind(ix, q)
-	for len(b.setStore) < nv {
-		b.setStore = append(b.setStore, NodeSet{})
-	}
-	b.sets = grow(b.sets, nv)
 	b.words = grow(b.words, nv)
-	for x := 0; x < nv; x++ {
-		b.setStore[x].copyFrom(p.Sets[x])
-		b.sets[x] = &b.setStore[x]
-		b.words[x].load(b, b.sets[x])
+	b.counts = grow(b.counts, nv)
+	for x, s := range p.Sets {
+		b.words[x].load(b, s)
+		b.counts[x] = int32(s.Len())
 	}
 }
 
@@ -222,10 +232,6 @@ func grow[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// Candidates returns x's snapshot candidate set (the maximal arc-consistent
-// set), in NodeID indexing. Read-only; owned by the PinBase.
-func (b *PinBase) Candidates(x cq.Var) *NodeSet { return b.sets[x] }
 
 // --- pinDom: the support tests' view of a domain --------------------------
 
@@ -294,10 +300,11 @@ type PinRun struct {
 	levels    []pinLevel
 	queue     []int32
 	inQueue   []bool
-	removeBuf []int32  // pre ranks pending removal in the current revision
-	imgBuf    []uint64 // bulk-kernel support bitset of the current revision
-	viewT     pinDom   // reusable support-test views (target and support
-	viewS     pinDom   // side of the current revision)
+	removeBuf []int32    // pre ranks pending removal in the current revision
+	imgBuf    []uint64   // bulk-kernel support bitset of the current revision
+	viewT     pinDom     // reusable support-test views (target and support
+	viewS     pinDom     // side of the current revision)
+	ex        *exclState // Scratch.Exclude's state, made by the first call
 }
 
 // NewPinRun returns a PinRun positioned at the unpinned snapshot.
@@ -325,7 +332,7 @@ func (r *PinRun) words(d int, x cq.Var) domWords {
 
 func (r *PinRun) countAt(d int, x cq.Var) int32 {
 	if d == 0 {
-		return int32(r.b.sets[x].Len())
+		return r.b.counts[x]
 	}
 	return r.levels[d-1].count[x]
 }

@@ -413,8 +413,9 @@ func FastAC(t *tree.Tree, q *cq.Query) (*Prevaluation, bool) {
 	return FastACFrom(t, q, NewPrevaluation(t, q))
 }
 
-// Stats reports work counters of a FastAC run, used by the ablation
-// benchmarks and the experiment harness.
+// Stats reports work counters of a FastAC run or of a sequence of
+// exclusions, used by the ablation benchmarks, the experiment harness
+// and the complexity tests.
 type Stats struct {
 	// Revisions counts atom revisions popped from the worklist.
 	Revisions int
@@ -422,6 +423,10 @@ type Stats struct {
 	Removals int
 	// Enqueues counts worklist (re-)insertions.
 	Enqueues int
+	// Probes counts the support tests of removal-driven exclusions
+	// (Scratch.Exclude): one per candidate value rechecked, and one per
+	// ancestor an ancestor walk tests for a support.
+	Probes int
 }
 
 // FastACFrom runs the FastAC worklist from the given initial prevaluation
@@ -455,15 +460,7 @@ func (sc *Scratch) FastACFromStats(t *tree.Tree, q *cq.Query, init *Prevaluation
 // shared worklist seeded with every atom, and writes the survivors back.
 // The returned prevaluation's sets are init's sets.
 func (sc *Scratch) fastACFromStatsIx(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*Prevaluation, Stats, bool) {
-	lv, ok := sc.loadLevel(ix, q, init)
-	if !ok {
-		return nil, Stats{}, false
-	}
-	sc.allAtoms = sc.allAtoms[:0]
-	for i := range q.Atoms {
-		sc.allAtoms = append(sc.allAtoms, int32(i))
-	}
-	stats, ok := sc.acRun.propagate(lv, sc.allAtoms)
+	lv, stats, ok := sc.fastACLevel(ix, q, init)
 	if !ok {
 		return nil, stats, false
 	}
@@ -475,6 +472,31 @@ func (sc *Scratch) fastACFromStatsIx(ix *TreeIndex, q *cq.Query, init *Prevaluat
 		p.Sets[x] = s
 	}
 	return p, stats, true
+}
+
+// fastACLevel loads init into the Scratch's level 0 and runs the
+// worklist seeded with every atom, leaving the maximal arc-consistent
+// domains in the level's bitsets.
+func (sc *Scratch) fastACLevel(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*pinLevel, Stats, bool) {
+	lv, ok := sc.loadLevel(ix, q, init)
+	if !ok {
+		return nil, Stats{}, false
+	}
+	sc.allAtoms = sc.allAtoms[:0]
+	for i := range q.Atoms {
+		sc.allAtoms = append(sc.allAtoms, int32(i))
+	}
+	stats, ok := sc.acRun.propagate(lv, sc.allAtoms)
+	return lv, stats, ok
+}
+
+// FastACPreIx is FastACIx without the write-back to NodeSets: it reports
+// whether q has an arc-consistent prevaluation on ix's tree and leaves
+// the maximal one in the Scratch's pre-rank words, for DomainPre and
+// Exclude.
+func (sc *Scratch) FastACPreIx(ix *TreeIndex, q *cq.Query) bool {
+	_, _, ok := sc.fastACLevel(ix, q, sc.InitialPrevaluationIx(ix, q))
+	return ok
 }
 
 // Semijoin is one step of a fixed revise schedule: it prunes the
@@ -536,10 +558,11 @@ func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin, mirr
 }
 
 // DomainPre returns variable x's domain as left by the last FastACIx,
-// SemijoinIx or PinnedFastACIx call on sc, as words over pre-order ranks
-// — reduced whether or not that call mirrored it into a NodeSet. The
-// words are Scratch-owned: read-only, and valid until the next call on
-// sc.
+// FastACPreIx, SemijoinIx or PinnedFastACIx call on sc (and the Exclude
+// calls since), as words over pre-order ranks — reduced whether or not
+// that call mirrored it into a NodeSet. The words are Scratch-owned:
+// read-only, and valid until the next domain load on sc; Exclude updates
+// them in place.
 func (sc *Scratch) DomainPre(x cq.Var) []uint64 { return sc.acRun.levels[0].cur[x].pre }
 
 // loadLevel binds the Scratch's AC run to ix and q and loads init's sets
@@ -549,6 +572,9 @@ func (sc *Scratch) loadLevel(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*p
 	b, r := &sc.acBase, &sc.acRun
 	b.bind(ix, q)
 	r.b, r.depth = b, 0
+	if r.ex != nil {
+		r.ex.st, r.ex.stale = Stats{}, true
+	}
 	lv := r.level(0)
 	for x, s := range init.Sets {
 		if s.Empty() {

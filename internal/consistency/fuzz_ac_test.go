@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/axis"
+	"repro/internal/bitset"
 	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/cq"
@@ -29,10 +30,12 @@ func (b *fuzzBytes) next() int {
 // query q over all 17 axes, and qd = q plus the atoms Dx(x). The maximal
 // arc-consistent prevaluation of q below the domains is by construction
 // that of qd from its label-filtered start, so HornAC(t, qd) is its oracle.
+// rest is the input left over, which drives the exclusion sequences.
 type acCase struct {
 	t     *tree.Tree
 	q, qd *cq.Query
 	doms  []*consistency.NodeSet
+	rest  fuzzBytes
 }
 
 func decodeACCase(data []byte) acCase {
@@ -94,7 +97,7 @@ func decodeACCase(data []byte) acCase {
 	for x := 0; x < nv; x++ {
 		qd.AddLabel(fmt.Sprintf("D%d", x), cq.Var(x))
 	}
-	return acCase{t: b.Build(), q: q, qd: qd, doms: doms}
+	return acCase{t: b.Build(), q: q, qd: qd, doms: doms, rest: in}
 }
 
 func sameAC(p *consistency.Prevaluation, ok bool, want *consistency.Prevaluation, wantOK bool) bool {
@@ -112,6 +115,9 @@ func sameAC(p *consistency.Prevaluation, ok bool, want *consistency.Prevaluation
 //     policy is process-wide);
 //   - every PinRun.Push(x, v) over that result agrees, verdict and
 //     domains, with HornACPinned;
+//   - after each Scratch.Exclude of a fuzz-derived exclusion sequence on
+//     top of that result, the verdict and every domain equal
+//     HornACExcluding's with the values excluded so far (checkExclusions);
 //   - the MAC backtracking engine returns exactly the brute-force
 //     reference answers (when the reference search stays small).
 func FuzzArcConsistency(f *testing.F) {
@@ -185,6 +191,7 @@ func FuzzArcConsistency(f *testing.F) {
 					run.Pop()
 				}
 			}
+			checkExclusions(t, pol, c, got)
 		}
 
 		// The brute-force reference tries n^nv valuations.
@@ -202,4 +209,70 @@ func FuzzArcConsistency(f *testing.F) {
 			t.Fatalf("MAC answers %v, reference %v\nquery %s\ntree %s", mac, ref, c.qd, c.t)
 		}
 	})
+}
+
+// checkExclusions runs up to eight Scratch.Exclude calls on top of the
+// maximal arc-consistent prevaluation ac, with the kernel policy already
+// set, and checks each against HornACExcluding on the label-filtered start
+// with every value excluded so far removed. A step picks a variable and
+// then, by one byte k, the (k/2)-th live value of its domain counted in pre
+// order from the minimum (k even) or from the maximum (k odd), or (k >=
+// 240) any node, possibly one the domain no longer holds. All zero bytes
+// therefore run Lemma 3.4's min-delete loop on variable a. The
+// exclusions' removal counter must equal the values the domains lost.
+func checkExclusions(t *testing.T, pol consistency.KernelPolicy, c acCase, ac *consistency.Prevaluation) {
+	t.Helper()
+	init := consistency.NewPrevaluation(c.t, c.q)
+	for x, s := range init.Sets {
+		s.IntersectWith(c.doms[x])
+	}
+	sc := consistency.NewScratch()
+	if _, _, ok := sc.FastACFromStats(c.t, c.q, init); !ok {
+		t.Fatalf("policy %d: Scratch.FastACFromStats fails where FastACFrom succeeds", pol)
+	}
+	n, nv := c.t.Len(), c.q.NumVars()
+	in := c.rest
+	var xs []cq.Var
+	var vs []tree.NodeID
+	for step, steps := 0, 8-in.next()%8; step < steps; step++ {
+		x := cq.Var(in.next() % nv)
+		dom := sc.DomainPre(x)
+		var pr int32
+		switch k := in.next(); {
+		case k >= 240:
+			pr = c.t.Pre(tree.NodeID(k % n))
+		case k%2 == 0:
+			pr = bitset.First(dom)
+			for k = k / 2 % bitset.Count(dom); k > 0; k-- {
+				pr = bitset.NextAt(dom, pr+1)
+			}
+		default:
+			pr = bitset.Last(dom)
+			for k = k / 2 % bitset.Count(dom); k > 0; k-- {
+				pr = bitset.PrevIn(dom, 0, pr-1)
+			}
+		}
+		xs, vs = append(xs, x), append(vs, c.t.ByPre(pr))
+		ok := sc.Exclude(x, pr)
+		want, wantOK := consistency.HornACExcluding(c.t, c.qd, xs, vs)
+		if ok != wantOK {
+			t.Fatalf("policy %d: Exclude #%d (%d, %d) = %v, Horn %v\nexcluded %v %v\nquery %s\ntree %s", pol, step, x, vs[step], ok, wantOK, xs, vs, c.qd, c.t)
+		}
+		if !ok {
+			return
+		}
+		lost := 0
+		for y := 0; y < nv; y++ {
+			dom := sc.DomainPre(cq.Var(y))
+			for u := 0; u < n; u++ {
+				if has := bitset.Test(dom, c.t.Pre(tree.NodeID(u))); has != want.Sets[y].Has(tree.NodeID(u)) {
+					t.Fatalf("policy %d: after Exclude #%d (%d, %d): var %d holds node %d = %v, Horn %v\nexcluded %v %v\nquery %s\ntree %s", pol, step, x, vs[step], y, u, has, !has, xs, vs, c.qd, c.t)
+				}
+			}
+			lost += ac.Sets[y].Len() - want.Sets[y].Len()
+		}
+		if st := sc.ExclusionStats(); st.Removals != lost {
+			t.Fatalf("policy %d: %d exclusion removals, the domains lost %d", pol, st.Removals, lost)
+		}
+	}
 }

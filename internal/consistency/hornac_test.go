@@ -39,6 +39,22 @@ func HornAC(t *tree.Tree, q *cq.Query) (*Prevaluation, bool) {
 // variable vars[i], facts Remove(vars[i], v) are added for every node
 // v ≠ nodes[i].
 func HornACPinned(t *tree.Tree, q *cq.Query, vars []cq.Var, nodes []tree.NodeID) (*Prevaluation, bool) {
+	var xs []cq.Var
+	var vs []tree.NodeID
+	for i, x := range vars {
+		for v := 0; v < t.Len(); v++ {
+			if tree.NodeID(v) != nodes[i] {
+				xs, vs = append(xs, x), append(vs, tree.NodeID(v))
+			}
+		}
+	}
+	return HornACExcluding(t, q, xs, vs)
+}
+
+// HornACExcluding is HornAC with the facts Remove(vars[i], nodes[i]): the
+// maximal arc-consistent prevaluation that holds none of the excluded
+// values, the oracle of removal-driven exclusion (Scratch.Exclude).
+func HornACExcluding(t *tree.Tree, q *cq.Query, vars []cq.Var, nodes []tree.NodeID) (*Prevaluation, bool) {
 	n := t.Len()
 	nv := q.NumVars()
 	prog := hornsat.NewProgram(nv*n, nv*n*2)
@@ -47,13 +63,9 @@ func HornACPinned(t *tree.Tree, q *cq.Query, vars []cq.Var, nodes []tree.NodeID)
 		return hornsat.AtomID(int(x)*n + int(v))
 	}
 
-	// Pin facts: Remove(x,v) for every node other than the pinned one.
+	// Exclusion facts, the pins' among them.
 	for i, x := range vars {
-		for v := 0; v < n; v++ {
-			if tree.NodeID(v) != nodes[i] {
-				prog.AddClause(atom(x, tree.NodeID(v)))
-			}
-		}
+		prog.AddClause(atom(x, nodes[i]))
 	}
 
 	// Unary facts: Remove(x,v) for every v lacking a required label.

@@ -34,7 +34,8 @@ package consistency
 // revise step, PinRun.revise, and both tractable cases run it: the FastAC
 // worklist and the pinned propagation for X-property signatures, and a
 // fixed Yannakakis schedule of steps (Scratch.SemijoinIx) for acyclic
-// queries.
+// queries. Only the exclusions of exclude.go, which remove one value at a
+// time, recheck single candidates instead of revising whole sides.
 
 import (
 	"fmt"

@@ -16,8 +16,11 @@
 // (a bit test, a child or ancestor walk, or a first-alive-bit scan of an
 // interval) or intersects with a whole-domain axis image (kernels.go).
 // The same worklist runs the incremental pinned propagation of
-// enumeration and MAC search (enumerate.go). The paper-exact Horn-SAT
-// reduction of Prop. 3.1, solved by package hornsat, is its test oracle
+// enumeration and MAC search (enumerate.go). Exclusions (exclude.go)
+// restore arc consistency after one value leaves a domain by rechecking
+// only what that removal could have supported; they drive Lemma 3.4's
+// enumeration of monadic answers. The paper-exact Horn-SAT reduction of
+// Prop. 3.1, solved by package hornsat, is the test oracle of all three
 // and lives in this package's tests only.
 package consistency
 

@@ -109,3 +109,35 @@ func TestEngineStepsMetricMonotone(t *testing.T) {
 		t.Errorf("steps not monotone with work: easy %d, hard %d", easySteps, e.Steps())
 	}
 }
+
+// TestXPropNodesProbesFlat is the complexity claim of the X-property node
+// stream as a counter test, with no timing: after the one FastAC run, the
+// min-delete loop's support probes per answer and removal stay flat as
+// the tree grows, because each removal rechecks only what it could have
+// supported. xp_nodes runs on tree.Random trees of n, 4n and 16n nodes,
+// and the ratio may grow by at most 1.5x from n to 16n.
+func TestXPropNodesProbesFlat(t *testing.T) {
+	p := MustPrepare(cq.MustParse(xpNodesQuery))
+	if p.Plan().Strategy != StrategyXProperty {
+		t.Fatalf("strategy %v, want X-property", p.Plan().Strategy)
+	}
+	var ratios []float64
+	for _, n := range []int{2000, 8000, 32000} {
+		d := NewDocument(tree.Random(rand.New(rand.NewSource(1)), tree.DefaultRandomConfig(n)))
+		s := newEvalScratch()
+		answers := 0
+		polyForEachNode(d, p.q, p.order, s, nil, func(tree.NodeID) bool {
+			answers++
+			return true
+		})
+		st := s.ac.ExclusionStats()
+		if answers == 0 || st.Removals < answers {
+			t.Fatalf("n=%d: %d answers, %d removals", n, answers, st.Removals)
+		}
+		ratios = append(ratios, float64(st.Probes)/float64(answers+st.Removals))
+		t.Logf("n=%d: %d answers, %d removals, %d probes, %.2f probes per answer and removal", n, answers, st.Removals, st.Probes, ratios[len(ratios)-1])
+	}
+	if ratios[2] > 1.5*ratios[0] {
+		t.Errorf("probes per answer and removal grow from %.2f to %.2f from n to 16n", ratios[0], ratios[2])
+	}
+}

@@ -29,6 +29,8 @@ type evalScratch struct {
 	// The acyclic walk's per-step image iterators and assigned pre ranks.
 	iters []consistency.ImageIter
 	at    []int32
+	// The X-property node stream's candidate order ranks.
+	ranks []int32
 }
 
 func newEvalScratch() *evalScratch {
@@ -313,8 +315,10 @@ func (p *Prepared) ForEachTupleDoc(d *Document, o EnumOptions, fn func(tuple []t
 
 // ForEachNodeDoc streams the answer nodes of a monadic compiled query
 // without building per-node tuple wrappers; it returns ErrNotMonadic if
-// the query is not monadic. Under the acyclic and X-property strategies
-// nodes arrive in increasing NodeID order; under backtracking in discovery
+// the query is not monadic. Under the acyclic strategy nodes arrive in
+// increasing NodeID order; under the X-property strategy in the X-order
+// of the query's signature (document order for signatures within
+// {Child+, Child*}; see polyForEachNode); under backtracking in discovery
 // order. fn returns false to stop early. A non-nil error is ErrNotMonadic
 // or the context's cancellation error.
 func (p *Prepared) ForEachNodeDoc(d *Document, o EnumOptions, fn func(v tree.NodeID) bool) error {
@@ -337,7 +341,7 @@ func (p *Prepared) ForEachNodeDoc(d *Document, o EnumOptions, fn func(v tree.Nod
 	case StrategyAcyclic:
 		acyclicForEachNode(d, p.q, p.forest, s, stop, fn)
 	case StrategyXProperty:
-		polyForEachNode(d, p.q, s.ac, stop, fn)
+		polyForEachNode(d, p.q, p.order, s, stop, fn)
 	case StrategyBacktrack:
 		tuple1 := func(tuple []tree.NodeID) bool { return fn(tuple[0]) }
 		s.backtracker().forEachTuple(d, p.q, stop, tuple1)
@@ -387,10 +391,11 @@ func (p *Prepared) MonadicDoc(d *Document, o EnumOptions) ([]tree.NodeID, error)
 		return true
 	})
 	if !o.ordered(1) {
-		// Acyclic and X-property emission is already sorted; backtracking
-		// is discovery-ordered. Sorting unconditionally keeps the contract
-		// simple and costs O(answer log answer). Ordered enumeration keeps
-		// the requested document order instead.
+		// Acyclic emission is already sorted; X-property emission follows
+		// the signature's X-order and backtracking is discovery-ordered.
+		// Sorting unconditionally keeps the contract simple and costs
+		// O(answer log answer). Ordered enumeration keeps the requested
+		// document order instead.
 		slices.Sort(out)
 	}
 	if err := o.err(); err != nil {

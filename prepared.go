@@ -270,13 +270,15 @@ func (pq *PreparedQuery) Tuples(doc *Document, opts ...EvalOption) iter.Seq[[]No
 }
 
 // NodeSeq returns an iterator over the answer nodes of a monadic compiled
-// query on doc (in increasing NodeID order under the acyclic and
-// X-property strategies, discovery order under backtracking); it panics
-// with an error wrapping ErrNotMonadic if the query is not monadic —
-// NodesErr is the non-panicking variant. Breaking out of the loop stops
-// the engine immediately; a cancelled WithContext context stops the
-// sequence silently, and so do invalid order/cursor options (observe
-// those through NodesErr or Paginate — hostile cursor tokens never panic).
+// query on doc (in increasing NodeID order under the acyclic strategy, in
+// the X-order of the query's signature under the X-property strategy —
+// document order for signatures within {Child+, Child*} — and discovery
+// order under backtracking; NodesErr sorts); it panics with an error
+// wrapping ErrNotMonadic if the query is not monadic — NodesErr is the
+// non-panicking variant. Breaking out of the loop stops the engine
+// immediately; a cancelled WithContext context stops the sequence
+// silently, and so do invalid order/cursor options (observe those through
+// NodesErr or Paginate — hostile cursor tokens never panic).
 func (pq *PreparedQuery) NodeSeq(doc *Document, opts ...EvalOption) iter.Seq[NodeID] {
 	if pq.arity() != 1 {
 		panic(fmt.Errorf("cqtrees: NodeSeq on %d-ary query: %w", pq.arity(), ErrNotMonadic))
