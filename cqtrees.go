@@ -19,7 +19,7 @@
 //     that evaluates repeatedly without re-planning or re-allocating
 //     evaluation state — the paper's query-only cost, paid once.
 //   - Documents: Index builds every tree-derived structure (orderings,
-//     label bitsets, full-node-set words) once into an immutable,
+//     per-label words over pre ranks) once into an immutable,
 //     concurrency-safe Document shared by all strategies — the per-tree
 //     cost, paid once. Together Prepare and Index make the paper's cost
 //     split fully symmetric: prepare the query, prepare the data, execute.

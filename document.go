@@ -7,10 +7,10 @@ import (
 // Document is a tree paired with every tree-derived index evaluation
 // needs, built exactly once by Index and shared by all evaluation
 // strategies: the sibling and (preEnd, pre) orderings behind the FastAC
-// support tests, the full-node-set words, and the per-label candidate
-// bitsets. It is the data-side counterpart of a PreparedQuery — the
-// paper's cost model splits query-only from per-tree work, and the API
-// mirrors it symmetrically:
+// support tests and the per-label candidate words over pre ranks. It is
+// the data-side counterpart of a PreparedQuery — the paper's cost model
+// splits query-only from per-tree work, and the API mirrors it
+// symmetrically:
 //
 //	prepare the query:    pq := cqtrees.MustCompile("Q(y) <- A(x), Child+(x, y), B(y)")
 //	prepare the document: doc := cqtrees.Index(t)

@@ -25,8 +25,7 @@ var strategyQueries = map[string]string{
 
 // TestDocumentSharedAcrossGoroutines runs several PreparedQuerys over one
 // shared Document from many goroutines at once; under -race this proves
-// the Document (orderings, lazily materialized label bitsets, full-set
-// words) is safe to share between strategies and callers.
+// the Document (orderings, lazily materialized label words) is safe to share between strategies and callers.
 func TestDocumentSharedAcrossGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tr := tree.Random(rng, tree.RandomConfig{Nodes: 150, MaxChildren: 3, Alphabet: []string{"A", "B", "C"}})

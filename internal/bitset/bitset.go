@@ -250,6 +250,17 @@ func AndInto(dst, src []uint64) int {
 	return c
 }
 
+// And writes a & b into dst (element-wise over equal lengths; dst may
+// alias neither) and returns the resulting set-bit count.
+func And(dst, a, b []uint64) int {
+	c := 0
+	for i := range dst {
+		dst[i] = a[i] & b[i]
+		c += bits.OnesCount64(dst[i])
+	}
+	return c
+}
+
 // ZeroAll clears every word.
 func ZeroAll(w []uint64) {
 	for i := range w {

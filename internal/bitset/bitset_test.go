@@ -149,6 +149,10 @@ func TestAndIntoZeroGrow(t *testing.T) {
 	FillRange(a, 0, 99)
 	Set(b, 3)
 	Set(b, 64)
+	dst := make([]uint64, len(a))
+	if got := And(dst, a, b); got != 2 || !Test(dst, 3) || !Test(dst, 64) || Test(dst, 4) || Count(a) != 100 {
+		t.Fatalf("And count = %d, bits %x; want 2 bits, a untouched", got, dst)
+	}
 	if got := AndInto(a, b); got != 2 {
 		t.Fatalf("AndInto count = %d, want 2", got)
 	}

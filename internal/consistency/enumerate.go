@@ -1,8 +1,6 @@
 package consistency
 
 import (
-	"fmt"
-
 	"repro/internal/axis"
 	"repro/internal/bitset"
 	"repro/internal/cq"
@@ -95,45 +93,31 @@ func (w *domWords) remove(ix *TreeIndex, pr int32) {
 	}
 }
 
-// removeAll deletes the nodes of the given pre ranks.
-func (w *domWords) removeAll(ix *TreeIndex, prs []int32) {
-	for _, pr := range prs {
-		bitset.Clear(w.pre, pr)
-	}
-	if len(w.sib) > 0 {
-		for _, pr := range prs {
-			bitset.Clear(w.sib, ix.sibRank[ix.t.ByPre(pr)])
-		}
-	}
-	if len(w.preEnd) > 0 {
-		for _, pr := range prs {
-			bitset.Clear(w.preEnd, ix.preEndPos[ix.t.ByPre(pr)])
-		}
-	}
-}
-
-// load makes w the bitsets of s's members in O(|s| + n/64).
-func (w *domWords) load(b *PinBase, s *NodeSet) {
-	w.reset(b)
-	if b.n > 0 && s.Len() == b.n {
-		for _, words := range [3][]uint64{w.pre, w.sib, w.preEnd} {
-			bitset.FillRange(words, 0, int32(b.n)-1) // no-op on an unkept ordering
-		}
+// scatterOrders makes w's sibling-order and preEnd words the members of
+// its pre words, count of them, sized for b's query: empty when bind keeps
+// neither ordering (the common case, which then costs nothing), and a
+// fill when w holds every node.
+func (w *domWords) scatterOrders(b *PinBase, count int32) {
+	w.sib = bitset.Grow(w.sib, b.sibNW)
+	w.preEnd = bitset.Grow(w.preEnd, b.preEndNW)
+	if int(count) == b.n {
+		bitset.FillRange(w.sib, 0, count-1) // no-op on an unkept ordering
+		bitset.FillRange(w.preEnd, 0, count-1)
 		return
 	}
-	// The common case keeps only the pre-rank words: scatter them alone,
-	// without add's ordering tests.
-	pre, t := w.pre, b.t
-	s.ForEach(func(v tree.NodeID) bool {
-		bitset.Set(pre, t.Pre(v))
+	if b.sibNW == 0 && b.preEndNW == 0 {
+		return
+	}
+	bitset.ForEach(w.pre, func(pr int32) bool {
+		v := b.t.ByPre(pr)
+		if len(w.sib) > 0 {
+			bitset.Set(w.sib, b.ix.sibRank[v])
+		}
+		if len(w.preEnd) > 0 {
+			bitset.Set(w.preEnd, b.ix.preEndPos[v])
+		}
 		return true
 	})
-	if len(w.sib) > 0 || len(w.preEnd) > 0 {
-		s.ForEach(func(v tree.NodeID) bool {
-			w.add(b.ix, v)
-			return true
-		})
-	}
 }
 
 // PinBase is an immutable snapshot of the subset-maximal arc-consistent
@@ -164,16 +148,22 @@ type PinBase struct {
 	atomsStore [][]int32
 }
 
-// PinBaseForIx snapshots p — the maximal arc-consistent prevaluation of q
-// on ix's tree, as returned by FastACIx — into Scratch-owned storage over
-// the borrowed document index (already built; snapshotting copies no
-// orderings). p's sets are loaded into the base's bitsets; the caller may
-// keep using (or recycling) them afterwards. The result is valid until the
-// next PinBaseForIx call on sc — and no longer than the borrowed index;
-// while valid it is safe for concurrent PinRuns.
-func (sc *Scratch) PinBaseForIx(ix *TreeIndex, q *cq.Query, p *Prevaluation) *PinBase {
-	sc.pinBase.init(ix, q, p)
-	return &sc.pinBase
+// PinBaseAC snapshots the domains the last FastACPreIx or FastACIx call
+// on sc left — the maximal arc-consistent prevaluation — into
+// Scratch-owned storage, as a word copy over the same borrowed document
+// index. The result is valid until the next PinBaseAC call on sc — and no
+// longer than the borrowed index; while valid it is safe for concurrent
+// PinRuns.
+func (sc *Scratch) PinBaseAC() *PinBase {
+	a, b, lv := &sc.acBase, &sc.pinBase, &sc.acRun.levels[0]
+	b.bind(a.ix, a.q)
+	b.words = grow(b.words, b.nv)
+	b.counts = grow(b.counts, b.nv)
+	for x := range b.words {
+		b.words[x].copyFrom(lv.cur[x])
+		b.counts[x] = lv.count[x]
+	}
+	return b
 }
 
 // bind points b at ix and q: sizes, support context and the atoms of each
@@ -209,20 +199,6 @@ func (b *PinBase) bind(ix *TreeIndex, q *cq.Query) {
 		if at.Y != at.X {
 			b.atomsOf[at.Y] = append(b.atomsOf[at.Y], int32(i))
 		}
-	}
-}
-
-func (b *PinBase) init(ix *TreeIndex, q *cq.Query, p *Prevaluation) {
-	nv := q.NumVars()
-	if len(p.Sets) != nv {
-		panic(fmt.Sprintf("consistency: PinBase of %d-set prevaluation for %d-var query", len(p.Sets), nv))
-	}
-	b.bind(ix, q)
-	b.words = grow(b.words, nv)
-	b.counts = grow(b.counts, nv)
-	for x, s := range p.Sets {
-		b.words[x].load(b, s)
-		b.counts[x] = int32(s.Len())
 	}
 }
 
@@ -279,12 +255,6 @@ func (lv *pinLevel) ensure(nv int) {
 	lv.owned = grow(lv.owned, nv)
 	lv.count = grow(lv.count, nv)
 	lv.own = grow(lv.own, nv)
-}
-
-// load makes x's domain at this level a private copy of s.
-func (lv *pinLevel) load(b *PinBase, x cq.Var, s *NodeSet) {
-	lv.own[x].load(b, s)
-	lv.cur[x], lv.owned[x], lv.count[x] = lv.own[x], true, int32(s.Len())
 }
 
 // PinRun enumerates over a PinBase by pushing and popping pins. It is a
@@ -464,8 +434,9 @@ func (r *PinRun) propagate(lv *pinLevel, seed []int32) (Stats, bool) {
 // (support = preimage/image of the other side's alive set, one pass over
 // the words); sparse ones probe per alive candidate. Both paths compute
 // the identical removal set; reviseWithKernel documents the break-even.
-// The removed pre ranks stay in r.removeBuf, ascending, until the next
-// revise.
+// A kernel revise of a domain that keeps pre words alone is the word AND
+// dom &= support (andPre); otherwise the removed pre ranks are listed in
+// r.removeBuf and cleared from every ordering the domain keeps.
 func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
 	b := r.b
 	tgt, sup := at.X, at.Y
@@ -481,6 +452,9 @@ func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
 			preimage(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
 		} else {
 			image(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
+		}
+		if b.sibNW == 0 && b.preEndNW == 0 {
+			return lv.andPre(tgt, r.imgBuf)
 		}
 		r.removeBuf = appendUnsupported(r.removeBuf, r.viewT.pre, r.imgBuf)
 	} else {
@@ -500,10 +474,34 @@ func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
 	}
 	if len(r.removeBuf) > 0 {
 		lv.ownVar(tgt)
-		lv.cur[tgt].removeAll(b.ix, r.removeBuf)
+		for _, pr := range r.removeBuf {
+			lv.cur[tgt].remove(b.ix, pr)
+		}
 		lv.count[tgt] -= int32(len(r.removeBuf))
 	}
 	return len(r.removeBuf)
+}
+
+// andPre prunes x's domain, which keeps pre words alone, to its members
+// in support (dom &= support) and returns the number removed. A domain
+// aliasing the level below is copied and pruned in the same pass, into
+// the level's own buffer, which the level adopts, cut to its pre words,
+// only if the pass removed something.
+func (lv *pinLevel) andPre(x cq.Var, support []uint64) int {
+	old := lv.count[x]
+	var c int
+	if lv.owned[x] {
+		c = bitset.AndInto(lv.cur[x].pre, support)
+	} else {
+		own := &lv.own[x]
+		own.pre = bitset.Resize(own.pre, len(support))
+		if c = bitset.And(own.pre, lv.cur[x].pre, support); int32(c) < old {
+			own.sib, own.preEnd = own.sib[:0], own.preEnd[:0]
+			lv.cur[x], lv.owned[x] = *own, true
+		}
+	}
+	lv.count[x] = int32(c)
+	return int(old) - c
 }
 
 // ForEachCurrent calls fn for every node in x's current (post-pin) domain,

@@ -155,11 +155,10 @@ func TestPinBaseScratchReuse(t *testing.T) {
 		tr := tree.Random(rng, tree.RandomConfig{Nodes: n, MaxChildren: 4, Alphabet: alphabet})
 		q := randomQuery(rng, allTestAxes, alphabet, 1+rng.Intn(4), rng.Intn(4), rng.Intn(3))
 		ix := NewTreeIndex(tr)
-		p, ok := sc.FastACIx(ix, q)
-		if !ok || q.NumVars() == 0 {
+		if !sc.FastACPreIx(ix, q) || q.NumVars() == 0 {
 			continue
 		}
-		base := sc.PinBaseForIx(ix, q, p)
+		base := sc.PinBaseAC()
 		run := sc.PinRunFor(base)
 		x := cq.Var(rng.Intn(q.NumVars()))
 		for v := 0; v < tr.Len(); v++ {

@@ -2,10 +2,11 @@ package consistency
 
 // Test-only constructors and accessors. They are exported from this
 // _test.go file so that the external fuzz tests can call them too, while
-// production code builds a PinBase only through Scratch.PinBaseForIx over
-// a shared document index.
+// production code builds a PinBase only through Scratch.PinBaseAC over a
+// shared document index.
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/cq"
 	"repro/internal/tree"
 )
@@ -14,9 +15,31 @@ import (
 // t, as returned by FastAC — into a fresh PinBase with its own freshly
 // built tree index. p's sets are copied.
 func NewPinBase(t *tree.Tree, q *cq.Query, p *Prevaluation) *PinBase {
-	b := &PinBase{}
-	b.init(NewTreeIndex(t), q, p)
-	return b
+	sc := NewScratch()
+	sc.loadSets(NewTreeIndex(t), q, p)
+	return sc.PinBaseAC()
+}
+
+// copyFrom makes s an element-wise copy of o, reusing s's storage.
+func (s *NodeSet) copyFrom(o *NodeSet) {
+	w := bitset.Words(o.n)
+	if cap(s.words) < w {
+		s.words = make([]uint64, w)
+	}
+	s.words = s.words[:w]
+	copy(s.words, o.words)
+	s.n = o.n
+	s.count = o.count
+}
+
+// preWordsOf returns the words over t's pre ranks of s's members.
+func preWordsOf(t *tree.Tree, s *NodeSet) []uint64 {
+	w := make([]uint64, bitset.Words(t.Len()))
+	s.ForEach(func(v tree.NodeID) bool {
+		bitset.Set(w, t.Pre(v))
+		return true
+	})
+	return w
 }
 
 // Members returns the members in increasing NodeID order.

@@ -456,46 +456,45 @@ func (sc *Scratch) FastACFromStats(t *tree.Tree, q *cq.Query, init *Prevaluation
 }
 
 // fastACFromStatsIx is the worklist body against a borrowed document
-// index: it loads init's sets into the Scratch's bitset domains, runs the
-// shared worklist seeded with every atom, and writes the survivors back.
-// The returned prevaluation's sets are init's sets.
+// index: it loads init's sets into the Scratch's pre-rank domains, runs
+// the shared worklist seeded with every atom, and writes the survivors
+// back. The returned prevaluation is init.
 func (sc *Scratch) fastACFromStatsIx(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*Prevaluation, Stats, bool) {
-	lv, stats, ok := sc.fastACLevel(ix, q, init)
+	lv, ok := sc.loadSets(ix, q, init)
+	if !ok {
+		return nil, Stats{}, false
+	}
+	stats, ok := sc.propagateAll(lv, q)
 	if !ok {
 		return nil, stats, false
 	}
-	p := &Prevaluation{Sets: make([]*NodeSet, len(init.Sets))}
 	for x, s := range init.Sets {
 		if int(lv.count[x]) < s.Len() {
 			storePre(ix.t, s, lv.cur[x].pre)
 		}
-		p.Sets[x] = s
 	}
-	return p, stats, true
+	return init, stats, true
 }
 
-// fastACLevel loads init into the Scratch's level 0 and runs the
-// worklist seeded with every atom, leaving the maximal arc-consistent
-// domains in the level's bitsets.
-func (sc *Scratch) fastACLevel(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*pinLevel, Stats, bool) {
-	lv, ok := sc.loadLevel(ix, q, init)
-	if !ok {
-		return nil, Stats{}, false
-	}
+// propagateAll runs the worklist on the loaded level lv seeded with
+// every atom, leaving the maximal arc-consistent domains in its words.
+func (sc *Scratch) propagateAll(lv *pinLevel, q *cq.Query) (Stats, bool) {
 	sc.allAtoms = sc.allAtoms[:0]
 	for i := range q.Atoms {
 		sc.allAtoms = append(sc.allAtoms, int32(i))
 	}
-	stats, ok := sc.acRun.propagate(lv, sc.allAtoms)
-	return lv, stats, ok
+	return sc.acRun.propagate(lv, sc.allAtoms)
 }
 
-// FastACPreIx is FastACIx without the write-back to NodeSets: it reports
-// whether q has an arc-consistent prevaluation on ix's tree and leaves
-// the maximal one in the Scratch's pre-rank words, for DomainPre and
-// Exclude.
+// FastACPreIx reports whether q has an arc-consistent prevaluation on
+// ix's tree and leaves the maximal one in the Scratch's pre-rank words,
+// for DomainPre, Exclude and PinBaseAC. No NodeSet is built.
 func (sc *Scratch) FastACPreIx(ix *TreeIndex, q *cq.Query) bool {
-	_, _, ok := sc.fastACLevel(ix, q, sc.InitialPrevaluationIx(ix, q))
+	lv, ok := sc.loadLevel(ix, q)
+	if !ok {
+		return false
+	}
+	_, ok = sc.propagateAll(lv, q)
 	return ok
 }
 
@@ -510,65 +509,87 @@ type Semijoin struct {
 
 // SemijoinIx runs a fixed schedule of revise steps — the FastAC
 // worklist's revise, kernel or probe — once each and in order, over the
-// label-filtered initial prevaluation against a borrowed document index.
-// It stops with (nil, false) as soon as a domain empties. Yannakakis' two
-// passes over a forest-shaped query (postorder up, then preorder down) are
-// such a schedule, and they reach the maximal arc-consistent prevaluation
-// without a worklist. The result aliases Scratch-owned sets (see type doc).
-//
-// The reduction runs on pre-rank words, which DomainPre reads afterwards;
-// mirror[x] says whether variable x's NodeID-indexed set in the result is
-// kept in step with them as well. Only mirrored sets hold the reduced
-// domains — the others keep the label-filtered initial candidates — so a
-// caller that reads NodeSets mirrors just those, and a nil mirror writes
-// none.
-func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin, mirror []bool) (*Prevaluation, bool) {
-	init := sc.InitialPrevaluationIx(ix, q)
-	lv, ok := sc.loadLevel(ix, q, init)
+// label-filtered initial domains against a borrowed document index. It
+// reports false as soon as a domain empties. Yannakakis' two passes over
+// a forest-shaped query (postorder up, then preorder down) are such a
+// schedule, and they reach the maximal arc-consistent prevaluation
+// without a worklist. The reduced domains are left in the Scratch's
+// pre-rank words, which DomainPre reads.
+func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin) bool {
+	lv, ok := sc.loadLevel(ix, q)
 	if !ok {
-		return nil, false
+		return false
 	}
-	r := &sc.acRun
 	for _, st := range steps {
 		at := q.Atoms[st.Atom]
 		tgt := at.X
 		if !st.Fwd {
 			tgt = at.Y
 		}
-		if r.revise(lv, at, st.Fwd) == 0 {
-			continue
-		}
-		if lv.count[tgt] == 0 {
-			return nil, false
-		}
-		if mirror == nil || !mirror[tgt] {
-			continue
-		}
-		// Mirror the step into init's set by the removals or by a rebuild
-		// from the survivors, whichever is smaller.
-		if s := init.Sets[tgt]; len(r.removeBuf) <= int(lv.count[tgt]) {
-			for _, pr := range r.removeBuf {
-				s.Remove(ix.t.ByPre(pr))
-			}
-		} else {
-			storePre(ix.t, s, lv.cur[tgt].pre)
+		if sc.acRun.revise(lv, at, st.Fwd) > 0 && lv.count[tgt] == 0 {
+			return false
 		}
 	}
-	return init, true
+	return true
 }
 
 // DomainPre returns variable x's domain as left by the last FastACIx,
 // FastACPreIx, SemijoinIx or PinnedFastACIx call on sc (and the Exclude
-// calls since), as words over pre-order ranks — reduced whether or not
-// that call mirrored it into a NodeSet. The words are Scratch-owned:
-// read-only, and valid until the next domain load on sc; Exclude updates
-// them in place.
+// calls since), as words over pre-order ranks. The words are
+// Scratch-owned: read-only, and valid until the next domain load on sc;
+// Exclude updates them in place.
 func (sc *Scratch) DomainPre(x cq.Var) []uint64 { return sc.acRun.levels[0].cur[x].pre }
 
-// loadLevel binds the Scratch's AC run to ix and q and loads init's sets
-// into its level 0 in O(|dom| + n/64) per variable. It reports false if
-// some set is empty.
-func (sc *Scratch) loadLevel(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*pinLevel, bool) {
+// loadLevel binds the Scratch's AC run to ix and q and loads its level 0
+// with the label-filtered initial domains straight from the index's label
+// words: a variable's first label atom is a word copy, each further one an
+// AndInto, and a variable without one a fill — O(n/64) words per atom,
+// nothing per node. It reports false if some domain is empty.
+func (sc *Scratch) loadLevel(ix *TreeIndex, q *cq.Query) (*pinLevel, bool) {
+	lv := sc.bindLevel(ix, q)
+	for x := range lv.count {
+		lv.count[x] = -1 // no label atom seen yet
+	}
+	for _, la := range q.Labels {
+		pre, lw := lv.own[la.X].pre, ix.labelWords(la.Label)
+		if lv.count[la.X] < 0 {
+			copy(pre, lw)
+			lv.count[la.X] = int32(bitset.Count(pre))
+		} else {
+			lv.count[la.X] = int32(bitset.AndInto(pre, lw))
+		}
+	}
+	n := int32(ix.t.Len())
+	for x, c := range lv.count {
+		if c < 0 {
+			bitset.ZeroAll(lv.own[x].pre)
+			bitset.FillRange(lv.own[x].pre, 0, n-1)
+			lv.count[x] = n
+		}
+	}
+	return lv, sc.acBase.seal(lv)
+}
+
+// loadSets is loadLevel from caller-supplied initial sets (FastACFrom's
+// oracle entry): each set's members are scattered into pre words.
+func (sc *Scratch) loadSets(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*pinLevel, bool) {
+	lv := sc.bindLevel(ix, q)
+	for x, s := range init.Sets {
+		pre := lv.own[x].pre
+		bitset.ZeroAll(pre)
+		s.ForEach(func(v tree.NodeID) bool {
+			bitset.Set(pre, ix.t.Pre(v))
+			return true
+		})
+		lv.count[x] = int32(s.Len())
+	}
+	return lv, sc.acBase.seal(lv)
+}
+
+// bindLevel binds the Scratch's AC run to ix and q and returns its level
+// 0 with every domain's pre words sized for the tree, contents
+// unspecified.
+func (sc *Scratch) bindLevel(ix *TreeIndex, q *cq.Query) *pinLevel {
 	b, r := &sc.acBase, &sc.acRun
 	b.bind(ix, q)
 	r.b, r.depth = b, 0
@@ -576,13 +597,24 @@ func (sc *Scratch) loadLevel(ix *TreeIndex, q *cq.Query, init *Prevaluation) (*p
 		r.ex.st, r.ex.stale = Stats{}, true
 	}
 	lv := r.level(0)
-	for x, s := range init.Sets {
-		if s.Empty() {
-			return nil, false
-		}
-		lv.load(b, cq.Var(x), s)
+	for x := range lv.own {
+		lv.own[x].pre = bitset.Resize(lv.own[x].pre, b.nw)
 	}
-	return lv, true
+	return lv
+}
+
+// seal finishes the load of level lv: it reports false if some domain is
+// empty, and otherwise makes every domain the level's own, its sibling
+// and preEnd words scattered from its pre words where bind keeps them.
+func (b *PinBase) seal(lv *pinLevel) bool {
+	for x := range lv.own {
+		if lv.count[x] == 0 {
+			return false
+		}
+		lv.own[x].scatterOrders(b, lv.count[x])
+		lv.cur[x], lv.owned[x] = lv.own[x], true
+	}
+	return true
 }
 
 // storePre makes s the set of the nodes whose pre ranks pre holds.

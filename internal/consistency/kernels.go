@@ -29,8 +29,12 @@ package consistency
 //
 // A revise step then becomes "dom &= image(...)": the per-axis work is a
 // few linear passes instead of |dom| successor probes, which is the
-// winning trade on dense domains (see reviseWithKernel for the density
-// heuristic and KernelPolicy for the test override). The package has one
+// winning trade on dense domains. On a domain that keeps pre words alone
+// the AND is literally that, fused with the copy-on-write copy and
+// counted by its popcount (pinLevel.andPre); a domain that also keeps
+// sibling or preEnd words lists the removed ranks (appendUnsupported)
+// and clears each in every ordering. See reviseWithKernel for the density
+// heuristic and KernelPolicy for the test override. The package has one
 // revise step, PinRun.revise, and both tractable cases run it: the FastAC
 // worklist and the pinned propagation for X-property signatures, and a
 // fixed Yannakakis schedule of steps (Scratch.SemijoinIx) for acyclic

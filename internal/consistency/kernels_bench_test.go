@@ -62,8 +62,9 @@ func BenchmarkRevise(b *testing.B) {
 			base := &PinBase{}
 			base.bind(ix, bq)
 			dx, dy := &pinDom{b: base}, &pinDom{b: base}
-			dx.load(base, FullNodeSet(n))
-			dy.load(base, dySet)
+			dx.pre, dy.pre = preWordsOf(tr, FullNodeSet(n)), preWordsOf(tr, dySet)
+			dx.scatterOrders(base, int32(n))
+			dy.scatterOrders(base, int32(dySet.Len()))
 			sctx := &base.sctx
 			img := make([]uint64, bitset.Words(n))
 
@@ -170,7 +171,7 @@ func BenchmarkFastACSparse(b *testing.B) {
 				for x, s := range init.Sets {
 					s.copyFrom(doms[x])
 				}
-				if _, ok := sc.FastACFromIx(ix, q, init); !ok {
+				if _, _, ok := sc.fastACFromStatsIx(ix, q, init); !ok {
 					b.Fatal("benchmark query must be satisfiable")
 				}
 			}

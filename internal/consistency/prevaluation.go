@@ -10,11 +10,14 @@
 // with respect to an order for which the structure has the X-property.
 //
 // The engine is FastAC, an AC-3-style worklist that never materializes
-// relations. Each domain is a set of bitsets over the pre-order,
-// sibling-order and (preEnd, pre) numberings, loaded from the initial
-// sets in O(|dom| + n/64); a revision either probes each alive candidate
+// relations. Each domain is words over pre ranks (plus sibling-order and
+// (preEnd, pre) words for a query whose probes read them), loaded from
+// the TreeIndex's per-label pre-rank words by a word copy, an AND per
+// further label, or a fill; a revision either probes each alive candidate
 // (a bit test, a child or ancestor walk, or a first-alive-bit scan of an
-// interval) or intersects with a whole-domain axis image (kernels.go).
+// interval) or ANDs the domain with a whole-domain axis image
+// (kernels.go). NodeID-indexed NodeSets are only the Prevaluation results
+// FastACIx converts into, once, for the oracles and minimum valuations.
 // The same worklist runs the incremental pinned propagation of
 // enumeration and MAC search (enumerate.go). Exclusions (exclude.go)
 // restore arc consistency after one value leaves a domain by rechecking
@@ -116,18 +119,6 @@ func (s *NodeSet) Empty() bool { return s.count == 0 }
 // SizeBytes returns the approximate heap footprint of the set in bytes
 // (the word array plus the fixed header).
 func (s *NodeSet) SizeBytes() int64 { return int64(len(s.words))*8 + 16 }
-
-// copyFrom makes s an element-wise copy of o, reusing s's storage.
-func (s *NodeSet) copyFrom(o *NodeSet) {
-	w := bitset.Words(o.n)
-	if cap(s.words) < w {
-		s.words = make([]uint64, w)
-	}
-	s.words = s.words[:w]
-	copy(s.words, o.words)
-	s.n = o.n
-	s.count = o.count
-}
 
 // IntersectWith removes every element not in o.
 func (s *NodeSet) IntersectWith(o *NodeSet) {

@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -87,11 +88,10 @@ func forestSchedule(t *testing.T, q *cq.Query) []Semijoin {
 // TestSemijoinScheduleMatchesFastAC: on forest-shaped queries the two
 // Yannakakis passes reach the maximal arc-consistent prevaluation
 // (Freuder), so SemijoinIx over the schedule must return FastACIx's
-// verdict and, when satisfiable, its sets exactly for every mirrored
-// variable — under every kernel policy, on trees small enough for the
-// probe path and large enough for the kernel path. Each trial mirrors all
-// variables or a random subset; unmirrored sets keep the label-filtered
-// initial candidates.
+// verdict and, when satisfiable, leave every variable's reduced pre-rank
+// words (DomainPre) equal to FastACIx's set — under every kernel policy,
+// on trees small enough for the probe path and large enough for the
+// kernel path.
 func TestSemijoinScheduleMatchesFastAC(t *testing.T) {
 	defer SetKernelPolicy(KernelAuto)
 	rng := rand.New(rand.NewSource(26))
@@ -105,15 +105,11 @@ func TestSemijoinScheduleMatchesFastAC(t *testing.T) {
 		ix := NewTreeIndex(tr)
 		q := randomForestQuery(rng, alphabet, 1+rng.Intn(6), rng.Intn(4))
 		steps := forestSchedule(t, q)
-		mirror := make([]bool, q.NumVars())
-		subset := trial%2 == 1
-		for x := range mirror {
-			mirror[x] = !subset || rng.Intn(2) == 0
-		}
 		for _, pol := range []KernelPolicy{KernelNever, KernelAlways, KernelAuto} {
 			SetKernelPolicy(pol)
 			want, wantOK := NewScratch().FastACIx(ix, q)
-			got, ok := NewScratch().SemijoinIx(ix, q, steps, mirror)
+			sc := NewScratch()
+			ok := sc.SemijoinIx(ix, q, steps)
 			if ok != wantOK {
 				t.Fatalf("trial %d policy %d: SemijoinIx ok = %v, FastACIx %v\nquery %s\ntree %s",
 					trial, pol, ok, wantOK, q, tr)
@@ -122,15 +118,10 @@ func TestSemijoinScheduleMatchesFastAC(t *testing.T) {
 				continue
 			}
 			sat++
-			initial := NewScratch().InitialPrevaluationIx(ix, q)
-			for x, m := range mirror {
-				exp := want.Sets[x]
-				if !m {
-					exp = initial.Sets[x]
-				}
-				if !got.Sets[x].Equal(exp) {
-					t.Fatalf("trial %d policy %d: SemijoinIx set of %d (mirrored %v) is wrong\nquery %s\ntree %s",
-						trial, pol, x, m, q, tr)
+			for x, s := range want.Sets {
+				if !slices.Equal(sc.DomainPre(cq.Var(x)), preWordsOf(tr, s)) {
+					t.Fatalf("trial %d policy %d: SemijoinIx domain of %d is wrong\nquery %s\ntree %s",
+						trial, pol, x, q, tr)
 				}
 			}
 		}
@@ -145,11 +136,11 @@ func TestSemijoinScheduleMatchesFastAC(t *testing.T) {
 func TestSemijoinIxDegenerate(t *testing.T) {
 	tr := tree.MustParseTerm("A(B,C)")
 	ix := NewTreeIndex(tr)
-	if p, ok := NewScratch().SemijoinIx(ix, cq.New(), nil, nil); !ok || len(p.Sets) != 0 {
-		t.Fatalf("empty query: ok = %v, %d sets; want true, 0", ok, len(p.Sets))
+	if !NewScratch().SemijoinIx(ix, cq.New(), nil) {
+		t.Fatal("empty query: ok = false")
 	}
 	q := cq.MustParse("Q() <- A(x), Child(x, y), D(y)")
-	if _, ok := NewScratch().SemijoinIx(ix, q, forestSchedule(t, q), nil); ok {
+	if NewScratch().SemijoinIx(ix, q, forestSchedule(t, q)) {
 		t.Fatal("query over an absent label: ok = true")
 	}
 }

@@ -24,7 +24,7 @@ var indexLoads atomic.Int64
 // this process (test/benchmark instrumentation).
 func IndexLoadCount() int64 { return indexLoads.Load() }
 
-// AppendBinary writes the index's sections into w. Label bitsets are not
+// AppendBinary writes the index's sections into w. Label words are not
 // serialized — they are rebuilt (lazily, or eagerly via
 // MaterializeLabels) from the tree's label index after loading. The v1
 // format also stores the (preEnd, pre) order as nodes by position; the
@@ -49,9 +49,9 @@ func (ix *TreeIndex) AppendBinary(w *snapshot.Writer) {
 
 // LoadBinary reconstructs the TreeIndex for t from r, bypassing build():
 // every table is adopted from the snapshot (zero-copy when the reader
-// allows), the full-node-set words are refilled, and label bitsets start
-// empty exactly as after a fresh build. Validation is bounds-level, so a
-// corrupt file yields an error, never a panic.
+// allows), and label words start empty exactly as after a fresh build.
+// Validation is bounds-level, so a corrupt file yields an error, never a
+// panic.
 func LoadBinary(r *snapshot.Reader, t *tree.Tree) (*TreeIndex, error) {
 	n := t.Len()
 	hi := int32(n) - 1
@@ -88,7 +88,6 @@ func LoadBinary(r *snapshot.Reader, t *tree.Tree) (*TreeIndex, error) {
 			snapshot.ErrCorrupt, len(internal), bitset.Words(n))
 	}
 	ix.internalPre = internal
-	ix.full.ResetFull(n)
 	ix.t = t
 	indexLoads.Add(1)
 	return ix, nil

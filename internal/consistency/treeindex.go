@@ -10,13 +10,13 @@ import (
 
 // TreeIndex is the immutable bundle of tree-derived structures every
 // evaluation strategy queries against: the sibling-consecutive numbering,
-// the (preEnd, pre) order with its value table, the full-node-set words,
-// and the per-label candidate bitsets. It depends only on the tree, so it
+// the (preEnd, pre) order with its value table, and the per-label
+// candidate words over pre ranks. It depends only on the tree, so it
 // is the data-side counterpart of a compiled query: build it once per
 // document (see core.Document / the public Index) and share it between any
 // number of prepared queries and goroutines.
 //
-// All ordering fields are fixed at construction. Label bitsets are
+// All ordering fields are fixed at construction. Label words are
 // materialized lazily, once per distinct label, behind a mutex — callers
 // observe a logically immutable object that is safe for concurrent use.
 type TreeIndex struct {
@@ -25,7 +25,6 @@ type TreeIndex struct {
 	sibStart  []int32 // parent node -> first child rank
 	preEndPos []int32 // node -> position in (preEnd, pre) order
 	preEndVal []int32 // position in (preEnd, pre) order -> preEnd value
-	full      NodeSet // the set of all nodes, word-filled
 
 	// Rank tables for the bulk axis image kernels (kernels.go), all
 	// indexed by pre rank so the kernels never touch node IDs — a whole
@@ -40,15 +39,16 @@ type TreeIndex struct {
 	subtreeEnd    []int32  // pre rank -> max pre rank in the subtree (preEnd)
 	internalPre   []uint64 // bitset over pre ranks: node has children
 
-	// labelSets is a copy-on-write map (label -> bitset of nodes carrying
-	// it): readers take one atomic load, so concurrent evaluation against
-	// a shared Document never contends once a label's set exists; labelMu
+	// labelSets is a copy-on-write map (label -> words over pre ranks of
+	// the nodes carrying it), the words a domain load copies or ANDs:
+	// readers take one atomic load, so concurrent evaluation against a
+	// shared Document never contends once a label's words exist; labelMu
 	// only serializes first-use builders. Labels that occur nowhere in the
 	// tree share the single emptySet and are never cached in the map, so
 	// unbounded streams of unknown labels cannot grow the index.
 	labelMu   sync.Mutex
-	labelSets atomic.Pointer[map[string]*NodeSet]
-	emptySet  atomic.Pointer[NodeSet]
+	labelSets atomic.Pointer[map[string][]uint64]
+	emptySet  atomic.Pointer[[]uint64]
 }
 
 // indexBuilds counts TreeIndex constructions process-wide; the document
@@ -60,8 +60,8 @@ var indexBuilds atomic.Int64
 // this process (test/benchmark instrumentation).
 func IndexBuildCount() int64 { return indexBuilds.Load() }
 
-// NewTreeIndex builds the index for t. The orderings and full-set words
-// are computed eagerly; label bitsets on first use per label.
+// NewTreeIndex builds the index for t. The orderings are computed
+// eagerly; label words on first use per label.
 func NewTreeIndex(t *tree.Tree) *TreeIndex {
 	indexBuilds.Add(1)
 	ix := &TreeIndex{t: t}
@@ -140,8 +140,6 @@ func NewTreeIndex(t *tree.Tree) *TreeIndex {
 			bitset.Set(ix.internalPre, pr)
 		}
 	}
-
-	ix.full.ResetFull(n)
 	return ix
 }
 
@@ -176,109 +174,121 @@ func (ix *TreeIndex) lastSibPre(v int32) int32 {
 // Tree returns the tree the index was built for.
 func (ix *TreeIndex) Tree() *tree.Tree { return ix.t }
 
-// MaterializeLabels eagerly builds the bitset of every label occurring in
-// the tree (plus the shared empty set unknown labels resolve to), so that
-// SizeBytes is final: after this call no query mix — known labels,
+// MaterializeLabels eagerly builds the words of every label occurring in
+// the tree (plus the shared empty words unknown labels resolve to), so
+// that SizeBytes is final: after this call no query mix — known labels,
 // unknown labels, any order — changes the index's footprint. Corpus
 // insertion and snapshot hydration call it before charging a document to
 // the byte budget, pinning accounted bytes == actual bytes.
 func (ix *TreeIndex) MaterializeLabels() {
 	ix.labelMu.Lock()
 	defer ix.labelMu.Unlock()
-	if ix.emptySet.Load() == nil {
-		ix.emptySet.Store(NewNodeSet(ix.t.Len()))
-	}
+	ix.storeEmptyLocked()
 	labels := ix.t.Alphabet()
 	old := ix.labelSets.Load()
 	if old != nil && len(*old) == len(labels) {
 		return // every label already cached
 	}
-	next := make(map[string]*NodeSet, len(labels))
+	next := make(map[string][]uint64, len(labels))
 	if old != nil {
 		for k, v := range *old {
 			next[k] = v
 		}
 	}
 	for _, a := range labels {
-		if _, ok := next[a]; ok {
-			continue
+		if _, ok := next[a]; !ok {
+			next[a] = ix.buildLabelWords(ix.t.NodesWithLabel(a))
 		}
-		s := NewNodeSet(ix.t.Len())
-		for _, v := range ix.t.NodesWithLabel(a) {
-			s.Add(v)
-		}
-		next[a] = s
 	}
 	ix.labelSets.Store(&next)
 }
 
+// labelEntryBytes is the accounted overhead of one cached label beyond
+// its name and words: a map entry's key and slice headers plus bucket
+// overhead.
+const labelEntryBytes = 64
+
 // SizeBytes returns the approximate heap footprint of the index in bytes:
-// the ordering and rank tables, the internal-node and full-node-set words,
-// and every label bitset materialized so far. The figure backs corpus-level
-// memory accounting; it can grow as evaluation touches new labels (label
-// bitsets are lazy), so treat it as a floor that converges after the
-// query mix has been seen once.
+// the ordering and rank tables, the internal-node words, and the words of
+// every label materialized so far (8 bytes per word plus the label's name
+// and labelEntryBytes each; the shared empty words once). The figure backs
+// corpus-level memory accounting; it can grow as evaluation touches new
+// labels (label words are lazy), so treat it as a floor that converges
+// after the query mix has been seen once.
 func (ix *TreeIndex) SizeBytes() int64 {
 	b := int64(len(ix.sibRank)+len(ix.sibStart)+len(ix.preEndPos)+len(ix.preEndVal)) * 4
 	b += int64(len(ix.parentPre)+len(ix.firstChildPre)+len(ix.nextSibPre)+
 		len(ix.prevSibPre)+len(ix.subtreeEnd)) * 4
 	b += int64(len(ix.internalPre)) * 8
-	b += ix.full.SizeBytes()
 	if m := ix.labelSets.Load(); m != nil {
-		for l, s := range *m {
-			b += int64(len(l)) + 48 + s.SizeBytes()
+		for l, w := range *m {
+			b += int64(len(l)) + labelEntryBytes + int64(len(w))*8
 		}
 	}
 	if e := ix.emptySet.Load(); e != nil {
-		b += e.SizeBytes()
+		b += int64(len(*e)) * 8
 	}
 	return b
 }
 
-// labelSet returns the bitset of nodes carrying the label, materializing
-// and caching it on first use. The returned set is shared and read-only.
-// The hot path is lock-free: one atomic load plus a map lookup. Labels
-// absent from the tree all resolve to one shared empty set (full word
-// length, so word-level intersections stay in bounds) and are not cached
-// per-label — otherwise every distinct unknown label in the query stream
-// would grow the index past its accounted size.
-func (ix *TreeIndex) labelSet(label string) *NodeSet {
+// labelWords returns the words over pre ranks of the nodes carrying the
+// label, materializing and caching them on first use. The returned words
+// are shared and read-only. The hot path is lock-free: one atomic load
+// plus a map lookup. Labels absent from the tree all resolve to one
+// shared empty word slice (full length, so word-level intersections stay
+// in bounds) and are not cached per label — otherwise every distinct
+// unknown label in the query stream would grow the index past its
+// accounted size.
+func (ix *TreeIndex) labelWords(label string) []uint64 {
 	if m := ix.labelSets.Load(); m != nil {
-		if s, ok := (*m)[label]; ok {
-			return s
+		if w, ok := (*m)[label]; ok {
+			return w
 		}
 	}
 	nodes := ix.t.NodesWithLabel(label)
 	if len(nodes) == 0 {
 		if e := ix.emptySet.Load(); e != nil {
-			return e
+			return *e
 		}
 		ix.labelMu.Lock()
 		defer ix.labelMu.Unlock()
-		if e := ix.emptySet.Load(); e == nil {
-			ix.emptySet.Store(NewNodeSet(ix.t.Len()))
-		}
-		return ix.emptySet.Load()
+		ix.storeEmptyLocked()
+		return *ix.emptySet.Load()
 	}
 	ix.labelMu.Lock()
 	defer ix.labelMu.Unlock()
 	old := ix.labelSets.Load()
 	if old != nil {
-		if s, ok := (*old)[label]; ok {
-			return s
+		if w, ok := (*old)[label]; ok {
+			return w
 		}
 	}
-	s := NewNodeSet(ix.t.Len())
-	for _, v := range nodes {
-		s.Add(v)
-	}
-	next := make(map[string]*NodeSet, 1)
+	w := ix.buildLabelWords(nodes)
+	next := make(map[string][]uint64, 1)
 	if old != nil {
 		for k, v := range *old {
 			next[k] = v
 		}
 	}
-	next[label] = s
+	next[label] = w
 	ix.labelSets.Store(&next)
-	return s
+	return w
+}
+
+// buildLabelWords returns the words over pre ranks of the given nodes.
+func (ix *TreeIndex) buildLabelWords(nodes []tree.NodeID) []uint64 {
+	w := make([]uint64, bitset.Words(ix.t.Len()))
+	for _, v := range nodes {
+		bitset.Set(w, ix.t.Pre(v))
+	}
+	return w
+}
+
+// storeEmptyLocked makes the shared empty words if they are not there
+// yet. labelMu must be held.
+func (ix *TreeIndex) storeEmptyLocked() {
+	if ix.emptySet.Load() == nil {
+		w := make([]uint64, bitset.Words(ix.t.Len()))
+		ix.emptySet.Store(&w)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/axis"
+	"repro/internal/bitset"
 	"repro/internal/consistency"
 	"repro/internal/cq"
 	"repro/internal/tree"
@@ -51,12 +52,8 @@ type shadowForest struct {
 	// schedule is Yannakakis' semijoin program over the linking atoms:
 	// postorder up (prune each parent against its child), then preorder
 	// down (prune each child against its parent). Derived once at build
-	// time and run by acyclicReduce.
+	// time and run by acyclicBool.
 	schedule []consistency.Semijoin
-	// headMirror marks the head variables. A monadic answer reads the
-	// reduced NodeID-indexed set of its one head variable, so it is the
-	// mirror mask that answer passes to SemijoinIx.
-	headMirror []bool
 }
 
 // walkStep is one variable of a walk: the variable, the walk position of
@@ -138,10 +135,6 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 	}
 	for _, r := range f.roots {
 		dfs(r)
-	}
-	f.headMirror = make([]bool, n)
-	for _, x := range q.Head {
-		f.headMirror[x] = true
 	}
 	f.headPos = make([]int, len(q.Head))
 	if f.walkableInOrder(q.Head) {
@@ -242,10 +235,13 @@ func (f *shadowForest) rootOf(x cq.Var) cq.Var {
 // parent-before-child order. After the full reduction every value of a
 // variable extends to a solution along every branch, so tuple enumeration
 // need not walk the branches this subtree leaves out, nor the components
-// without head variables (acyclicReduce has established that they are
+// without head variables (acyclicBool has established that they are
 // nonempty).
 func computeHeadOrder(q *cq.Query, f *shadowForest) []cq.Var {
-	isHead := f.headMirror
+	isHead := make([]bool, q.NumVars())
+	for _, x := range q.Head {
+		isHead[x] = true
+	}
 	holds := make([]int, q.NumVars()) // distinct head variables in x's forest subtree
 	for _, x := range f.postorder {
 		if isHead[x] {
@@ -288,27 +284,13 @@ func (f *shadowForest) appendHolding(order []cq.Var, x cq.Var, holds []int) []cq
 	return order
 }
 
-// acyclicReduce runs the two semijoin passes and returns the globally
-// consistent candidate sets, or ok=false if some set empties. Only the
-// sets of the variables mirror marks are reduced (see SemijoinIx); the
-// others keep their label-filtered candidates, so a caller reads only the
-// variables of the mask it passed. Every variable's reduced pre-rank
-// words are left in s.ac (Scratch.DomainPre) either way. The returned
-// sets are scratch-owned: valid until the scratch's next use.
-func acyclicReduce(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, mirror []bool) ([]*consistency.NodeSet, bool) {
-	p, ok := s.ac.SemijoinIx(d.ix, q, f.schedule, mirror)
-	if !ok {
-		return nil, false
-	}
-	return p.Sets, true
-}
-
-// acyclicBool decides an acyclic query against a prebuilt shadow forest:
-// satisfiable iff the semijoin reduction leaves every candidate set
-// nonempty (an empty conjunction always is, an empty tree never).
+// acyclicBool decides an acyclic query against a prebuilt shadow forest
+// by the two semijoin passes: satisfiable iff they leave every domain
+// nonempty (an empty conjunction always is, an empty tree never). The
+// reduced, globally consistent domains stay in s.ac's pre-rank words
+// (Scratch.DomainPre), valid until the scratch's next use.
 func acyclicBool(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) bool {
-	_, ok := acyclicReduce(d, q, f, s, nil)
-	return ok
+	return s.ac.SemijoinIx(d.ix, q, f.schedule)
 }
 
 // acyclicSatisfaction returns one consistent valuation, or nil: the first
@@ -339,7 +321,7 @@ func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 }
 
 // acyclicWalk enumerates the assignments of steps over the reduced
-// domains that acyclicReduce left in s: each step ranges over the axis
+// domains that acyclicBool left in s: each step ranges over the axis
 // image of its source step's value intersected with its variable's domain
 // (the whole domain at a top step), in document order, or in reverse
 // where dirs (nil: all ascending) says OrderDesc. It calls leaf with the
@@ -460,23 +442,18 @@ func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 }
 
 // acyclicForEachNode streams the answer of a monadic acyclic query in
-// increasing NodeID order — without any enumeration recursion: after the
-// two semijoin passes the candidate sets are globally consistent
-// (Yannakakis), so every surviving candidate of the head variable extends
-// to a full solution and the reduced set IS the answer.
+// document order — without any enumeration recursion: after the two
+// semijoin passes the domains are globally consistent (Yannakakis), so
+// every surviving candidate of the head variable extends to a full
+// solution and the head's reduced pre-rank words ARE the answer.
 func acyclicForEachNode(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, stop func() bool, fn func(v tree.NodeID) bool) {
-	sets, ok := acyclicReduce(d, q, f, s, f.headMirror)
-	if !ok {
+	if !acyclicBool(d, q, f, s) {
 		return
 	}
-	if stop == nil {
-		sets[q.Head[0]].ForEach(fn)
-		return
-	}
-	sets[q.Head[0]].ForEach(func(v tree.NodeID) bool {
-		if stop() {
+	bitset.ForEach(s.ac.DomainPre(q.Head[0]), func(pr int32) bool {
+		if stop != nil && stop() {
 			return false
 		}
-		return fn(v)
+		return fn(d.t.ByPre(pr))
 	})
 }

@@ -84,12 +84,15 @@ func (e *BacktrackEngine) run(d *Document, q *cq.Query, stop func() bool, emit f
 	if t.Len() == 0 {
 		return
 	}
-	p, ok := e.scratch().FastACIx(d.ix, q)
-	if !ok {
+	sc := e.scratch()
+	if e.Propagate {
+		if sc.FastACPreIx(d.ix, q) {
+			e.runMAC(d, q, stop, emit)
+		}
 		return
 	}
-	if e.Propagate {
-		e.runMAC(d, q, p, stop, emit)
+	p, ok := sc.FastACIx(d.ix, q)
+	if !ok {
 		return
 	}
 	order := searchOrder(q, p.Sets)
@@ -170,16 +173,17 @@ func (e *BacktrackEngine) run(d *Document, q *cq.Query, stop func() bool, emit f
 }
 
 // runMAC searches with arc consistency maintained incrementally: one
-// PinBase snapshots the initial maximal prevaluation p, and each branch is
-// a PinRun.Push that propagates from the parent's arc-consistent state
-// (only the pinned variable's atoms can be violated) and a Pop that undoes
-// it in O(1). At each depth it branches on the smallest non-singleton
-// domain (lowest variable index on ties), trying its values in ascending
-// NodeID order. When every variable is a singleton, those singletons are
-// the satisfaction.
-func (e *BacktrackEngine) runMAC(d *Document, q *cq.Query, p *consistency.Prevaluation, stop func() bool, emit func(consistency.Valuation) bool) {
+// PinBase snapshots, as a word copy, the maximal arc-consistent domains
+// the scratch's FastACPreIx left, and each branch is a PinRun.Push that
+// propagates from the parent's arc-consistent state (only the pinned
+// variable's atoms can be violated) and a Pop that undoes it in O(1). At
+// each depth it branches on the smallest non-singleton domain (lowest
+// variable index on ties), trying its values in ascending NodeID order.
+// When every variable is a singleton, those singletons are the
+// satisfaction.
+func (e *BacktrackEngine) runMAC(d *Document, q *cq.Query, stop func() bool, emit func(consistency.Valuation) bool) {
 	sc := e.scratch()
-	run := sc.PinRunFor(sc.PinBaseForIx(d.ix, q, p))
+	run := sc.PinRunFor(sc.PinBaseAC())
 	nv := q.NumVars()
 	// Each depth pins one more variable to a singleton, so at most nv
 	// candidate lists are live at once.

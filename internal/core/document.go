@@ -6,8 +6,8 @@ import (
 )
 
 // Document is a tree paired with every tree-derived structure evaluation
-// needs — the sibling and (preEnd, pre) orderings, the full-node-set
-// words, and the per-label candidate bitsets — built exactly once and
+// needs — the sibling and (preEnd, pre) orderings and the per-label
+// candidate words over pre ranks — built exactly once and
 // shared by all strategies. It is the data-side counterpart of a compiled
 // query: where Prepare pays the query-only cost once, NewDocument pays the
 // per-tree cost once, and any number of Prepared queries evaluate against
@@ -36,7 +36,7 @@ func (d *Document) Len() int { return d.t.Len() }
 
 // SizeBytes returns the approximate heap footprint of the document in
 // bytes: the tree's backing arrays plus the tree index (orderings, rank
-// tables, node-set words, and the label bitsets materialized so far).
-// Corpus memory accounting and eviction use this figure; label bitsets
+// tables, internal-node words, and the label words materialized so far).
+// Corpus memory accounting and eviction use this figure; label words
 // are built lazily, so it converges once the query mix has been seen.
 func (d *Document) SizeBytes() int64 { return d.t.SizeBytes() + d.ix.SizeBytes() }

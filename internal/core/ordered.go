@@ -54,12 +54,11 @@ func (p *Prepared) orderedForEachTuple(d *Document, s *evalScratch, o EnumOption
 
 // orderedDescent is orderedForEachTuple through the pinned-AC descent.
 func orderedDescent(d *Document, q *cq.Query, s *evalScratch, o EnumOptions, stop func() bool, fn func(tuple []tree.NodeID) bool) {
-	pre, ok := s.ac.FastACIx(d.ix, q)
-	if !ok {
+	if !s.ac.FastACPreIx(d.ix, q) {
 		return
 	}
 	e := orderedEnum{
-		run:   s.ac.PinRunFor(s.ac.PinBaseForIx(d.ix, q, pre)),
+		run:   s.ac.PinRunFor(s.ac.PinBaseAC()),
 		head:  q.Head,
 		dirs:  o.Order,
 		after: o.After,

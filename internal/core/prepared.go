@@ -21,8 +21,8 @@ var ErrNotMonadic = errors.New("query is not monadic")
 // evalScratch bundles the per-call mutable state of one evaluation: the
 // arc-consistency buffers (which also run the acyclic engine's semijoin
 // schedule) and a private backtracking engine (which carries search
-// counters). One evalScratch serves one evaluation at a time; Prepared
-// pools them so concurrent calls each borrow their own.
+// counters). One evalScratch serves one evaluation at a time; concurrent
+// calls each borrow their own from scratchPool.
 type evalScratch struct {
 	ac *consistency.Scratch
 	bt *BacktrackEngine
@@ -36,6 +36,15 @@ type evalScratch struct {
 func newEvalScratch() *evalScratch {
 	return &evalScratch{ac: consistency.NewScratch()}
 }
+
+// scratchPool is shared by every Prepared. An evalScratch keeps no query
+// state between evaluations — each run rebinds the AC buffers to its query
+// and document, the walk restarts its iterators, the backtracker resets
+// its step count — so a query compiled for a single request (an inline
+// /eval source) borrows buffers that earlier queries already grew.
+var scratchPool = sync.Pool{New: func() any { return newEvalScratch() }}
+
+func getScratch() *evalScratch { return scratchPool.Get().(*evalScratch) }
 
 // backtracker returns the scratch's private MAC engine, sharing the
 // scratch's arc-consistency buffers.
@@ -57,15 +66,13 @@ func (s *evalScratch) backtracker() *BacktrackEngine {
 // (tree indexes built once, by NewDocument).
 //
 // A Prepared is immutable after Prepare and safe for concurrent use: each
-// evaluation borrows a private scratch from an internal pool.
+// evaluation borrows a private scratch from a package-wide pool.
 type Prepared struct {
 	q    *cq.Query // private clone; never mutated
 	plan Plan
 
 	forest *shadowForest // StrategyAcyclic
 	order  axis.Order    // StrategyXProperty
-
-	pool sync.Pool // of *evalScratch
 }
 
 // Prepare compiles q: it classifies the signature (Theorem 1.1), analyzes
@@ -106,15 +113,6 @@ func (p *Prepared) Plan() Plan { return p.plan }
 
 // Query returns the compiled query (a private clone; treat as read-only).
 func (p *Prepared) Query() *cq.Query { return p.q }
-
-func (p *Prepared) scratch() *evalScratch {
-	if s, ok := p.pool.Get().(*evalScratch); ok {
-		return s
-	}
-	return newEvalScratch()
-}
-
-func (p *Prepared) release(s *evalScratch) { p.pool.Put(s) }
 
 // OrderDir is one head position's enumeration direction over pre-order
 // ranks (document order); see EnumOptions.Order.
@@ -226,14 +224,14 @@ func (p *Prepared) BoolDoc(d *Document, o EnumOptions) (bool, error) {
 	if err := o.err(); err != nil {
 		return false, err
 	}
-	s := p.scratch()
-	defer p.release(s)
+	s := getScratch()
+	defer scratchPool.Put(s)
 	var sat bool
 	switch p.plan.Strategy {
 	case StrategyAcyclic:
 		sat = acyclicBool(d, p.q, p.forest, s)
 	case StrategyXProperty:
-		_, sat = s.ac.FastACIx(d.ix, p.q) // Theorem 3.5
+		sat = s.ac.FastACPreIx(d.ix, p.q) // Theorem 3.5
 	case StrategyBacktrack:
 		sat = s.backtracker().evalBoolean(d, p.q, o.stop())
 	default:
@@ -251,8 +249,8 @@ func (p *Prepared) SatisfactionDoc(d *Document, o EnumOptions) consistency.Valua
 	if o.err() != nil {
 		return nil
 	}
-	s := p.scratch()
-	defer p.release(s)
+	s := getScratch()
+	defer scratchPool.Put(s)
 	switch p.plan.Strategy {
 	case StrategyAcyclic:
 		return acyclicSatisfaction(d, p.q, p.forest, s)
@@ -285,8 +283,8 @@ func (p *Prepared) ForEachTupleDoc(d *Document, o EnumOptions, fn func(tuple []t
 	if err := o.err(); err != nil {
 		return err
 	}
-	s := p.scratch()
-	defer p.release(s)
+	s := getScratch()
+	defer scratchPool.Put(s)
 	stop := o.stop()
 	fn = limitWrap(o, fn)
 	arity := len(p.q.Head)
@@ -302,7 +300,7 @@ func (p *Prepared) ForEachTupleDoc(d *Document, o EnumOptions, fn func(tuple []t
 		if arity > 0 {
 			// Unordered streams run the ordered descent in document order.
 			p.orderedForEachTuple(d, s, EnumOptions{Order: make([]OrderDir, arity)}, stop, fn)
-		} else if _, sat := s.ac.FastACIx(d.ix, p.q); sat {
+		} else if s.ac.FastACPreIx(d.ix, p.q) {
 			fn(nil)
 		}
 	case StrategyBacktrack:
@@ -316,7 +314,8 @@ func (p *Prepared) ForEachTupleDoc(d *Document, o EnumOptions, fn func(tuple []t
 // ForEachNodeDoc streams the answer nodes of a monadic compiled query
 // without building per-node tuple wrappers; it returns ErrNotMonadic if
 // the query is not monadic. Under the acyclic strategy nodes arrive in
-// increasing NodeID order; under the X-property strategy in the X-order
+// document order (NodeID order on a parsed or hydrated document, whose
+// NodeIDs are pre ranks); under the X-property strategy in the X-order
 // of the query's signature (document order for signatures within
 // {Child+, Child*}; see polyForEachNode); under backtracking in discovery
 // order. fn returns false to stop early. A non-nil error is ErrNotMonadic
@@ -328,8 +327,8 @@ func (p *Prepared) ForEachNodeDoc(d *Document, o EnumOptions, fn func(v tree.Nod
 	if err := o.err(); err != nil {
 		return err
 	}
-	s := p.scratch()
-	defer p.release(s)
+	s := getScratch()
+	defer scratchPool.Put(s)
 	stop := o.stop()
 	fn = limitWrap(o, fn)
 	if o.ordered(1) {

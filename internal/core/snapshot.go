@@ -55,7 +55,7 @@ func LoadDocument(data []byte) (*Document, error) {
 }
 
 // Materialize eagerly builds every lazy structure of the document (the
-// per-label bitsets and the shared empty set), fixing SizeBytes: after
+// per-label words and the shared empty words), fixing SizeBytes: after
 // this call no query mix changes the document's footprint. The corpus
 // calls it before charging a document to the byte budget so accounted
 // bytes equal actual bytes for the document's whole residency.

@@ -270,10 +270,11 @@ func (pq *PreparedQuery) Tuples(doc *Document, opts ...EvalOption) iter.Seq[[]No
 }
 
 // NodeSeq returns an iterator over the answer nodes of a monadic compiled
-// query on doc (in increasing NodeID order under the acyclic strategy, in
-// the X-order of the query's signature under the X-property strategy —
-// document order for signatures within {Child+, Child*} — and discovery
-// order under backtracking; NodesErr sorts); it panics with an error
+// query on doc (in document order under the acyclic strategy — NodeID
+// order on a parsed or hydrated document — in the X-order of the query's
+// signature under the X-property strategy — document order for
+// signatures within {Child+, Child*} — and discovery order under
+// backtracking; NodesErr sorts); it panics with an error
 // wrapping ErrNotMonadic if the query is not monadic — NodesErr is the
 // non-panicking variant. Breaking out of the loop stops the engine
 // immediately; a cancelled WithContext context stops the sequence
