@@ -711,9 +711,10 @@ const paginateMinDepth = 450
 // paginateProbe seeds one dedicated deep document and cursor-walks its
 // whole ~depth²/2-tuple answer relation twice — once at the requested
 // page size, once at jumbo pages — checking that both unions are
-// byte-identical and that no page request ever 5xx'd. Cursor resume cost
-// is O(depth + page), so the paged walk's total work stays linear in the
-// answer count; a quadratic blowup here surfaces as a hung probe.
+// byte-identical and that no page request ever 5xx'd. A cursor resume
+// costs one reduction of the document plus O(depth + page), so the paged
+// walk's total work is the pages times the reduction plus the answer
+// count; a quadratic blowup in the answers surfaces as a hung probe.
 func paginateProbe(client *http.Client, addr string, depth, pageSize int) (paginateStats, error) {
 	if depth < paginateMinDepth {
 		depth = paginateMinDepth

@@ -19,11 +19,12 @@ import (
 //
 // base64url-encoded (no padding). The pre ranks are the document-order
 // ranks of the last delivered tuple's head nodes — exactly the pin prefix
-// the ordered descent re-seeks to, so a resume costs O(depth + page), not
-// O(answers skipped). Cursor stability: pre ranks are a pure function of
-// the tree, and corpus versions are stable across dehydrate/hydrate (see
-// Corpus.Version), so a cursor stays valid for as long as the document's
-// content does — and is rejected as stale the moment it does not.
+// the ordered descent re-seeks to, so a resume costs one reduction of the
+// document plus O(depth + page), not O(answers skipped). Cursor
+// stability: pre ranks are a pure function of the tree, and corpus
+// versions are stable across dehydrate/hydrate (see Corpus.Version), so a
+// cursor stays valid for as long as the document's content does — and is
+// rejected as stale the moment it does not.
 //
 // See docs/pagination.md for the full semantics.
 

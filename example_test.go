@@ -56,10 +56,10 @@ func ExamplePreparedQuery_order() {
 }
 
 // Corpus.Page fetches one page of a query's answers and a resumable
-// cursor: an opaque token that a later call resumes from in
-// O(depth + page), bound to the document's content version — if the
-// document is swapped, the stale cursor is rejected instead of silently
-// returning answers from the wrong tree.
+// cursor: an opaque token that a later call resumes from without
+// re-enumerating earlier pages, bound to the document's content version —
+// if the document is swapped, the stale cursor is rejected instead of
+// silently returning answers from the wrong tree.
 func ExampleCorpus_paginate() {
 	c := cqtrees.NewCorpus()
 	if err := c.Add("doc", cqtrees.Index(cqtrees.MustParseTree("A(B,A(B,B),B)"))); err != nil {

@@ -3,11 +3,12 @@
 // holds one deep B-chain document whose chain query has ~depth²/2 answers
 // (about a million at the default depth), and the client fetches it in
 // fixed-size pages, each request resuming exactly where the previous
-// page ended via the opaque next_cursor token. The walk's total cost is
-// linear in the answers delivered — every resume re-descends in
-// O(depth + page) — and the program verifies that the reassembled union
-// has exactly the closed-form answer count, plus that the cursor dies
-// with 410 Gone the moment the document's content changes.
+// page ended via the opaque next_cursor token. No page re-enumerates
+// earlier ones — every resume re-runs the document's reduction and then
+// seeks in O(depth + page) — and the program verifies that the
+// reassembled union has exactly the closed-form answer count, plus that
+// the cursor dies with 410 Gone the moment the document's content
+// changes.
 //
 // Run it small (the examples smoke in CI does) or at the full million:
 //

@@ -39,33 +39,30 @@ import (
 
 // --- PinBase --------------------------------------------------------------
 
-// domWords is one variable's alive set stored up to three ways: as a
-// bitset over pre-order ranks, over sibling-order ranks, and over
-// positions in the (preEnd, pre) order. It is the package's only domain
-// representation: the axis support tests probe it through pinDom
-// (fastac.go), and the bulk image kernels (kernels.go) read its pre-rank
-// words. The sibling-order and preEnd words are kept only when some atom
-// of the bound query has an axis whose probe reads them (PinBase.bind);
-// otherwise they are empty and every update skips them.
+// domWords is one variable's alive set: a bitset over pre-order ranks
+// and, for a variable of a sibling-+/* atom, the same set over
+// sibling-order ranks, which that atom's probe reads (pinDom.anySibIn).
+// It is the package's only domain representation: the axis support tests
+// probe it through pinDom (fastac.go), and the bulk image kernels
+// (kernels.go) read its pre-rank words. Whether a variable keeps sibling
+// words is fixed per query (PinBase.bind); when it keeps none, sib is
+// empty and every update skips it.
 type domWords struct {
-	pre    []uint64
-	sib    []uint64
-	preEnd []uint64
+	pre []uint64
+	sib []uint64
 }
 
-// reset makes w the empty set over b's universe, with the orderings b's
-// query reads, reusing w's backing arrays.
-func (w *domWords) reset(b *PinBase) {
+// reset makes w the empty set over b's universe, with sibling words when
+// b's query keeps them for x, reusing w's backing arrays.
+func (w *domWords) reset(b *PinBase, x cq.Var) {
 	w.pre = bitset.Grow(w.pre, b.nw)
-	w.sib = bitset.Grow(w.sib, b.sibNW)
-	w.preEnd = bitset.Grow(w.preEnd, b.preEndNW)
+	w.sib = bitset.Grow(w.sib, b.sibWords(x))
 }
 
 // copyFrom makes w a private copy of o, reusing w's backing arrays.
 func (w *domWords) copyFrom(o domWords) {
 	w.pre = append(w.pre[:0], o.pre...)
 	w.sib = append(w.sib[:0], o.sib...)
-	w.preEnd = append(w.preEnd[:0], o.preEnd...)
 }
 
 func (w *domWords) add(ix *TreeIndex, v tree.NodeID) {
@@ -73,51 +70,31 @@ func (w *domWords) add(ix *TreeIndex, v tree.NodeID) {
 	if len(w.sib) > 0 {
 		bitset.Set(w.sib, ix.sibRank[v])
 	}
-	if len(w.preEnd) > 0 {
-		bitset.Set(w.preEnd, ix.preEndPos[v])
-	}
 }
 
 // remove deletes the node of pre rank pr.
 func (w *domWords) remove(ix *TreeIndex, pr int32) {
 	bitset.Clear(w.pre, pr)
-	if len(w.sib) == 0 && len(w.preEnd) == 0 {
-		return
-	}
-	v := ix.t.ByPre(pr)
 	if len(w.sib) > 0 {
-		bitset.Clear(w.sib, ix.sibRank[v])
-	}
-	if len(w.preEnd) > 0 {
-		bitset.Clear(w.preEnd, ix.preEndPos[v])
+		bitset.Clear(w.sib, ix.sibRank[ix.t.ByPre(pr)])
 	}
 }
 
-// scatterOrders makes w's sibling-order and preEnd words the members of
-// its pre words, count of them, sized for b's query: empty when bind keeps
-// neither ordering (the common case, which then costs nothing), and a
-// fill when w holds every node.
-func (w *domWords) scatterOrders(b *PinBase, count int32) {
-	w.sib = bitset.Grow(w.sib, b.sibNW)
-	w.preEnd = bitset.Grow(w.preEnd, b.preEndNW)
-	if int(count) == b.n {
-		bitset.FillRange(w.sib, 0, count-1) // no-op on an unkept ordering
-		bitset.FillRange(w.preEnd, 0, count-1)
-		return
+// scatterSib makes w's sibling words the members of its pre words, count
+// of them, when b's query keeps them for x: a fill when w holds every
+// node. Otherwise they are empty, which costs nothing.
+func (w *domWords) scatterSib(b *PinBase, x cq.Var, count int32) {
+	w.sib = bitset.Grow(w.sib, b.sibWords(x))
+	switch {
+	case len(w.sib) == 0:
+	case int(count) == b.n:
+		bitset.FillRange(w.sib, 0, count-1)
+	default:
+		bitset.ForEach(w.pre, func(pr int32) bool {
+			bitset.Set(w.sib, b.ix.sibRank[b.t.ByPre(pr)])
+			return true
+		})
 	}
-	if b.sibNW == 0 && b.preEndNW == 0 {
-		return
-	}
-	bitset.ForEach(w.pre, func(pr int32) bool {
-		v := b.t.ByPre(pr)
-		if len(w.sib) > 0 {
-			bitset.Set(w.sib, b.ix.sibRank[v])
-		}
-		if len(w.preEnd) > 0 {
-			bitset.Set(w.preEnd, b.ix.preEndPos[v])
-		}
-		return true
-	})
 }
 
 // PinBase is an immutable snapshot of the subset-maximal arc-consistent
@@ -134,16 +111,15 @@ type PinBase struct {
 	nw int // words per bitset
 	nv int // number of query variables
 
-	// sibNW and preEndNW are the word counts of a domain's sibling-order
-	// and preEnd-order bitsets: nw when some atom's axis probes them, 0
-	// otherwise.
-	sibNW, preEndNW int
+	// keepSib says, per variable, whether its domain keeps sibling-order
+	// words: it is a variable of a NextSibling+/*, PrevSibling+/* atom.
+	keepSib []bool
 
-	ix      *TreeIndex // borrowed document index (orderings, preEnd values)
+	ix      *TreeIndex // borrowed document index (orderings, rank tables)
 	sctx    supportCtx
 	atomsOf [][]int32 // variable -> indexes of atoms touching it
 
-	words      []domWords // per variable: candidates in the three orderings
+	words      []domWords // per variable: candidates in pre (and sibling) order
 	counts     []int32    // per variable: number of candidates
 	atomsStore [][]int32
 }
@@ -177,13 +153,12 @@ func (b *PinBase) bind(ix *TreeIndex, q *cq.Query) {
 	b.ix = ix
 	b.sctx = supportCtx{t: t, n: int32(n), sibRank: ix.sibRank, sibStart: ix.sibStart}
 
-	b.sibNW, b.preEndNW = 0, 0
+	b.keepSib = grow(b.keepSib, nv)
+	clear(b.keepSib)
 	for _, at := range q.Atoms {
 		switch at.Axis {
 		case axis.NextSiblingPlus, axis.NextSiblingStar, axis.PrevSiblingPlus, axis.PrevSiblingStar:
-			b.sibNW = b.nw // anySibIn, either direction
-		case axis.Following, axis.Preceding:
-			b.preEndNW = b.nw // minPreEnd, either direction
+			b.keepSib[at.X], b.keepSib[at.Y] = true, true // anySibIn, either direction
 		}
 	}
 
@@ -202,6 +177,15 @@ func (b *PinBase) bind(ix *TreeIndex, q *cq.Query) {
 	}
 }
 
+// sibWords returns the word count of x's sibling-order bitset: nw when x
+// keeps one, 0 otherwise.
+func (b *PinBase) sibWords(x cq.Var) int {
+	if b.keepSib[x] {
+		return b.nw
+	}
+	return 0
+}
+
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
@@ -217,6 +201,15 @@ func grow[T any](s []T, n int) []T {
 type pinDom struct {
 	b *PinBase
 	domWords
+	// minPE caches minPreEnd when peKnown: a view is set once per revise,
+	// and its domain does not change while the revise probes it.
+	minPE   int32
+	peKnown bool
+}
+
+// set points d at domain w over b.
+func (d *pinDom) set(b *PinBase, w domWords) {
+	d.b, d.domWords, d.peKnown = b, w, false
 }
 
 // hasNode reports whether node v is alive.
@@ -229,13 +222,13 @@ func (d *pinDom) anyPreIn(lo, hi int32) bool { return bitset.AnyIn(d.pre, lo, hi
 func (d *pinDom) anySibIn(lo, hi int32) bool { return bitset.AnyIn(d.sib, lo, hi) }
 
 // minPreEnd returns the minimum preEnd among alive nodes, or n when the
-// domain is empty.
+// domain is empty: read once off the pre words (minAlivePreEnd), then
+// cached for the rest of the view's revise.
 func (d *pinDom) minPreEnd() int32 {
-	pos := bitset.First(d.preEnd)
-	if pos < 0 {
-		return int32(d.b.n)
+	if !d.peKnown {
+		d.minPE, d.peKnown = minAlivePreEnd(d.b.ix, d.pre, int32(d.b.n)), true
 	}
-	return d.b.ix.preEndVal[pos]
+	return d.minPE
 }
 
 // --- PinRun ---------------------------------------------------------------
@@ -272,8 +265,7 @@ type PinRun struct {
 	inQueue   []bool
 	removeBuf []int32    // pre ranks pending removal in the current revision
 	imgBuf    []uint64   // bulk-kernel support bitset of the current revision
-	viewT     pinDom     // reusable support-test views (target and support
-	viewS     pinDom     // side of the current revision)
+	viewS     pinDom     // reusable support-test view of the support side
 	ex        *exclState // Scratch.Exclude's state, made by the first call
 }
 
@@ -346,7 +338,7 @@ func (r *PinRun) Push(x cq.Var, v tree.NodeID) bool {
 		return false // v already pruned from x's domain
 	}
 	// Pin: x's bitsets become the singleton {v}.
-	lv.own[x].reset(b)
+	lv.own[x].reset(b, x)
 	lv.own[x].add(b.ix, v)
 	lv.cur[x], lv.owned[x], lv.count[x] = lv.own[x], true, 1
 	if _, ok := r.propagate(lv, b.atomsOf[x]); !ok {
@@ -434,17 +426,18 @@ func (r *PinRun) propagate(lv *pinLevel, seed []int32) (Stats, bool) {
 // (support = preimage/image of the other side's alive set, one pass over
 // the words); sparse ones probe per alive candidate. Both paths compute
 // the identical removal set; reviseWithKernel documents the break-even.
-// A kernel revise of a domain that keeps pre words alone is the word AND
-// dom &= support (andPre); otherwise the removed pre ranks are listed in
-// r.removeBuf and cleared from every ordering the domain keeps.
+// A kernel revise of a target that keeps pre words alone (every variable
+// outside sibling-+/* atoms) is the word AND dom &= support (andPre);
+// otherwise the removed pre ranks are listed in r.removeBuf and cleared
+// from both orderings the domain keeps.
 func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
 	b := r.b
 	tgt, sup := at.X, at.Y
 	if !fwd {
 		tgt, sup = at.Y, at.X
 	}
-	r.viewT.b, r.viewT.domWords = b, lv.cur[tgt]
-	r.viewS.b, r.viewS.domWords = b, lv.cur[sup]
+	r.viewS.set(b, lv.cur[sup])
+	dom := lv.cur[tgt].pre
 	r.removeBuf = r.removeBuf[:0]
 	if reviseWithKernel(int(lv.count[tgt]), b.n) {
 		r.imgBuf = bitset.Resize(r.imgBuf, b.nw)
@@ -453,12 +446,12 @@ func (r *PinRun) revise(lv *pinLevel, at cq.AxisAtom, fwd bool) int {
 		} else {
 			image(at.Axis, b.ix, r.viewS.pre, r.imgBuf)
 		}
-		if b.sibNW == 0 && b.preEndNW == 0 {
+		if !b.keepSib[tgt] {
 			return lv.andPre(tgt, r.imgBuf)
 		}
-		r.removeBuf = appendUnsupported(r.removeBuf, r.viewT.pre, r.imgBuf)
+		r.removeBuf = appendUnsupported(r.removeBuf, dom, r.imgBuf)
 	} else {
-		bitset.ForEach(r.viewT.pre, func(pr int32) bool {
+		bitset.ForEach(dom, func(pr int32) bool {
 			v := b.t.ByPre(pr)
 			var ok bool
 			if fwd {
@@ -496,7 +489,7 @@ func (lv *pinLevel) andPre(x cq.Var, support []uint64) int {
 		own := &lv.own[x]
 		own.pre = bitset.Resize(own.pre, len(support))
 		if c = bitset.And(own.pre, lv.cur[x].pre, support); int32(c) < old {
-			own.sib, own.preEnd = own.sib[:0], own.preEnd[:0]
+			own.sib = own.sib[:0]
 			lv.cur[x], lv.owned[x] = *own, true
 		}
 	}

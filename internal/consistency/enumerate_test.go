@@ -2,8 +2,10 @@ package consistency
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/cq"
 	"repro/internal/tree"
 )
@@ -181,3 +183,66 @@ func TestPinBaseScratchReuse(t *testing.T) {
 
 // The word-level helper tests formerly here (TestAnyBitIn) moved with the
 // helpers to internal/bitset.
+
+// TestOrderingsOnlyWhereProbed: a domain keeps sibling-order words only
+// for a variable of a sibling-+/* atom, whose probe reads them. After a
+// load of the benchmark corpus's ac_bool, x holds pre words only and y
+// and z keep sibling words equal to their pre words' members; every
+// variable of bt_bool holds pre words only. A kernel revise of a pre-only
+// target is the word AND (andPre), which lists no removals, and such
+// revises do remove values here.
+func TestOrderingsOnlyWhereProbed(t *testing.T) {
+	defer SetKernelPolicy(KernelAuto)
+	SetKernelPolicy(KernelAlways)
+	tr := tree.Random(rand.New(rand.NewSource(1)), tree.DefaultRandomConfig(4000))
+	ix := NewTreeIndex(tr)
+	for _, c := range []struct {
+		src string
+		sib []string
+	}{
+		{"Q() <- A(x), Child(x, y), B(y), NextSibling+(y, z), C(z)", []string{"y", "z"}},
+		{"Q() <- D(x), Child(x, y), E(y), Child+(x, z), A(z), Following(y, z)", nil},
+	} {
+		q := cq.MustParse(c.src)
+		sc := NewScratch()
+		lv, ok := sc.loadLevel(ix, q)
+		if !ok {
+			t.Fatalf("%s: a domain is empty after the load", c.src)
+		}
+		keeps := make([]bool, q.NumVars())
+		for x := range keeps {
+			keeps[x] = slices.Contains(c.sib, q.VarName(cq.Var(x)))
+			w := lv.cur[x]
+			if got := len(w.sib) > 0; got != keeps[x] {
+				t.Fatalf("%s: %s keeps sibling words: %v, want %v", c.src, q.VarName(cq.Var(x)), got, keeps[x])
+			}
+			if keeps[x] && bitset.Count(w.sib) != bitset.Count(w.pre) {
+				t.Fatalf("%s: %s: %d sibling-order members, %d pre-order", c.src, q.VarName(cq.Var(x)), bitset.Count(w.sib), bitset.Count(w.pre))
+			}
+		}
+		r, anded := &sc.acRun, 0
+		for _, at := range q.Atoms {
+			for _, fwd := range []bool{true, false} {
+				tgt := at.X
+				if !fwd {
+					tgt = at.Y
+				}
+				removed := r.revise(lv, at, fwd)
+				switch {
+				case !keeps[tgt] && len(r.removeBuf) != 0:
+					t.Fatalf("%s: the kernel revise of pre-only %s listed %d removals", c.src, q.VarName(tgt), len(r.removeBuf))
+				case !keeps[tgt]:
+					anded += removed
+				case len(r.removeBuf) != removed:
+					t.Fatalf("%s: the revise of %s removed %d values and listed %d", c.src, q.VarName(tgt), removed, len(r.removeBuf))
+				}
+				if lv.count[tgt] == 0 {
+					break
+				}
+			}
+		}
+		if anded == 0 {
+			t.Fatalf("%s: no pre-only revise removed anything", c.src)
+		}
+	}
+}

@@ -40,8 +40,9 @@ import (
 //     covers.
 //   - Thresholds. A Following, Preceding or DocOrder support is a single
 //     extreme of the support domain (its maximum pre rank, minimum pre
-//     rank or minimum preEnd). The extreme is recomputed, and only the
-//     range of candidates it newly cuts off is removed.
+//     rank or minimum preEnd). The extreme is recomputed from a bound
+//     that only moves one way, and only the range of candidates it newly
+//     cuts off is removed.
 
 // removal is a value taken out of a domain by an exclusion, waiting to
 // have the values it may have supported rechecked.
@@ -55,12 +56,18 @@ type removal struct {
 // live value above hi[x] or below lo[x] in pre order, none before
 // position pe[x] in the (preEnd, pre) order — which only tighten as
 // domains shrink, so each extreme's rescans add up to one pass over its
-// words per loaded level. A load only clears the counters and marks the
-// bounds stale; the first exclusion resets them, so that loads that are
-// never excluded from (the acyclic semijoins) pay nothing for them.
+// words per loaded level. The (preEnd, pre)-position words that pe
+// indexes are built for a support variable the first time a recheck asks
+// for its minimum preEnd (peWords, peBuilt), and drop keeps them in step;
+// no other domain update maintains them. A load only clears the counters
+// and marks the bounds stale; the first exclusion resets them, so that
+// loads that are never excluded from (the acyclic semijoins) pay nothing
+// for them.
 type exclState struct {
 	work       []removal
 	hi, lo, pe []int32
+	peWords    [][]uint64
+	peBuilt    []bool
 	stale      bool
 	it         ImageIter
 	st         Stats
@@ -72,6 +79,8 @@ func (e *exclState) reset(nv, n int) {
 	for x := 0; x < nv; x++ {
 		e.hi[x], e.lo[x], e.pe[x] = int32(n)-1, 0, 0
 	}
+	e.peWords, e.peBuilt = grow(e.peWords, nv), grow(e.peBuilt, nv)
+	clear(e.peBuilt)
 	e.stale = false
 }
 
@@ -134,10 +143,14 @@ func (r *PinRun) exclude(lv *pinLevel, x cq.Var, pr int32) bool {
 // drop removes pre rank pr from x's domain and queues it; it reports
 // false when the domain empties.
 func (r *PinRun) drop(lv *pinLevel, x cq.Var, pr int32) bool {
-	lv.cur[x].remove(r.b.ix, pr)
+	ix, e := r.b.ix, r.ex
+	lv.cur[x].remove(ix, pr)
+	if e.peBuilt[x] {
+		bitset.Clear(e.peWords[x], ix.preEndPos[ix.t.ByPre(pr)])
+	}
 	lv.count[x]--
-	r.ex.st.Removals++
-	r.ex.work = append(r.ex.work, removal{x, pr})
+	e.st.Removals++
+	e.work = append(e.work, removal{x, pr})
 	return lv.count[x] > 0
 }
 
@@ -196,7 +209,7 @@ func (r *PinRun) recheck(lv *pinLevel, at cq.AxisAtom, fwd bool, w int32) bool {
 	// left here is one node, or w's children under Parent, which have all
 	// lost their one support.
 	desc := rel == axis.NextSiblingPlus || rel == axis.NextSiblingStar
-	r.viewS.b, r.viewS.domWords = b, lv.cur[sup]
+	r.viewS.set(b, lv.cur[sup])
 	it := &r.ex.it
 	it.Start(b.ix, at.Axis, !fwd, w, lv.cur[tgt].pre, desc)
 	for c := it.Next(); c >= 0; c = it.Next() {
@@ -364,12 +377,29 @@ func (r *PinRun) minPre(lv *pinLevel, x cq.Var) int32 {
 }
 
 // minPreEnd returns the smallest preEnd in x's domain, or n when empty.
+// The first call after a load builds x's (preEnd, pre)-position words
+// from its pre words; every call then resumes the scan at the bound
+// pe[x]. Probes counts one per member scattered, one per call and one
+// per position the bound moves past.
 func (r *PinRun) minPreEnd(lv *pinLevel, x cq.Var) int32 {
-	pos := bitset.NextIn(lv.cur[x].preEnd, r.ex.pe[x], int32(r.b.n)-1)
-	if pos < 0 {
-		r.ex.pe[x] = int32(r.b.n)
-		return int32(r.b.n)
+	e, ix, n := r.ex, r.b.ix, int32(r.b.n)
+	if !e.peBuilt[x] {
+		w := bitset.Grow(e.peWords[x], r.b.nw)
+		bitset.ForEach(lv.cur[x].pre, func(pr int32) bool {
+			bitset.Set(w, ix.preEndPos[ix.t.ByPre(pr)])
+			e.st.Probes++
+			return true
+		})
+		e.peWords[x], e.peBuilt[x] = w, true
 	}
-	r.ex.pe[x] = pos
-	return r.b.ix.preEndVal[pos]
+	pos := bitset.NextIn(e.peWords[x], e.pe[x], n-1)
+	if pos < 0 {
+		pos = n
+	}
+	e.st.Probes += 1 + int(pos-e.pe[x])
+	e.pe[x] = pos
+	if pos == n {
+		return n
+	}
+	return ix.preEndVal[pos]
 }

@@ -510,9 +510,11 @@ type Semijoin struct {
 // SemijoinIx runs a fixed schedule of revise steps — the FastAC
 // worklist's revise, kernel or probe — once each and in order, over the
 // label-filtered initial domains against a borrowed document index. It
-// reports false as soon as a domain empties. Yannakakis' two passes over
-// a forest-shaped query (postorder up, then preorder down) are such a
-// schedule, and they reach the maximal arc-consistent prevaluation
+// reports false as soon as a domain empties. Yannakakis' passes over a
+// forest-shaped query are such schedules: the bottom-up one (postorder,
+// each parent against its child) decides the query and reduces each
+// root to the values that extend to a solution, and the top-down one
+// after it would reach the maximal arc-consistent prevaluation, all
 // without a worklist. The reduced domains are left in the Scratch's
 // pre-rank words, which DomainPre reads.
 func (sc *Scratch) SemijoinIx(ix *TreeIndex, q *cq.Query, steps []Semijoin) bool {
@@ -605,13 +607,13 @@ func (sc *Scratch) bindLevel(ix *TreeIndex, q *cq.Query) *pinLevel {
 
 // seal finishes the load of level lv: it reports false if some domain is
 // empty, and otherwise makes every domain the level's own, its sibling
-// and preEnd words scattered from its pre words where bind keeps them.
+// words scattered from its pre words where bind keeps them.
 func (b *PinBase) seal(lv *pinLevel) bool {
 	for x := range lv.own {
 		if lv.count[x] == 0 {
 			return false
 		}
-		lv.own[x].scatterOrders(b, lv.count[x])
+		lv.own[x].scatterSib(b, cq.Var(x), lv.count[x])
 		lv.cur[x], lv.owned[x] = lv.own[x], true
 	}
 	return true

@@ -29,17 +29,21 @@ package consistency
 //
 // A revise step then becomes "dom &= image(...)": the per-axis work is a
 // few linear passes instead of |dom| successor probes, which is the
-// winning trade on dense domains. On a domain that keeps pre words alone
-// the AND is literally that, fused with the copy-on-write copy and
-// counted by its popcount (pinLevel.andPre); a domain that also keeps
-// sibling or preEnd words lists the removed ranks (appendUnsupported)
-// and clears each in every ordering. See reviseWithKernel for the density
+// winning trade on dense domains. A domain keeps pre words alone unless
+// its variable is in a sibling-+/* atom, and then the AND is literally
+// that, fused with the copy-on-write copy and counted by its popcount
+// (pinLevel.andPre); a domain that also keeps sibling-order words lists
+// the removed ranks (appendUnsupported) and clears each in both
+// orderings. No domain keeps a (preEnd, pre) ordering: a Following or
+// Preceding probe reads the support's minimum preEnd once per revise off
+// its pre words (minAlivePreEnd). See reviseWithKernel for the density
 // heuristic and KernelPolicy for the test override. The package has one
 // revise step, PinRun.revise, and both tractable cases run it: the FastAC
 // worklist and the pinned propagation for X-property signatures, and a
-// fixed Yannakakis schedule of steps (Scratch.SemijoinIx) for acyclic
-// queries. Only the exclusions of exclude.go, which remove one value at a
-// time, recheck single candidates instead of revising whole sides.
+// fixed schedule of steps (Scratch.SemijoinIx), Yannakakis' bottom-up
+// pass, for acyclic queries. Only the exclusions of exclude.go, which
+// remove one value at a time, recheck single candidates instead of
+// revising whole sides.
 
 import (
 	"fmt"

@@ -52,8 +52,8 @@ func BenchmarkRevise(b *testing.B) {
 			if dySet.Empty() {
 				dySet.Add(tree.NodeID(rng.Intn(n)))
 			}
-			// Bind a query over every benchmarked axis, so the domains
-			// keep each ordering some probe below reads.
+			// Bind a query over every benchmarked axis, so that both
+			// domains keep the sibling words the NextSibling+ probe reads.
 			bq := cq.New()
 			bx, by := bq.AddVar("x"), bq.AddVar("y")
 			for _, a := range reviseAxes {
@@ -63,8 +63,8 @@ func BenchmarkRevise(b *testing.B) {
 			base.bind(ix, bq)
 			dx, dy := &pinDom{b: base}, &pinDom{b: base}
 			dx.pre, dy.pre = preWordsOf(tr, FullNodeSet(n)), preWordsOf(tr, dySet)
-			dx.scatterOrders(base, int32(n))
-			dy.scatterOrders(base, int32(dySet.Len()))
+			dx.scatterSib(base, bx, int32(n))
+			dy.scatterSib(base, by, int32(dySet.Len()))
 			sctx := &base.sctx
 			img := make([]uint64, bitset.Words(n))
 
@@ -73,6 +73,7 @@ func BenchmarkRevise(b *testing.B) {
 				// loop node for node.
 				preimage(a, ix, dy.pre, img)
 				probeSupported := 0
+				dy.set(base, dy.domWords)
 				for v := 0; v < n; v++ {
 					if supportedFwd(sctx, a, tree.NodeID(v), dy) {
 						probeSupported++
@@ -87,6 +88,7 @@ func BenchmarkRevise(b *testing.B) {
 				b.Run(name+"/probe", func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						removals := 0
+						dy.set(base, dy.domWords) // one revise: Following reads its minimum once
 						bitset.ForEach(dx.pre, func(pr int32) bool {
 							if !supportedFwd(sctx, a, tr.ByPre(pr), dy) {
 								removals++
@@ -150,31 +152,52 @@ func BenchmarkFastACSparse(b *testing.B) {
 	q := cq.MustParse("Q() <- Following(x, y), Child+(y, z), Following(x, z)")
 	for _, n := range []int{128 << 10, 512 << 10} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		tr := tree.Random(rng, tree.RandomConfig{Nodes: n, MaxChildren: 4})
-		ix := NewTreeIndex(tr)
-		doms := make([]*NodeSet, q.NumVars())
-		for x := range doms {
-			doms[x] = NewNodeSet(n)
-			for v := 0; v < n; v++ {
-				if rng.Intn(512) == 0 {
-					doms[x].Add(tree.NodeID(v))
-				}
-			}
-		}
-		sc := NewScratch()
-		init := &Prevaluation{Sets: make([]*NodeSet, len(doms))}
-		for x := range init.Sets {
-			init.Sets[x] = &NodeSet{}
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for x, s := range init.Sets {
-					s.copyFrom(doms[x])
-				}
-				if _, _, ok := sc.fastACFromStatsIx(ix, q, init); !ok {
-					b.Fatal("benchmark query must be satisfiable")
-				}
-			}
-		})
+		benchFastACSparse(b, q, tree.Random(rng, tree.RandomConfig{Nodes: n, MaxChildren: 4}), rng)
 	}
+}
+
+// BenchmarkFastACWide is BenchmarkFastACSparse's guard for the sibling
+// probes: NextSibling+ and PrevSibling+ over domains of about one node in
+// 512 on tree.ShapeWide trees, whose four inner nodes hold every other
+// node as a child. A probe asks for an alive sibling in a range of up to
+// n/4 siblings, which the domain's sibling-order words answer in that
+// range's words; a probe that walked the sibling chain instead would pay
+// for every sibling in it.
+func BenchmarkFastACWide(b *testing.B) {
+	q := cq.MustParse("Q() <- NextSibling+(x, y), PrevSibling+(y, z), NextSibling+(z, w)")
+	for _, n := range []int{16 << 10, 64 << 10} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		benchFastACSparse(b, q, tree.RandomWithShape(rng, n, tree.ShapeWide, []string{"A"}), rng)
+	}
+}
+
+// benchFastACSparse times FastAC of q on tr from initial domains that
+// keep each node with probability 1/512, drawn once from rng.
+func benchFastACSparse(b *testing.B, q *cq.Query, tr *tree.Tree, rng *rand.Rand) {
+	n := tr.Len()
+	ix := NewTreeIndex(tr)
+	doms := make([]*NodeSet, q.NumVars())
+	for x := range doms {
+		doms[x] = NewNodeSet(n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(512) == 0 {
+				doms[x].Add(tree.NodeID(v))
+			}
+		}
+	}
+	sc := NewScratch()
+	init := &Prevaluation{Sets: make([]*NodeSet, len(doms))}
+	for x := range init.Sets {
+		init.Sets[x] = &NodeSet{}
+	}
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for x, s := range init.Sets {
+				s.copyFrom(doms[x])
+			}
+			if _, _, ok := sc.fastACFromStatsIx(ix, q, init); !ok {
+				b.Fatal("benchmark query must be satisfiable")
+			}
+		}
+	})
 }

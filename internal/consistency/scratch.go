@@ -72,7 +72,7 @@ func (sc *Scratch) PinnedFastACIx(ix *TreeIndex, q *cq.Query, vars []cq.Var, nod
 		if !bitset.Test(w.pre, ix.t.Pre(nodes[i])) {
 			return nil, false
 		}
-		w.reset(&sc.acBase)
+		w.reset(&sc.acBase, x)
 		w.add(ix, nodes[i])
 		lv.cur[x], lv.count[x] = *w, 1
 	}

@@ -20,9 +20,11 @@ import (
 // materialized lazily, once per distinct label, behind a mutex — callers
 // observe a logically immutable object that is safe for concurrent use.
 type TreeIndex struct {
-	t         *tree.Tree
-	sibRank   []int32 // node -> sibling-order rank
-	sibStart  []int32 // parent node -> first child rank
+	t        *tree.Tree
+	sibRank  []int32 // node -> sibling-order rank
+	sibStart []int32 // parent node -> first child rank
+	// The (preEnd, pre) order, read only by Scratch.Exclude's minimum
+	// preEnd threshold and by the snapshot: no domain keeps words over it.
 	preEndPos []int32 // node -> position in (preEnd, pre) order
 	preEndVal []int32 // position in (preEnd, pre) order -> preEnd value
 

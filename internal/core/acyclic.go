@@ -14,15 +14,21 @@ import (
 // The acyclic strategy (StrategyAcyclic) evaluates queries whose query
 // graph's undirected shadow is a forest in the style of Yannakakis'
 // algorithm [Yannakakis 1981], cited in §1.1 as the reason APQs evaluate
-// particularly well: a bottom-up semijoin pass then a top-down pass make
-// the candidate sets globally consistent, after which answers enumerate
-// backtrack-free. It works on every tree structure and every acyclic query
-// regardless of signature — acyclicity, not the X-property, supplies
-// tractability here. The two passes are a fixed schedule of revise steps,
-// built once at Prepare and run by the consistency package's one revise
-// (the same kernel-or-probe step as the FastAC worklist). Enumeration then
-// walks the forest over the reduced pre-rank domains, visiting for each
-// parent value only its axis image (consistency.ImageIter).
+// particularly well. It works on every tree structure and every acyclic
+// query regardless of signature — acyclicity, not the X-property,
+// supplies tractability here. Each forest component is rooted at its
+// first head variable, and one bottom-up semijoin pass (prune each parent
+// against its child, children first) leaves every value of a variable
+// with a support in each child's reduced domain. That is all the
+// consumers read: the query holds iff no domain empties, a root's
+// reduced domain is exactly the values that extend to a solution of its
+// component (the monadic answer), and a walk that assigns every variable
+// after its forest parent never reaches a dead end. The pass is a fixed
+// schedule of revise steps, built once at Prepare and run by the
+// consistency package's one revise (the same kernel-or-probe step as the
+// FastAC worklist). Enumeration then walks the forest over the reduced
+// pre-rank domains, visiting for each parent value only its axis image
+// (consistency.ImageIter).
 
 // shadowForest is a rooted-forest view of an acyclic query graph.
 type shadowForest struct {
@@ -30,6 +36,8 @@ type shadowForest struct {
 	roots []cq.Var
 	// For each variable: the atom linking it to its forest parent, and
 	// whether the atom points parent -> child (down) or child -> parent.
+	// Each component is rooted at its first head variable in head order,
+	// or at its lowest variable when it holds none.
 	parent    []cq.Var
 	linkAtom  []int
 	linkDown  []bool // atom is R(parent, child)
@@ -43,24 +51,25 @@ type shadowForest struct {
 	headPos  []int
 	// inOrder says whether the head is walkable in head order: its
 	// variables are distinct, and each one after the first is adjacent to
-	// an earlier one or is the first of its forest component. Ordered
-	// requests for such a head walk headWalk directly.
+	// an earlier one or is the first of its forest component (then its
+	// root). Each one after the first of its component is then the forest
+	// child of an earlier one. Ordered requests for such a head walk
+	// headWalk directly.
 	inOrder bool
 	// headDedup says whether headWalk holds a non-head variable, so that
 	// distinct assignments can project to the same head tuple.
 	headDedup bool
-	// schedule is Yannakakis' semijoin program over the linking atoms:
-	// postorder up (prune each parent against its child), then preorder
-	// down (prune each child against its parent). Derived once at build
-	// time and run by acyclicBool.
+	// schedule is the bottom-up half of Yannakakis' semijoin program over
+	// the linking atoms: in postorder, prune each parent against its
+	// child. Rooted at the head, no consumer needs the top-down half.
+	// Derived once at build time and run by acyclicBool.
 	schedule []consistency.Semijoin
 }
 
 // walkStep is one variable of a walk: the variable, the walk position of
-// the forest neighbour it is read from (-1 for the top of a walked
-// subtree, which ranges over its whole domain), and the linking atom's
-// axis, read from that neighbour's value forward (atom R(neighbour, x))
-// or backward (R(x, neighbour)).
+// its forest parent (-1 for a root, which ranges over its whole domain),
+// and the linking atom's axis, read from the parent's value forward (atom
+// R(parent, x)) or backward (R(x, parent)).
 type walkStep struct {
 	x    cq.Var
 	from int
@@ -87,39 +96,40 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 		f.parent[i] = cq.NilVar
 		f.linkAtom[i] = -1
 	}
+	// rootAt roots the component of an unvisited variable r at r and
+	// grows it breadth first.
 	visited := make([]bool, n)
-	for root := cq.Var(0); int(root) < n; root++ {
-		if visited[root] {
-			continue
+	rootAt := func(r cq.Var) {
+		if visited[r] {
+			return
 		}
-		f.roots = append(f.roots, root)
-		// BFS over the shadow.
-		queue := []cq.Var{root}
-		visited[root] = true
+		f.roots = append(f.roots, r)
+		queue := []cq.Var{r}
+		visited[r] = true
 		for len(queue) > 0 {
 			x := queue[0]
 			queue = queue[1:]
 			for _, e := range g.Out(x) {
 				if !visited[e.To] {
 					visited[e.To] = true
-					f.parent[e.To] = x
-					f.linkAtom[e.To] = e.AtomIndex
-					f.linkDown[e.To] = true
-					f.children[x] = append(f.children[x], e.To)
+					f.link(x, e.To, e.AtomIndex, true)
 					queue = append(queue, e.To)
 				}
 			}
 			for _, e := range g.In(x) {
 				if !visited[e.From] {
 					visited[e.From] = true
-					f.parent[e.From] = x
-					f.linkAtom[e.From] = e.AtomIndex
-					f.linkDown[e.From] = false
-					f.children[x] = append(f.children[x], e.From)
+					f.link(x, e.From, e.AtomIndex, false)
 					queue = append(queue, e.From)
 				}
 			}
 		}
+	}
+	for _, h := range q.Head {
+		rootAt(h)
+	}
+	for x := range n {
+		rootAt(cq.Var(x))
 	}
 	// Postorder: children before parents.
 	state := make([]byte, n)
@@ -152,28 +162,28 @@ func buildShadowForest(q *cq.Query) (*shadowForest, error) {
 		}
 	}
 	// The linking atom is R(parent, child) when linkDown: the parent is
-	// then the atom's left-hand side (a forward revise going up) and the
-	// child its right-hand side (a backward revise going down).
-	f.schedule = make([]consistency.Semijoin, 0, 2*(n-len(f.roots)))
+	// then the atom's left-hand side, revised forward.
+	f.schedule = make([]consistency.Semijoin, 0, n-len(f.roots))
 	for _, x := range f.postorder {
 		if f.parent[x] != cq.NilVar {
 			f.schedule = append(f.schedule, consistency.Semijoin{Atom: int32(f.linkAtom[x]), Fwd: f.linkDown[x]})
 		}
 	}
-	for i := len(f.postorder) - 1; i >= 0; i-- {
-		if x := f.postorder[i]; f.parent[x] != cq.NilVar {
-			f.schedule = append(f.schedule, consistency.Semijoin{Atom: int32(f.linkAtom[x]), Fwd: !f.linkDown[x]})
-		}
-	}
 	return f, nil
 }
 
+// link makes c a forest child of p through atom ai, which is R(p, c)
+// when down and R(c, p) otherwise.
+func (f *shadowForest) link(p, c cq.Var, ai int, down bool) {
+	f.parent[c], f.linkAtom[c], f.linkDown[c] = p, ai, down
+	f.children[p] = append(f.children[p], c)
+}
+
 // walk returns the steps that assign order, a list of variables in which
-// each variable with an earlier forest neighbour has exactly one: it
-// ranges over that neighbour's axis image, every other variable over its
-// whole domain. A neighbour is the forest parent (the linking atom read
-// as built) or a forest child (the child's linking atom, read the other
-// way).
+// each one comes after its forest parent or is a root: it ranges over
+// its parent's axis image (the linking atom read as built), a root over
+// its whole domain. The bottom-up pass leaves every value with a support
+// in each child's domain, so such a walk never backs out of a dead end.
 func (f *shadowForest) walk(order []cq.Var) []walkStep {
 	pos := make([]int, f.q.NumVars())
 	for i := range pos {
@@ -183,58 +193,44 @@ func (f *shadowForest) walk(order []cq.Var) []walkStep {
 	for i, x := range order {
 		pos[x] = i
 		steps[i] = walkStep{x: x, from: -1}
-		if p := f.parent[x]; p != cq.NilVar && pos[p] >= 0 {
+		if p := f.parent[x]; p != cq.NilVar {
+			if pos[p] < 0 {
+				panic(fmt.Sprintf("core: walk assigns %s before its forest parent %s", f.q.VarName(x), f.q.VarName(p)))
+			}
 			steps[i].from = pos[p]
 			steps[i].ax = f.q.Atoms[f.linkAtom[x]].Axis
 			steps[i].fwd = f.linkDown[x]
-			continue
-		}
-		for _, c := range f.children[x] {
-			if pos[c] >= 0 {
-				steps[i].from = pos[c]
-				steps[i].ax = f.q.Atoms[f.linkAtom[c]].Axis
-				steps[i].fwd = !f.linkDown[c]
-				break
-			}
 		}
 	}
 	return steps
 }
 
 // walkableInOrder reports whether a walk can assign head in head order:
-// the variables are distinct and each one is adjacent in the forest to an
-// earlier one or is the first of its component. The walk then assigns
-// only head variables, so its assignments are the distinct head tuples.
+// the variables are distinct and each one is a root or comes after its
+// forest parent. The roots being the components' first head variables,
+// that is: each one is adjacent in the forest to an earlier one or is
+// the first of its component. The walk then assigns only head variables,
+// so its assignments are the distinct head tuples.
 func (f *shadowForest) walkableInOrder(head []cq.Var) bool {
 	for i, x := range head {
 		earlier := head[:i]
 		if slices.Contains(earlier, x) {
 			return false
 		}
-		if slices.ContainsFunc(earlier, func(y cq.Var) bool { return f.parent[x] == y || f.parent[y] == x }) {
-			continue
-		}
-		root := f.rootOf(x)
-		if slices.ContainsFunc(earlier, func(y cq.Var) bool { return f.rootOf(y) == root }) {
+		if p := f.parent[x]; p != cq.NilVar && !slices.Contains(earlier, p) {
 			return false
 		}
 	}
 	return true
 }
 
-// rootOf returns the root of x's forest component.
-func (f *shadowForest) rootOf(x cq.Var) cq.Var {
-	for f.parent[x] != cq.NilVar {
-		x = f.parent[x]
-	}
-	return x
-}
-
 // computeHeadOrder returns, for every forest component holding head
 // variables, the smallest connected subtree holding them, in
-// parent-before-child order. After the full reduction every value of a
-// variable extends to a solution along every branch, so tuple enumeration
-// need not walk the branches this subtree leaves out, nor the components
+// parent-before-child order. The component's root is a head variable, so
+// that subtree is the root and every variable whose forest subtree holds
+// a head variable. After the bottom-up pass every value of a variable
+// extends to a solution of its forest subtree, so tuple enumeration need
+// not walk the branches this subtree leaves out, nor the components
 // without head variables (acyclicBool has established that they are
 // nonempty).
 func computeHeadOrder(q *cq.Query, f *shadowForest) []cq.Var {
@@ -252,22 +248,10 @@ func computeHeadOrder(q *cq.Query, f *shadowForest) []cq.Var {
 		}
 	}
 	var order []cq.Var
-	for _, top := range f.roots {
-		if holds[top] == 0 {
-			continue
+	for _, r := range f.roots {
+		if holds[r] > 0 {
+			order = f.appendHolding(order, r, holds)
 		}
-		// Descend while one child's subtree holds every head variable.
-	descend:
-		for !isHead[top] {
-			for _, c := range f.children[top] {
-				if holds[c] == holds[top] {
-					top = c
-					continue descend
-				}
-			}
-			break
-		}
-		order = f.appendHolding(order, top, holds)
 	}
 	return order
 }
@@ -285,10 +269,12 @@ func (f *shadowForest) appendHolding(order []cq.Var, x cq.Var, holds []int) []cq
 }
 
 // acyclicBool decides an acyclic query against a prebuilt shadow forest
-// by the two semijoin passes: satisfiable iff they leave every domain
+// by the bottom-up semijoin pass: satisfiable iff it leaves every domain
 // nonempty (an empty conjunction always is, an empty tree never). The
-// reduced, globally consistent domains stay in s.ac's pre-rank words
-// (Scratch.DomainPre), valid until the scratch's next use.
+// reduced domains stay in s.ac's pre-rank words (Scratch.DomainPre),
+// valid until the scratch's next use: each root's holds exactly the
+// values that extend to a solution of its component, and every value of
+// a variable has a support in each forest child's.
 func acyclicBool(d *Document, q *cq.Query, f *shadowForest, s *evalScratch) bool {
 	return s.ac.SemijoinIx(d.ix, q, f.schedule)
 }
@@ -322,14 +308,15 @@ func acyclicSatisfaction(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 
 // acyclicWalk enumerates the assignments of steps over the reduced
 // domains that acyclicBool left in s: each step ranges over the axis
-// image of its source step's value intersected with its variable's domain
-// (the whole domain at a top step), in document order, or in reverse
+// image of its forest parent's value intersected with its variable's
+// domain (the whole domain at a root), in document order, or in reverse
 // where dirs (nil: all ascending) says OrderDesc. It calls leaf with the
 // pre ranks assigned, by step (a reused buffer), once per complete
-// assignment, and stops when leaf returns false. The reduction is full,
-// so every image the walk opens is nonempty: it never backs out of a dead
-// end, and an assignment costs O(1) amortised beyond the image shapes'
-// own overhead (see consistency.ImageIter).
+// assignment, and stops when leaf returns false. The bottom-up pass left
+// every parent value a support in its child's domain, so every image the
+// walk opens is nonempty: it never backs out of a dead end, and an
+// assignment costs O(1) amortised beyond the image shapes' own overhead
+// (see consistency.ImageIter).
 //
 // With after set (pre ranks by step), the walk resumes strictly after
 // that assignment in the lexicographic order it walks: while every
@@ -442,10 +429,9 @@ func acyclicForEachTuple(d *Document, q *cq.Query, f *shadowForest, s *evalScrat
 }
 
 // acyclicForEachNode streams the answer of a monadic acyclic query in
-// document order — without any enumeration recursion: after the two
-// semijoin passes the domains are globally consistent (Yannakakis), so
-// every surviving candidate of the head variable extends to a full
-// solution and the head's reduced pre-rank words ARE the answer.
+// document order, without any enumeration: the head variable roots its
+// forest component, so after the bottom-up pass every value left in its
+// pre-rank words extends to a solution, and those words ARE the answer.
 func acyclicForEachNode(d *Document, q *cq.Query, f *shadowForest, s *evalScratch, stop func() bool, fn func(v tree.NodeID) bool) {
 	if !acyclicBool(d, q, f, s) {
 		return

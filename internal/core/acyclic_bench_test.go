@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -19,24 +20,49 @@ var acyclicBenchQueries = []struct{ name, src string }{
 	{"nodes", "Q(y) <- A(x), Child+(x, y), B(y)"},
 }
 
-// BenchmarkAcyclicChain times the acyclic strategy's two semijoin passes
-// (plus, for the monadic query, streaming the reduced head set) on
+// BenchmarkAcyclicChain times the acyclic strategy's bottom-up semijoin
+// pass (plus, for the monadic query, streaming the reduced head set) on
 // tree.Random trees of 4k, 16k and 64k nodes. Every revise costs
 // O(n/64 + |dom|), so the time per evaluation should grow about linearly
 // with n. The 4k tree holds neither chain (answers/op 0), so there the
-// passes stop at the first emptied domain.
+// pass stops at the first emptied domain. Before timing, each leg's
+// answer is checked at every n: a Boolean one against FastAC (arc
+// consistency decides acyclic queries), the monadic one against the
+// ordered pinned descent.
 func BenchmarkAcyclicChain(b *testing.B) {
 	for _, bq := range acyclicBenchQueries {
 		p := MustPrepare(cq.MustParse(bq.src))
 		if p.Plan().Strategy != StrategyAcyclic {
 			b.Fatalf("%s: strategy %v, want acyclic", bq.name, p.Plan().Strategy)
 		}
+		boolean := len(p.Query().Head) == 0
 		for _, n := range []int{4000, 16000, 64000} {
 			d := NewDocument(tree.Random(rand.New(rand.NewSource(1)), tree.DefaultRandomConfig(n)))
+			if boolean {
+				sat, _ := p.BoolDoc(d, EnumOptions{})
+				if want := newEvalScratch().ac.FastACPreIx(d.ix, p.Query()); sat != want {
+					b.Fatalf("%s/n=%d: BoolDoc %v, FastAC %v", bq.name, n, sat, want)
+				}
+			} else {
+				var got, want []tree.NodeID
+				p.ForEachNodeDoc(d, EnumOptions{}, func(v tree.NodeID) bool {
+					got = append(got, v)
+					return true
+				})
+				orderedDescent(d, p.Query(), newEvalScratch(), EnumOptions{Order: []OrderDir{OrderAsc}}, nil, func(tuple []tree.NodeID) bool {
+					want = append(want, tuple[0])
+					return true
+				})
+				slices.Sort(got)
+				slices.Sort(want)
+				if len(want) == 0 || !slices.Equal(got, want) {
+					b.Fatalf("%s/n=%d: the stream gives %d nodes, the ordered descent %d (or they differ)", bq.name, n, len(got), len(want))
+				}
+			}
 			b.Run(fmt.Sprintf("%s/n=%d", bq.name, n), func(b *testing.B) {
 				answers := 0
 				for i := 0; i < b.N; i++ {
-					if len(p.Query().Head) == 0 {
+					if boolean {
 						if sat, _ := p.BoolDoc(d, EnumOptions{}); sat {
 							answers++
 						}
@@ -67,9 +93,10 @@ var acyclicTupleQueries = []struct{ name, src string }{
 	{"projected", "Q(x, z) <- A(x), Child+(x, y), B(y), Child+(y, z), C(z)"},
 }
 
-// BenchmarkAcyclicTuples times unordered acyclic tuple streams (the two
-// semijoin passes plus the walk over the reduced domains) on tree.Random
-// trees of 4k, 16k and 64k nodes, reporting answers/op and ns/answer.
+// BenchmarkAcyclicTuples times unordered acyclic tuple streams (the
+// bottom-up semijoin pass plus the walk over the reduced domains) on
+// tree.Random trees of 4k, 16k and 64k nodes, reporting answers/op and
+// ns/answer.
 // Each walk step visits only its parent value's axis image, so ns/answer
 // should stay about flat as the tree grows. On the 4k tree each stream's
 // answer count is checked against the ordered descent's.

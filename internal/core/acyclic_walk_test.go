@@ -78,45 +78,185 @@ func headed(body string, head ...string) *cq.Query {
 func TestAcyclicWalkParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, q := range walkParityQueries() {
-		src := q.String()
-		p := MustPrepare(q)
-		if p.Plan().Strategy != StrategyAcyclic {
-			t.Fatalf("%s: plan %v, want the acyclic strategy", src, p.Plan())
+		checkWalkParity(t, rng, q, 6)
+	}
+}
+
+// headRootQueries are acyclic shapes whose head is not the body's first
+// variable: it lies below it in the body's own order, sits in the middle
+// of a chain, or in a second component, with heads walkable in head order
+// and not.
+func headRootQueries() []*cq.Query {
+	chain := "A(x), Child+(x, y), B(y), Child(y, z), C(z)"
+	steps := "A(x), Child(x, y), B(y), Child+(y, z), C(z)"
+	two := "A(x), Child(x, y), B(y), C(u), NextSibling(u, w), A(w)"
+	return []*cq.Query{
+		headed(steps, "z"),
+		headed(steps, "y", "x"),
+		headed(steps, "z", "x", "y"),
+		headed(chain, "z"),
+		headed(chain, "y"),
+		headed(chain, "y", "x"),
+		headed(chain, "z", "y"),
+		headed(chain, "z", "x"),
+		headed("A(x), Following(x, y), B(y), Preceding(y, z), C(z), PrevSibling+(z, w)", "w", "y"),
+		headed(two, "w"),
+		headed(two, "w", "y"),
+		headed(two, "u", "x"),
+	}
+}
+
+// TestAcyclicWalkParityHeadRoots is TestAcyclicWalkParity for
+// headRootQueries under every kernel policy, plus the monadic node
+// stream, which reads the head's reduced words directly.
+func TestAcyclicWalkParityHeadRoots(t *testing.T) {
+	defer consistency.SetKernelPolicy(consistency.KernelAuto)
+	for _, pol := range []consistency.KernelPolicy{consistency.KernelNever, consistency.KernelAlways, consistency.KernelAuto} {
+		consistency.SetKernelPolicy(pol)
+		rng := rand.New(rand.NewSource(33))
+		for _, q := range headRootQueries() {
+			checkWalkParity(t, rng, q, 12)
 		}
-		n := 90 // more than one word of pre ranks, so interval ends fall mid-set
-		if q.NumVars() > 2 {
-			n = 12 // ReferenceEvalAll costs n^vars
+	}
+}
+
+// checkWalkParity checks q's unordered tuple stream, node stream (for a
+// monadic head) and satisfaction against ReferenceEvalAll on the given
+// number of random scrambled trees, and that some trial had an answer.
+func checkWalkParity(t *testing.T, rng *rand.Rand, q *cq.Query, trials int) {
+	t.Helper()
+	src := q.String()
+	p := MustPrepare(q)
+	if p.Plan().Strategy != StrategyAcyclic {
+		t.Fatalf("%s: plan %v, want the acyclic strategy", src, p.Plan())
+	}
+	n := 90 // more than one word of pre ranks, so interval ends fall mid-set
+	if q.NumVars() > 2 {
+		n = 12 // ReferenceEvalAll costs n^vars
+	}
+	answered := 0
+	for trial := 0; trial < trials; trial++ {
+		tr := scrambledTree(rng, 1+rng.Intn(n))
+		d := NewDocument(tr)
+		var got [][]tree.NodeID
+		seen := map[string]bool{}
+		p.ForEachTupleDoc(d, EnumOptions{}, func(tuple []tree.NodeID) bool {
+			if key := fmt.Sprint(tuple); seen[key] {
+				t.Fatalf("%s on %s: tuple %v streamed twice", src, tr, tuple)
+			} else {
+				seen[key] = true
+			}
+			got = append(got, copyTuple(tuple))
+			return true
+		})
+		slices.SortFunc(got, slices.Compare[[]tree.NodeID])
+		want := ReferenceEvalAll(tr, q)
+		if !sameTuples(got, want) {
+			t.Fatalf("%s on %s:\n got %v\nwant %v", src, tr, got, want)
 		}
-		answered := 0
-		for trial := 0; trial < 6; trial++ {
-			tr := scrambledTree(rng, 1+rng.Intn(n))
-			d := NewDocument(tr)
-			var got [][]tree.NodeID
-			seen := map[string]bool{}
-			p.ForEachTupleDoc(d, EnumOptions{}, func(tuple []tree.NodeID) bool {
-				if key := fmt.Sprint(tuple); seen[key] {
-					t.Fatalf("%s on %s: tuple %v streamed twice", src, tr, tuple)
-				} else {
-					seen[key] = true
-				}
-				got = append(got, copyTuple(tuple))
+		if len(q.Head) == 1 {
+			var nodes [][]tree.NodeID
+			p.ForEachNodeDoc(d, EnumOptions{}, func(v tree.NodeID) bool {
+				nodes = append(nodes, []tree.NodeID{v})
 				return true
 			})
-			slices.SortFunc(got, slices.Compare[[]tree.NodeID])
-			want := ReferenceEvalAll(tr, q)
-			if !sameTuples(got, want) {
-				t.Fatalf("%s on %s:\n got %v\nwant %v", src, tr, got, want)
-			}
-			theta := p.SatisfactionDoc(d, EnumOptions{})
-			if (theta != nil) != (len(want) > 0) || theta != nil && !consistency.Consistent(tr, q, theta) {
-				t.Fatalf("%s on %s: satisfaction %v with %d answers", src, tr, theta, len(want))
-			}
-			if len(want) > 0 {
-				answered++
+			slices.SortFunc(nodes, slices.Compare[[]tree.NodeID])
+			if !sameTuples(nodes, want) {
+				t.Fatalf("%s on %s: node stream\n got %v\nwant %v", src, tr, nodes, want)
 			}
 		}
-		if answered == 0 {
-			t.Errorf("%s: no trial had an answer", src)
+		theta := p.SatisfactionDoc(d, EnumOptions{})
+		if (theta != nil) != (len(want) > 0) || theta != nil && !consistency.Consistent(tr, q, theta) {
+			t.Fatalf("%s on %s: satisfaction %v with %d answers", src, tr, theta, len(want))
+		}
+		if len(want) > 0 {
+			answered++
+		}
+	}
+	if answered == 0 {
+		t.Errorf("%s: no trial had an answer", src)
+	}
+}
+
+// TestAcyclicScheduleOnePass: the semijoin schedule is the bottom-up pass
+// alone over a forest rooted at the head. It holds one step per forest
+// edge (NumVars minus the components), each revising a variable's forest
+// parent against it through its linking atom, in postorder: a variable
+// is used as a support only after every step that revises it. Each
+// component with a head variable is rooted at its first one in head
+// order, any other at its lowest variable.
+func TestAcyclicScheduleOnePass(t *testing.T) {
+	var queries []*cq.Query
+	queries = append(queries, walkParityQueries()...)
+	queries = append(queries, headRootQueries()...)
+	for _, c := range orderedWalkQueries() {
+		queries = append(queries, c.q)
+	}
+	queries = append(queries, cq.MustParse("Q() <- A(x), Child(x, y), B(y), C(u), NextSibling(u, w), A(w), D(v)"))
+	for _, q := range queries {
+		f, err := buildShadowForest(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		// Components and their expected roots, by union-find over the atoms.
+		comp := make([]int, q.NumVars())
+		for i := range comp {
+			comp[i] = i
+		}
+		var find func(x int) int
+		find = func(x int) int {
+			if comp[x] != x {
+				comp[x] = find(comp[x])
+			}
+			return comp[x]
+		}
+		for _, at := range q.Atoms {
+			comp[find(int(at.X))] = find(int(at.Y))
+		}
+		wantRoot := map[int]cq.Var{}
+		for _, h := range q.Head {
+			if _, ok := wantRoot[find(int(h))]; !ok {
+				wantRoot[find(int(h))] = h
+			}
+		}
+		for x := range q.NumVars() {
+			if _, ok := wantRoot[find(x)]; !ok {
+				wantRoot[find(x)] = cq.Var(x)
+			}
+		}
+		for x := range q.NumVars() {
+			isRoot := f.parent[x] == cq.NilVar
+			if want := wantRoot[find(x)] == cq.Var(x); isRoot != want {
+				t.Fatalf("%s: variable %s is a root: %v, want %v", q, q.VarName(cq.Var(x)), isRoot, want)
+			}
+		}
+		if want := q.NumVars() - len(wantRoot); len(f.schedule) != want {
+			t.Fatalf("%s: %d steps, want %d (one per forest edge)", q, len(f.schedule), want)
+		}
+		// In postorder, a variable's own revises all come before its use
+		// as a support, and its parent is revised against it exactly once.
+		pending := make([]int, q.NumVars()) // forest children not yet revised against
+		for x := range q.NumVars() {
+			if p := f.parent[x]; p != cq.NilVar {
+				pending[p]++
+			}
+		}
+		used := make([]bool, q.NumVars())
+		for i, st := range f.schedule {
+			at := q.Atoms[st.Atom]
+			tgt, sup := at.X, at.Y
+			if !st.Fwd {
+				tgt, sup = at.Y, at.X
+			}
+			if f.parent[sup] != tgt || f.linkAtom[sup] != int(st.Atom) {
+				t.Fatalf("%s: step %d revises %s against %s, which is not its forest child by atom %d",
+					q, i, q.VarName(tgt), q.VarName(sup), st.Atom)
+			}
+			if used[sup] || pending[sup] != 0 {
+				t.Fatalf("%s: step %d reads %s before its own %d revises", q, i, q.VarName(sup), pending[sup])
+			}
+			used[sup] = true
+			pending[tgt]--
 		}
 	}
 }

@@ -4,8 +4,9 @@
 //
 //   - the X-property polynomial-time engine of Theorem 3.5 (arc-consistency
 //     plus minimum valuation, O(‖A‖·|Q|) for Boolean queries);
-//   - a Yannakakis-style engine for acyclic queries (two semijoin passes,
-//     backtrack-free enumeration);
+//   - a Yannakakis-style engine for acyclic queries (one bottom-up
+//     semijoin pass over a head-rooted forest, backtrack-free
+//     enumeration);
 //   - a general MAC backtracking engine, complete for every signature but
 //     exponential in the worst case (the problem is NP-complete outside
 //     the tractable signatures, §5).

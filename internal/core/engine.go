@@ -45,10 +45,20 @@ type Plan struct {
 	Strategy       Strategy
 	Classification Classification
 	QueryClass     cq.Class
+
+	text string // String's result, rendered once by Prepare
 }
 
-// String renders a one-line plan description.
+// String renders a one-line plan description. A Prepared's plan returns
+// the text rendered at Prepare, so serving it per request costs nothing.
 func (p Plan) String() string {
+	if p.text != "" {
+		return p.text
+	}
+	return p.render()
+}
+
+func (p Plan) render() string {
 	return fmt.Sprintf("%s query over %s -> %s", p.QueryClass, p.Classification, p.Strategy)
 }
 
@@ -66,6 +76,7 @@ func planFor(q *cq.Query) Plan {
 	default:
 		p.Strategy = StrategyBacktrack
 	}
+	p.text = p.render()
 	return p
 }
 

@@ -18,9 +18,10 @@ import (
 //
 //   - Acyclic queries whose head is walkable in head order (see
 //     shadowForest.inOrder) run the axis-image walk of acyclic.go with a
-//     direction and a resume seek per position: after the full semijoin
-//     reduction no step reaches a dead end, whichever head variable roots
-//     the walk.
+//     direction and a resume seek per position: the head's first variable
+//     roots the forest and every later one is read from its forest
+//     parent, so after the bottom-up semijoin pass no step reaches a dead
+//     end.
 //   - Every other acyclic head, and the X-property strategy, run the
 //     pinned-AC descent below, each level's candidate bitset iterated in
 //     the requested direction. It is sound and complete for both:

@@ -22,6 +22,7 @@ func prepareXProperty(tb testing.TB, q *cq.Query) *Prepared {
 	}
 	p := MustPrepare(q)
 	p.plan.Strategy = StrategyXProperty
+	p.plan.text = p.plan.render()
 	p.order = order
 	return p
 }
@@ -114,30 +115,45 @@ func TestEngineStepsMetricMonotone(t *testing.T) {
 // stream as a counter test, with no timing: after the one FastAC run, the
 // min-delete loop's support probes per answer and removal stay flat as
 // the tree grows, because each removal rechecks only what it could have
-// supported. xp_nodes runs on tree.Random trees of n, 4n and 16n nodes,
-// and the ratio may grow by at most 1.5x from n to 16n.
+// supported. It runs xp_nodes on tree.Random trees, and a {Following}
+// query on tree.ShapeDeep trees, whose exclusions read the support
+// domain's minimum preEnd (each threshold step counts as a probe), at n,
+// 4n and 16n nodes; the ratio may grow by at most 1.5x from n to 16n.
 func TestXPropNodesProbesFlat(t *testing.T) {
-	p := MustPrepare(cq.MustParse(xpNodesQuery))
-	if p.Plan().Strategy != StrategyXProperty {
-		t.Fatalf("strategy %v, want X-property", p.Plan().Strategy)
-	}
-	var ratios []float64
-	for _, n := range []int{2000, 8000, 32000} {
-		d := NewDocument(tree.Random(rand.New(rand.NewSource(1)), tree.DefaultRandomConfig(n)))
-		s := newEvalScratch()
-		answers := 0
-		polyForEachNode(d, p.q, p.order, s, nil, func(tree.NodeID) bool {
-			answers++
-			return true
-		})
-		st := s.ac.ExclusionStats()
-		if answers == 0 || st.Removals < answers {
-			t.Fatalf("n=%d: %d answers, %d removals", n, answers, st.Removals)
+	for _, c := range []struct {
+		name string
+		p    *Prepared
+		tree func(n int) *tree.Tree
+	}{
+		{"xp_nodes", MustPrepare(cq.MustParse(xpNodesQuery)), func(n int) *tree.Tree {
+			return tree.Random(rand.New(rand.NewSource(1)), tree.DefaultRandomConfig(n))
+		}},
+		{"following", prepareXProperty(t, cq.MustParse("Q(y) <- A(x), Following(x, y), B(y)")), func(n int) *tree.Tree {
+			return tree.RandomWithShape(rand.New(rand.NewSource(1)), n, tree.ShapeDeep, []string{"A", "B", "C"})
+		}},
+	} {
+		p := c.p
+		if p.Plan().Strategy != StrategyXProperty {
+			t.Fatalf("%s: strategy %v, want X-property", c.name, p.Plan().Strategy)
 		}
-		ratios = append(ratios, float64(st.Probes)/float64(answers+st.Removals))
-		t.Logf("n=%d: %d answers, %d removals, %d probes, %.2f probes per answer and removal", n, answers, st.Removals, st.Probes, ratios[len(ratios)-1])
-	}
-	if ratios[2] > 1.5*ratios[0] {
-		t.Errorf("probes per answer and removal grow from %.2f to %.2f from n to 16n", ratios[0], ratios[2])
+		var ratios []float64
+		for _, n := range []int{2000, 8000, 32000} {
+			d := NewDocument(c.tree(n))
+			s := newEvalScratch()
+			answers := 0
+			polyForEachNode(d, p.q, p.order, s, nil, func(tree.NodeID) bool {
+				answers++
+				return true
+			})
+			st := s.ac.ExclusionStats()
+			if answers == 0 || st.Removals < answers {
+				t.Fatalf("%s n=%d: %d answers, %d removals", c.name, n, answers, st.Removals)
+			}
+			ratios = append(ratios, float64(st.Probes)/float64(answers+st.Removals))
+			t.Logf("%s n=%d: %d answers, %d removals, %d probes, %.2f probes per answer and removal", c.name, n, answers, st.Removals, st.Probes, ratios[len(ratios)-1])
+		}
+		if ratios[2] > 1.5*ratios[0] {
+			t.Errorf("%s: probes per answer and removal grow from %.2f to %.2f from n to 16n", c.name, ratios[0], ratios[2])
+		}
 	}
 }

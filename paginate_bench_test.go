@@ -1,13 +1,14 @@
 package cqtrees
 
-// BenchmarkPaginate: the cursor's O(depth + page) resume versus the
-// offset's O(skipped + page) scan, fetching the same page from the middle
-// of a B-chain answer relation (~depth²/2 tuples). The scan leg's cost
-// grows with the total answer count; the resume leg's does not — it
-// re-descends directly to the recorded pin prefix — so page-k cost under
-// cursors is independent of how deep into the result set k lies. The two
-// legs are parity-checked before timing: both must return byte-identical
-// pages, or the benchmark aborts.
+// BenchmarkPaginate: the cursor's resume (one reduction of the document,
+// then O(depth + page)) versus the offset's O(skipped + page) scan,
+// fetching the same page from the middle of a B-chain answer relation
+// (~depth²/2 tuples). The scan leg's cost grows with the total answer
+// count; the resume leg's does not — it re-descends directly to the
+// recorded pin prefix — so page-k cost under cursors is independent of
+// how deep into the result set k lies. The two legs are parity-checked
+// before timing: both must return byte-identical pages, or the benchmark
+// aborts.
 //
 //	…/scan    Paginate with WithOffset(total/2)
 //	…/resume  Paginate with a cursor minted at total/2

@@ -352,12 +352,13 @@ type Page struct {
 // document order (WithOrder; all-ascending when absent or when resuming —
 // the cursor carries its order). The page size is WithLimit (default
 // DefaultPageSize); when more answers remain past the page, Page.Next
-// holds a cursor that resumes strictly after the page's last tuple in
-// O(depth + page) — no re-enumeration of earlier pages. Bind the cursor
-// to document content with WithDocVersion (Corpus.Page does this
-// automatically); a later call with a cursor from another version fails
-// with ErrCursorStale, from another query or order with ErrCursorMismatch,
-// and hostile tokens with ErrCursorMalformed — never a panic.
+// holds a cursor that resumes strictly after the page's last tuple at
+// the cost of one reduction of the document plus O(depth + page) — no
+// re-enumeration of earlier pages. Bind the cursor to document content
+// with WithDocVersion (Corpus.Page does this automatically); a later
+// call with a cursor from another version fails with ErrCursorStale,
+// from another query or order with ErrCursorMismatch, and hostile tokens
+// with ErrCursorMalformed — never a panic.
 //
 // WithOffset composes (applied once, before the page); Boolean queries
 // have nothing to order and return an error.
