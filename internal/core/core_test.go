@@ -249,12 +249,16 @@ func TestPlanSelection(t *testing.T) {
 		{"Q() <- Child(x, y), Child+(x, z), Child(y, z)", StrategyBacktrack},
 	}
 	for _, tc := range cases {
-		plan := MustPrepare(cq.MustParse(tc.src)).Plan()
+		p := MustPrepare(cq.MustParse(tc.src))
+		plan := p.Plan()
 		if plan.Strategy != tc.want {
 			t.Errorf("Plan(%s) = %v, want %v", tc.src, plan.Strategy, tc.want)
 		}
 		if plan.String() == "" {
 			t.Errorf("empty plan string")
+		}
+		if p.PlanText() != plan.String() {
+			t.Errorf("PlanText() = %q, want Plan().String() = %q", p.PlanText(), plan.String())
 		}
 	}
 }

@@ -45,20 +45,11 @@ type Plan struct {
 	Strategy       Strategy
 	Classification Classification
 	QueryClass     cq.Class
-
-	text string // String's result, rendered once by Prepare
 }
 
-// String renders a one-line plan description. A Prepared's plan returns
-// the text rendered at Prepare, so serving it per request costs nothing.
+// String renders a one-line plan description. Prepared.PlanText holds
+// the same text, rendered once at Prepare.
 func (p Plan) String() string {
-	if p.text != "" {
-		return p.text
-	}
-	return p.render()
-}
-
-func (p Plan) render() string {
 	return fmt.Sprintf("%s query over %s -> %s", p.QueryClass, p.Classification, p.Strategy)
 }
 
@@ -76,7 +67,6 @@ func planFor(q *cq.Query) Plan {
 	default:
 		p.Strategy = StrategyBacktrack
 	}
-	p.text = p.render()
 	return p
 }
 

@@ -20,9 +20,13 @@ func prepareXProperty(tb testing.TB, q *cq.Query) *Prepared {
 	if !ok {
 		tb.Fatalf("no common X-property order for %s", q)
 	}
-	p := MustPrepare(q)
-	p.plan.Strategy = StrategyXProperty
-	p.plan.text = p.plan.render()
+	c := q.Clone()
+	pl := planFor(c)
+	pl.Strategy = StrategyXProperty
+	p, err := prepareAs(c, pl)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	p.order = order
 	return p
 }

@@ -68,8 +68,9 @@ func (s *evalScratch) backtracker() *BacktrackEngine {
 // A Prepared is immutable after Prepare and safe for concurrent use: each
 // evaluation borrows a private scratch from a package-wide pool.
 type Prepared struct {
-	q    *cq.Query // private clone; never mutated
-	plan Plan
+	q        *cq.Query // private clone; never mutated
+	plan     Plan
+	planText string // plan.String(), rendered once
 
 	forest *shadowForest // StrategyAcyclic
 	order  axis.Order    // StrategyXProperty
@@ -84,7 +85,13 @@ func Prepare(q *cq.Query) (*Prepared, error) {
 		return nil, fmt.Errorf("core: Prepare of nil query")
 	}
 	c := q.Clone()
-	p := &Prepared{q: c, plan: planFor(c)}
+	return prepareAs(c, planFor(c))
+}
+
+// prepareAs builds the Prepared of compiled query c under plan pl: the
+// plan's text and the chosen strategy's query-only structures.
+func prepareAs(c *cq.Query, pl Plan) (*Prepared, error) {
+	p := &Prepared{q: c, plan: pl, planText: pl.String()}
 	switch p.plan.Strategy {
 	case StrategyAcyclic:
 		f, err := buildShadowForest(c)
@@ -110,6 +117,10 @@ func MustPrepare(q *cq.Query) *Prepared {
 
 // Plan reports the compiled evaluation strategy and classification.
 func (p *Prepared) Plan() Plan { return p.plan }
+
+// PlanText returns Plan().String(), rendered once at Prepare: serving the
+// plan with every response costs no formatting.
+func (p *Prepared) PlanText() string { return p.planText }
 
 // Query returns the compiled query (a private clone; treat as read-only).
 func (p *Prepared) Query() *cq.Query { return p.q }

@@ -386,7 +386,7 @@ func (s *Server) evalBatch(ctx context.Context, w http.ResponseWriter, r *http.R
 	docs, rule := s.selectDocs(req)
 	capN := s.answerCap(req.MaxAnswers)
 
-	resp := evalResponse{Mode: mode, Plan: pq.Plan().String(), Results: make([]evalResult, 0, len(docs))}
+	resp := evalResponse{Mode: mode, Plan: pq.PlanText(), Results: make([]evalResult, 0, len(docs))}
 	add := func(name string, v any, err error) {
 		if err != nil {
 			if reason, row := rule.fail(err); row {
@@ -474,7 +474,7 @@ func (s *Server) evalPaginated(ctx context.Context, w http.ResponseWriter, req e
 		opts = append(opts, cqtrees.WithCursor(req.Cursor))
 	}
 
-	resp := evalResponse{Mode: "tuples", Plan: pq.Plan().String()}
+	resp := evalResponse{Mode: "tuples", Plan: pq.PlanText()}
 	rule := rowRule{explicit: true, expected: 1}
 	page, err := s.corpus.Page(pq, doc, opts...)
 	switch {

@@ -83,7 +83,7 @@ func (s *Server) evalNDJSON(ctx context.Context, w http.ResponseWriter, req eval
 	// past it only for a line longer than the buffer) and written.
 	emit := func(row ndRow) { _, _ = bw.Write(appendNDRow(bw.AvailableBuffer(), &row)) }
 
-	sum := ndSummary{Summary: true, Mode: mode, Plan: pq.Plan().String()}
+	sum := ndSummary{Summary: true, Mode: mode, Plan: pq.PlanText()}
 	// The batch row rule; the status is already committed 200, so a
 	// failure's reason is the whole signal here.
 	fail := func(name string, err error) {

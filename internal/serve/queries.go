@@ -22,7 +22,7 @@ func info(name string, sq *storedQuery) queryInfo {
 		Name:   name,
 		Source: sq.src,
 		Arity:  len(sq.pq.Query().Head),
-		Plan:   sq.pq.Plan().String(),
+		Plan:   sq.pq.PlanText(),
 	}
 }
 

@@ -420,10 +420,14 @@ func (pq *PreparedQuery) Paginate(doc *Document, opts ...EvalOption) (Page, erro
 // compiled into the query.
 func (pq *PreparedQuery) Plan() Plan { return pq.p.Plan() }
 
+// PlanText returns Plan().String(), rendered once when the query was
+// prepared.
+func (pq *PreparedQuery) PlanText() string { return pq.p.PlanText() }
+
 // Query returns the compiled query (a private clone; treat as read-only).
 func (pq *PreparedQuery) Query() *Query { return pq.p.Query() }
 
 // String renders the compiled query with its plan.
 func (pq *PreparedQuery) String() string {
-	return pq.p.Query().String() + " [" + pq.p.Plan().String() + "]"
+	return pq.p.Query().String() + " [" + pq.p.PlanText() + "]"
 }
